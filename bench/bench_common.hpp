@@ -38,18 +38,32 @@ struct Args {
   std::string check_path;  // empty: no baseline check
 };
 
+/// Parses the shared CLI dialect. Any other argument prints the accepted
+/// flags and exits 2: a mistyped `--check BENCH.json` must not turn into a
+/// run that checks nothing and exits 0.
 inline Args parse_args(int argc, char** argv, std::string_view default_json,
                        int default_repeat = 1) {
   Args a;
   a.repeat = default_repeat;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) a.quick = true;
-    if (std::strncmp(argv[i], "--repeat=", 9) == 0) {
+    const std::string_view arg = argv[i];
+    if (arg == "--quick") {
+      a.quick = true;
+    } else if (arg.starts_with("--repeat=")) {
       a.repeat = std::atoi(argv[i] + 9);
+    } else if (arg == "--json") {
+      a.json_path = default_json;
+    } else if (arg.starts_with("--json=")) {
+      a.json_path = arg.substr(7);
+    } else if (arg.starts_with("--check=")) {
+      a.check_path = arg.substr(8);
+    } else {
+      std::cerr << argv[0] << ": unrecognised argument '" << arg
+                << "'\nusage: " << argv[0]
+                << " [--quick] [--repeat=N] [--json[=path]] "
+                   "[--check=<baseline>]\n";
+      std::exit(2);
     }
-    if (std::strcmp(argv[i], "--json") == 0) a.json_path = default_json;
-    if (std::strncmp(argv[i], "--json=", 7) == 0) a.json_path = argv[i] + 7;
-    if (std::strncmp(argv[i], "--check=", 8) == 0) a.check_path = argv[i] + 8;
   }
   a.repeat = std::max(a.repeat, 1);
   return a;
@@ -102,27 +116,41 @@ inline bool load_baseline(const std::string& path, stats::json::Value* doc) {
 /// Compare the baseline's per-workload "counters_fnv1a" fields against the
 /// fresh run. `lookup` maps a workload name to its fresh fingerprint
 /// (nullptr: workload absent from this run, skipped — lets a baseline from a
-/// full run check a --quick rerun). `what` names the behavior in the
-/// failure message, e.g. "protocol".
+/// full run check a --quick rerun). Fails when the baseline has no
+/// "workloads" array or no baseline workload ran, since then nothing was
+/// compared. `what` names the behavior in the failure message, e.g.
+/// "protocol".
 inline bool check_fingerprints(
     const stats::json::Value& doc,
     const std::function<const std::uint64_t*(const std::string&)>& lookup,
     const char* what) {
-  bool ok = true;
   const stats::json::Value* wl = doc.find("workloads");
-  if (!wl || !wl->is_array()) return ok;
+  if (!wl || !wl->is_array()) {
+    std::cerr << "CHECK FAIL: baseline has no workloads array — no " << what
+              << " fingerprint compared\n";
+    return false;
+  }
+  bool ok = true;
+  int compared = 0;
   for (const auto& e : wl->array) {
     const stats::json::Value* name = e.find("name");
     const stats::json::Value* fnv = e.find("counters_fnv1a");
     if (!name || !fnv) continue;
     const std::uint64_t* fresh = lookup(name->string);
-    if (fresh && hex(*fresh) != fnv->string) {
+    if (!fresh) continue;
+    ++compared;
+    if (hex(*fresh) != fnv->string) {
       std::cerr << "CHECK FAIL: workload " << name->string
                 << " counters fingerprint drifted (baseline " << fnv->string
                 << ", now " << hex(*fresh) << ") — " << what
                 << " behavior changed\n";
       ok = false;
     }
+  }
+  if (compared == 0) {
+    std::cerr << "CHECK FAIL: no baseline workload ran — no " << what
+              << " fingerprint compared\n";
+    return false;
   }
   return ok;
 }

@@ -31,23 +31,7 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun);
 
-void BM_WireHeaderEncode(benchmark::State& state) {
-  proto::WireHeader h;
-  h.seq = 123456;
-  h.ack = 123400;
-  std::vector<std::byte> data(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto payload = proto::encode_frame_payload(h, {}, data);
-    benchmark::DoNotOptimize(payload.data());
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          (proto::WireHeader::kBytes + data.size()));
-}
-BENCHMARK(BM_WireHeaderEncode)->Arg(0)->Arg(256)->Arg(1428);
-
-// Same wire bytes, zero-allocation path: encode straight into a pooled
-// frame's inline payload. Compare against BM_WireHeaderEncode at the same
-// arg to see what the vector-returning codec cost per frame.
+// Encode straight into a pooled frame's inline payload (zero allocation).
 void BM_WireHeaderEncodeInto(benchmark::State& state) {
   proto::WireHeader h;
   h.seq = 123456;
@@ -66,10 +50,11 @@ BENCHMARK(BM_WireHeaderEncodeInto)->Arg(0)->Arg(256)->Arg(1428);
 void BM_WireHeaderDecode(benchmark::State& state) {
   proto::WireHeader h;
   std::vector<std::byte> data(1428);
-  auto payload = proto::encode_frame_payload(h, {}, data);
+  auto frame = net::frame_pool().acquire();
+  proto::encode_frame_payload_into(frame->payload, h, {}, data);
   proto::DecodedFrame df;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(proto::decode_frame_payload(payload, df));
+    benchmark::DoNotOptimize(proto::decode_frame_payload(frame->payload, df));
   }
 }
 BENCHMARK(BM_WireHeaderDecode);

@@ -88,6 +88,11 @@ if [ -z "${MULTIEDGE_SKIP_BENCH:-}" ] && [ -z "$SAN" ]; then
   cmake -B "$BENCH_DIR" -S . "${BGEN_ARGS[@]}" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$BENCH_DIR" -j "$(nproc)" --target simspeed --target coll_bench \
     --target kv_bench --target svc_bench --target scale_bench --target rma_bench
+  # perfbench/ is its own CMake package that compiles ../src and links the
+  # libraries by target name; building it here makes a src/ change that
+  # breaks the end-to-end benchmark fail CI.
+  cmake -S perfbench -B "$BENCH_DIR/perfbench"
+  cmake --build "$BENCH_DIR/perfbench" -j "$(nproc)"
   # Protocol smoke: throughput floor + exact counter fingerprints, plus the
   # small-op submission-batching gate (smallop-batched must finish >= 1.3x
   # faster in simulated time than smallop-unbatched; see bench/simspeed.cpp).

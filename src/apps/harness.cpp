@@ -83,7 +83,7 @@ AppRunResult run_app(const HarnessOptions& opts, const std::string& app_name,
   ccfg.topology.num_nodes = nodes;
   ccfg.memory_bytes_per_node = dcfg.mailbox_bytes * (nodes + 1) +
                                dcfg.shared_bytes + (std::size_t{8} << 20);
-  if (dcfg.enable_coll || dcfg.use_coll_barrier) {
+  if (dcfg.enable_coll) {
     // Collective staging (CollDomain) plus the apps' symmetric exchange
     // buffers, both carved from endpoint memory.
     ccfg.memory_bytes_per_node +=

@@ -267,9 +267,7 @@ Cluster::Cluster(ClusterConfig config) : cfg_(std::move(config)) {
                                                  *ns->proto_cpu, cfg_.protocol,
                                                  cfg_.costs);
     for (int r = 0; r < rails; ++r) {
-      ns->drivers.push_back(
-          std::make_unique<driver::SimNetDriver>(network_->nic(i, r)));
-      ns->engine->add_rail(ns->drivers.back().get());
+      ns->engine->add_rail(&network_->nic(i, r));
     }
     ns->engine->set_mac_table(macs);
     ns->endpoint = std::make_unique<Endpoint>(*this, i, *ns->engine, *ns->memory,

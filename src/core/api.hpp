@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "driver/sim_net_driver.hpp"
 #include "net/topology.hpp"
 #include "proto/config.hpp"
 #include "proto/engine.hpp"
@@ -353,7 +352,6 @@ class Cluster {
     std::unique_ptr<proto::MemorySpace> memory;
     std::unique_ptr<sim::Cpu> app_cpu;
     std::unique_ptr<sim::Cpu> proto_cpu;
-    std::vector<std::unique_ptr<driver::SimNetDriver>> drivers;
     std::unique_ptr<proto::Engine> engine;
     std::unique_ptr<Endpoint> endpoint;
     sim::Time proto_app_time_window0 = 0;

@@ -111,9 +111,9 @@ class Dsm {
   Endpoint& endpoint() { return ep_; }
 
   /// This node's collective communicator, or nullptr unless
-  /// DsmConfig::enable_coll / use_coll_barrier is set. Collective calls run
-  /// in the worker fiber on their own notification tag, concurrently with
-  /// the DSM's tag-0 mailbox traffic.
+  /// DsmConfig::enable_coll is set. Collective calls run in the worker fiber
+  /// on their own notification tag, concurrently with the DSM's tag-0
+  /// mailbox traffic.
   coll::Communicator* comm() { return comm_.get(); }
 
  private:
@@ -166,8 +166,6 @@ class Dsm {
   void handle_msg(const Message& m);
   void grant_lock(int lock_id, int to);
   void service_loop();
-  void barrier_centralized();
-  void barrier_collective();
 
   DsmSystem& system_;
   Endpoint& ep_;
@@ -192,8 +190,6 @@ class Dsm {
   std::uint32_t barrier_released_gen_ = 0;  // releases seen
   sim::WaitQueue barrier_waiters_;
   std::map<std::uint32_t, BarrierSlot> barrier_slots_;  // manager node only
-  // use_coll_barrier: per-epoch peer-notice collection (every node).
-  std::map<std::uint32_t, BarrierSlot> notice_slots_;
   std::unique_ptr<coll::Communicator> comm_;
 
   bool stop_service_ = false;

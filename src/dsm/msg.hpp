@@ -22,11 +22,6 @@ enum class MsgType : std::uint16_t {
   kLockRelease = 3,
   kBarrierArrive = 4,
   kBarrierRelease = 5,
-  /// Decentralized barrier (DsmConfig::use_coll_barrier): each node sends
-  /// its write notices straight to every peer; the rendezvous itself runs
-  /// over the collective dissemination barrier. One notice per peer per
-  /// epoch, sent even when empty, so receivers count arrivals.
-  kBarrierNotice = 6,
 };
 
 /// One write-notice section: pages dirtied by `writer` during an interval.

@@ -795,8 +795,7 @@ Status Client::get(std::string_view key, std::string* out) {
   check_sizes(sys_.config(), key, {});
   const KvOpSpan span(sys_.cluster(), node_, kOpGet);
   const sim::Time t0 = sys_.cluster().sim().now();
-  const Status st = sys_.config().one_sided_get ? one_sided_get(key, out)
-                                                : rpc(kOpGet, key, {}, out);
+  const Status st = one_sided_get(key, out);
   get_hist_.record(
       static_cast<std::uint64_t>(sim::to_ns(sys_.cluster().sim().now() - t0)));
   counters_.add(kCtrGets);
@@ -807,7 +806,7 @@ Status Client::put(std::string_view key, std::string_view value) {
   check_sizes(sys_.config(), key, value);
   const KvOpSpan span(sys_.cluster(), node_, kOpPut);
   const sim::Time t0 = sys_.cluster().sim().now();
-  const Status st = rpc(kOpPut, key, value, nullptr);
+  const Status st = rpc(kOpPut, key, value);
   put_hist_.record(
       static_cast<std::uint64_t>(sim::to_ns(sys_.cluster().sim().now() - t0)));
   counters_.add(kCtrPuts);
@@ -818,7 +817,7 @@ Status Client::del(std::string_view key) {
   check_sizes(sys_.config(), key, {});
   const KvOpSpan span(sys_.cluster(), node_, kOpDel);
   const sim::Time t0 = sys_.cluster().sim().now();
-  const Status st = rpc(kOpDel, key, {}, nullptr);
+  const Status st = rpc(kOpDel, key, {});
   put_hist_.record(
       static_cast<std::uint64_t>(sim::to_ns(sys_.cluster().sim().now() - t0)));
   counters_.add(kCtrDels);
@@ -834,7 +833,7 @@ Status Client::shed(const ClientOpRef& r) {
 }
 
 Status Client::rpc(std::uint32_t op, std::string_view key,
-                   std::string_view value, std::string* out) {
+                   std::string_view value) {
   const KvConfig& cfg = sys_.config();
   const KvDomain& dom = sys_.domain();
   proto::MemorySpace& mem = ep_.memory();
@@ -848,15 +847,13 @@ Status Client::rpc(std::uint32_t op, std::string_view key,
         sys_.ring().primary_of(p, sys_.detector(node_).down_map());
     if (primary < 0) return Status::kUnavailable;
     if (primary == node_) {
-      std::string local;
       const Status st = sys_.server(node_).execute_local(
-          ep_, op, key, value, seq, node_, cslot_, &local);
+          ep_, op, key, value, seq, node_, cslot_, nullptr);
       if (st == Status::kWrongPrimary) {
         counters_.add(kCtrWrongPrimary);
         idle_wait(cfg.heartbeat_period);  // let the detectors converge
         continue;
       }
-      if (out) *out = std::move(local);
       return st;
     }
 
@@ -914,13 +911,7 @@ Status Client::rpc(std::uint32_t op, std::string_view key,
           continue;
         }
         st = static_cast<Status>(rh->status);
-        if (st == Status::kWrongPrimary) {
-          wrong_primary = true;
-        } else if (out) {
-          const char* v = reinterpret_cast<const char*>(
-              mem.as<std::byte>(n.va + sizeof(RespHeader)));
-          out->assign(v, rh->val_len);
-        }
+        wrong_primary = st == Status::kWrongPrimary;
         got = true;
         break;
       }

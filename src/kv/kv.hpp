@@ -134,10 +134,6 @@ struct KvConfig {
   /// window so tests can deterministically exercise the GET retry path.
   sim::Time put_pause = 0;
 
-  /// When false, GET becomes a server-mediated RPC like PUT (differential
-  /// baseline for the one-sided path).
-  bool one_sided_get = true;
-
   /// Client-side connection strategy (see ConnMode). Server-side traffic
   /// (replication, responses, acks) always uses the shared per-node cache.
   ConnMode conn_mode = ConnMode::kShared;
@@ -286,7 +282,7 @@ class Server {
 
   struct ApplyResult {
     Status status = Status::kOk;
-    std::string value;  // GET-RPC result
+    std::string value;  // GET result (execute_local)
   };
 
   void handle_request(Endpoint& ep, const Notification& n);
@@ -363,8 +359,7 @@ class Client {
  private:
   /// Uniform shed path: record the rejection + its retry-after hint.
   Status shed(const ClientOpRef& r);
-  Status rpc(std::uint32_t op, std::string_view key, std::string_view value,
-             std::string* out);
+  Status rpc(std::uint32_t op, std::string_view key, std::string_view value);
   Status one_sided_get(std::string_view key, std::string* out);
   /// Pick a GET landing-buffer set with no read still in flight (a timed-out
   /// read completing late must never scribble over the set being validated

@@ -53,14 +53,14 @@ Engine::Engine(sim::Simulator& sim, int node_id, MemorySpace& memory,
 
 Engine::~Engine() = default;
 
-void Engine::add_rail(driver::NetDriver* drv) {
-  rails_.push_back(drv);
-  drv->set_interrupt_handler([this, rail = rails_.size() - 1] {
+void Engine::add_rail(net::Nic* nic) {
+  rails_.push_back(nic);
+  nic->set_irq_handler([this, rail = rails_.size() - 1] {
     // Interrupt context (§2.6): mask this NIC's interrupts, account the
     // interrupt entry cost, and signal the protocol kernel thread.
     proto_cpu_.charge(costs_.irq_cost);
     counters_.add(kCtrInterrupts);
-    rails_[rail]->enable_interrupts(false);
+    rails_[rail]->set_irq_enabled(false);
     signal_thread();
   });
 }
@@ -84,7 +84,7 @@ void Engine::thread_loop() {
   sim::Time cost = 0;
 
   std::uint64_t completions = 0;
-  for (auto* d : rails_) completions += d->reap_tx_completions();
+  for (auto* nic : rails_) completions += nic->take_tx_completions();
   if (completions > 0) {
     cost += static_cast<sim::Time>(completions) * costs_.tx_complete_cost;
     counters_.add(kCtrTxCompletions, completions);
@@ -98,9 +98,9 @@ void Engine::thread_loop() {
   bool more = true;
   while (more && batch.size() < cfg_.thread_batch_frames) {
     more = false;
-    for (auto* d : rails_) {
+    for (auto* nic : rails_) {
       if (batch.size() >= cfg_.thread_batch_frames) break;
-      net::FramePtr f = d->poll_rx();
+      net::FramePtr f = nic->rx_pop();
       if (!f) continue;
       more = true;
       RxItem item;
@@ -129,14 +129,14 @@ void Engine::thread_loop() {
     flush_notifications(proto_cpu_);
     flush_backlog();
     for (const auto& c : conns_) c->solicit_ack_at_idle();
-    for (auto* d : rails_) d->enable_interrupts(true);
+    for (auto* nic : rails_) nic->set_irq_enabled(true);
     bool pending = false;
-    for (auto* d : rails_) pending = pending || d->events_pending();
+    for (auto* nic : rails_) pending = pending || nic->events_pending();
     if (!pending) {
       thread_active_ = false;
       return;
     }
-    for (auto* d : rails_) d->enable_interrupts(false);
+    for (auto* nic : rails_) nic->set_irq_enabled(false);
     sim_.in(0, [this] { thread_loop(); });
     return;
   }
@@ -292,7 +292,7 @@ void Engine::send_ctrl_frame(int peer, const WireHeader& hdr, sim::Cpu& cpu) {
   frame->src = rails_[0]->mac();
   frame->dst = mac_table_[peer][0];
   cpu.charge(costs_.tx_frame_cost);
-  if (!rails_[0]->transmit(std::move(frame))) {
+  if (!rails_[0]->tx(std::move(frame))) {
     counters_.add(kCtrCtrlSendFailed);  // retry timers recover
   }
 }

@@ -15,7 +15,7 @@
 #include <memory>
 #include <vector>
 
-#include "driver/net_driver.hpp"
+#include "net/nic.hpp"
 #include "proto/config.hpp"
 #include "proto/connection.hpp"
 #include "proto/invariants.hpp"
@@ -41,8 +41,8 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
   ~Engine();
 
-  /// Attach the NIC driver for rail `r` (call once per rail, in rail order).
-  void add_rail(driver::NetDriver* drv);
+  /// Attach the NIC for rail `r` (call once per rail, in rail order).
+  void add_rail(net::Nic* nic);
 
   /// MAC directory: mac_table[node][rail]. Needed to address peers.
   void set_mac_table(std::vector<std::vector<net::MacAddr>> table);
@@ -146,7 +146,6 @@ class Engine {
   stats::Counters& counters() { return counters_; }
   /// Sum of all connections' counters plus the engine's own.
   stats::Counters aggregate_counters() const;
-  const std::vector<driver::NetDriver*>& rails() const { return rails_; }
   const std::vector<std::unique_ptr<Connection>>& connections() const {
     return conns_;
   }
@@ -187,7 +186,7 @@ class Engine {
   HostCostModel costs_;
   sim::Rng rng_;
 
-  std::vector<driver::NetDriver*> rails_;
+  std::vector<net::Nic*> rails_;
   std::vector<std::vector<net::MacAddr>> mac_table_;
 
   std::vector<std::unique_ptr<Connection>> conns_;

@@ -23,18 +23,15 @@ bool take(std::span<const std::byte> buf, std::size_t& off, T& value) {
   return true;
 }
 
-std::size_t encoded_size(std::span<const std::uint64_t> nacks,
-                         std::span<const std::byte> data) {
-  return WireHeader::kBytes + nacks.size() * 8 + data.size();
-}
+}  // namespace
 
-// Shared encode core writing into a caller-provided buffer of exactly
-// encoded_size() bytes. Every byte of the output is written (the header pad
-// region is zeroed explicitly), so the wire image is identical whether the
-// destination is a fresh zero-initialized vector or a recycled pooled frame.
-void encode_into_buf(std::byte* base, const WireHeader& hdr,
-                     std::span<const std::uint64_t> nacks,
-                     std::span<const std::byte> data) {
+void encode_frame_payload_into(net::Payload& out, const WireHeader& hdr,
+                               std::span<const std::uint64_t> nacks,
+                               std::span<const std::byte> data) {
+  const std::size_t total = WireHeader::kBytes + nacks.size() * 8 + data.size();
+  assert(total <= net::Frame::kMtu && "encoded frame exceeds MTU");
+  out.resize_for_overwrite(total);  // every byte is written below
+  std::byte* base = out.data();
   std::size_t off = 0;
   put(base, off, static_cast<std::uint8_t>(hdr.kind));
   put(base, off, static_cast<std::uint8_t>(hdr.op_type));
@@ -50,38 +47,14 @@ void encode_into_buf(std::byte* base, const WireHeader& hdr,
   put(base, off, hdr.aux_va);
   put(base, off, hdr.frag_offset);
   put(base, off, hdr.op_size);
-  // Pad the remainder of the fixed header region.
+  // Zero the rest of the fixed header region: a recycled pooled frame must
+  // not leak stale bytes into the pad.
   std::memset(base + off, 0, WireHeader::kBytes - off);
   off = WireHeader::kBytes;
   for (std::uint64_t n : nacks) put(base, off, n);
   if (!data.empty()) {
     std::memcpy(base + off, data.data(), data.size());
   }
-}
-
-}  // namespace
-
-std::vector<std::byte> encode_frame_payload(const WireHeader& hdr,
-                                            std::span<const std::uint64_t> nacks,
-                                            std::span<const std::byte> data) {
-  const std::size_t total = encoded_size(nacks, data);
-  std::vector<std::byte> out;
-  out.reserve(total);  // exact reservation: one allocation, never regrown
-  out.resize(total);
-  [[maybe_unused]] const std::byte* base = out.data();
-  encode_into_buf(out.data(), hdr, nacks, data);
-  assert(out.data() == base && out.size() == total &&
-         "encode_frame_payload reallocated");
-  return out;
-}
-
-void encode_frame_payload_into(net::Payload& out, const WireHeader& hdr,
-                               std::span<const std::uint64_t> nacks,
-                               std::span<const std::byte> data) {
-  const std::size_t total = encoded_size(nacks, data);
-  assert(total <= net::Frame::kMtu && "encoded frame exceeds MTU");
-  out.resize_for_overwrite(total);  // every byte written by the core
-  encode_into_buf(out.data(), hdr, nacks, data);
 }
 
 bool decode_frame_payload(std::span<const std::byte> payload, DecodedFrame& out) {

@@ -171,16 +171,11 @@ struct WireHeader {
 };
 static_assert(WireHeader::kMaxData == 1428);
 
-/// Encode `hdr` (+ optional nack list + data payload) into a frame payload.
-/// Layout: [header | nack seqs (8B each) | data bytes].
-std::vector<std::byte> encode_frame_payload(
-    const WireHeader& hdr, std::span<const std::uint64_t> nacks = {},
-    std::span<const std::byte> data = {});
-
-/// In-place variant: encode directly into a frame's inline payload (exact
-/// size, zero heap traffic). Produces byte-identical output to
-/// encode_frame_payload — the header pad region is zeroed explicitly, so a
-/// recycled pooled frame carries no stale bytes.
+/// Encode `hdr` (+ optional nack list + data payload) directly into a
+/// frame's inline payload (exact size, zero heap traffic).
+/// Layout: [header | nack seqs (8B each) | data bytes]. The header pad
+/// region is zeroed explicitly, so a recycled pooled frame carries no stale
+/// bytes.
 void encode_frame_payload_into(net::Payload& out, const WireHeader& hdr,
                                std::span<const std::uint64_t> nacks = {},
                                std::span<const std::byte> data = {});

@@ -227,27 +227,6 @@ INSTANTIATE_TEST_SUITE_P(TopologiesNodes, KvDifferentialTest,
                                             ::testing::Values(2, 5, 16)),
                          kv_param_name);
 
-// Same semantics with the one-sided GET path disabled (server-mediated GET
-// RPCs): the two read paths must be observably equivalent.
-TEST(KvDifferentialTest, RpcGetPathMatchesReferenceMap) {
-  CheckedCluster cluster(config_2l_1g(3));
-  kv::KvConfig cfg;
-  cfg.clients_per_node = 1;
-  cfg.one_sided_get = false;
-  kv::System sys(cluster, cfg);
-
-  std::mt19937 rng(99);
-  std::vector<std::vector<OpSpec>> tapes;
-  for (int node = 0; node < 3; ++node) tapes.push_back(make_tape(node, 24, rng));
-  for (int node = 0; node < 3; ++node) {
-    sys.spawn_client(node, "cli", [&tapes, node](kv::Client& cl) {
-      run_tape(cl, tapes[node]);
-    });
-  }
-  cluster.run();
-  EXPECT_EQ(sys.aggregate_counters().get("kv_get_torn"), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Torn-read retry: one-sided GETs racing in-place PUTs
 // ---------------------------------------------------------------------------

@@ -3,9 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+
+#include "net/frame_pool.hpp"
 
 namespace multiedge::proto {
 namespace {
+
+// Encode into a frame taken from the shared pool, as the protocol does.
+net::MutFramePtr encode(const WireHeader& h,
+                        std::span<const std::uint64_t> nacks = {},
+                        std::span<const std::byte> data = {}) {
+  auto frame = net::frame_pool().acquire();
+  encode_frame_payload_into(frame->payload, h, nacks, data);
+  return frame;
+}
 
 TEST(Wire, HeaderRoundTrip) {
   WireHeader h;
@@ -23,7 +35,8 @@ TEST(Wire, HeaderRoundTrip) {
   h.frag_offset = 4096;
   h.op_size = 65536;
 
-  auto payload = encode_frame_payload(h);
+  auto frame = encode(h);
+  const net::Payload& payload = frame->payload;
   EXPECT_EQ(payload.size(), WireHeader::kBytes);
 
   DecodedFrame df;
@@ -49,9 +62,9 @@ TEST(Wire, DataPayloadCarriedVerbatim) {
   WireHeader h;
   std::vector<std::byte> data(100);
   for (int i = 0; i < 100; ++i) data[i] = static_cast<std::byte>(i);
-  auto payload = encode_frame_payload(h, {}, data);
+  auto frame = encode(h, {}, data);
   DecodedFrame df;
-  ASSERT_TRUE(decode_frame_payload(payload, df));
+  ASSERT_TRUE(decode_frame_payload(frame->payload, df));
   ASSERT_EQ(df.data.size(), 100u);
   EXPECT_EQ(std::memcmp(df.data.data(), data.data(), 100), 0);
 }
@@ -60,35 +73,36 @@ TEST(Wire, NackListRoundTrip) {
   WireHeader h;
   h.kind = FrameKind::kAck;
   std::vector<std::uint64_t> nacks{3, 5, 8, 1000000007};
-  auto payload = encode_frame_payload(h, nacks);
+  auto frame = encode(h, nacks);
   DecodedFrame df;
-  ASSERT_TRUE(decode_frame_payload(payload, df));
+  ASSERT_TRUE(decode_frame_payload(frame->payload, df));
   EXPECT_EQ(df.nacks, nacks);
 }
 
 TEST(Wire, TruncatedPayloadRejected) {
   WireHeader h;
-  auto payload = encode_frame_payload(h);
-  payload.resize(WireHeader::kBytes - 1);
+  auto frame = encode(h);
+  const std::span<const std::byte> payload = frame->payload;
   DecodedFrame df;
-  EXPECT_FALSE(decode_frame_payload(payload, df));
+  EXPECT_FALSE(decode_frame_payload(payload.first(WireHeader::kBytes - 1), df));
 }
 
 TEST(Wire, TruncatedNackListRejected) {
   WireHeader h;
   std::vector<std::uint64_t> nacks{1, 2, 3};
-  auto payload = encode_frame_payload(h, nacks);
-  payload.resize(payload.size() - 4);  // cuts the last nack in half
+  auto frame = encode(h, nacks);
+  const std::span<const std::byte> payload = frame->payload;
   DecodedFrame df;
-  EXPECT_FALSE(decode_frame_payload(payload, df));
+  // Cut the last nack in half.
+  EXPECT_FALSE(decode_frame_payload(payload.first(payload.size() - 4), df));
 }
 
 TEST(Wire, GarbageKindRejected) {
   WireHeader h;
-  auto payload = encode_frame_payload(h);
-  payload[0] = static_cast<std::byte>(99);
+  auto frame = encode(h);
+  frame->payload[0] = static_cast<std::byte>(99);
   DecodedFrame df;
-  EXPECT_FALSE(decode_frame_payload(payload, df));
+  EXPECT_FALSE(decode_frame_payload(frame->payload, df));
 }
 
 TEST(Wire, PatchAckRewritesOnlyAckField) {
@@ -96,10 +110,10 @@ TEST(Wire, PatchAckRewritesOnlyAckField) {
   h.seq = 111;
   h.ack = 7;
   std::vector<std::byte> data(16, std::byte{0x5a});
-  auto payload = encode_frame_payload(h, {}, data);
-  patch_ack(payload, 999);
+  auto frame = encode(h, {}, data);
+  patch_ack(frame->payload, 999);
   DecodedFrame df;
-  ASSERT_TRUE(decode_frame_payload(payload, df));
+  ASSERT_TRUE(decode_frame_payload(frame->payload, df));
   EXPECT_EQ(df.hdr.ack, 999u);
   EXPECT_EQ(df.hdr.seq, 111u);
   EXPECT_EQ(df.data.size(), 16u);
@@ -108,8 +122,32 @@ TEST(Wire, PatchAckRewritesOnlyAckField) {
 TEST(Wire, MaxDataFitsInMtu) {
   WireHeader h;
   std::vector<std::byte> data(WireHeader::kMaxData);
-  auto payload = encode_frame_payload(h, {}, data);
-  EXPECT_EQ(payload.size(), net::Frame::kMtu);
+  auto frame = encode(h, {}, data);
+  EXPECT_EQ(frame->payload.size(), net::Frame::kMtu);
+}
+
+TEST(Wire, RecycledFrameEncodesLikeFreshFrame) {
+  WireHeader h;
+  h.kind = FrameKind::kData;
+  h.seq = 9;
+  h.op_size = 3;
+  const std::vector<std::uint64_t> nacks{4, 6};
+  const std::vector<std::byte> data(3, std::byte{0x11});
+
+  // A recycled frame still holds its previous contents; 0xff everywhere
+  // makes any byte the encoder skips (such as the header pad) show up.
+  auto dirty = net::frame_pool().acquire();
+  dirty->payload.resize(net::Frame::kMtu);
+  std::memset(dirty->payload.data(), 0xff, net::Frame::kMtu);
+  encode_frame_payload_into(dirty->payload, h, nacks, data);
+
+  auto fresh = std::make_unique<net::Frame>();
+  encode_frame_payload_into(fresh->payload, h, nacks, data);
+
+  ASSERT_EQ(dirty->payload.size(), fresh->payload.size());
+  EXPECT_EQ(std::memcmp(dirty->payload.data(), fresh->payload.data(),
+                        fresh->payload.size()),
+            0);
 }
 
 TEST(Wire, HeaderOverheadFraction) {
