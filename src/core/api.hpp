@@ -209,6 +209,15 @@ class Endpoint {
   /// (proto::Engine::kAnyNotifyVa = any). Other notifications stay queued.
   bool poll_notification_match(Notification* out, int tag, int src,
                                std::uint64_t va);
+  /// Read-only peeks: would the matching poll above return true? They
+  /// consume nothing, so they are safe inside a sim::Process::poll()
+  /// predicate.
+  bool has_notification(int tag = -1) const {
+    return engine_.has_notification(tag);
+  }
+  bool has_notification_match(int tag, int src, std::uint64_t va) const {
+    return engine_.has_notification_match(tag, src, va);
+  }
 
   /// Flush every dirty submission ring on this node (batch_submission):
   /// one kernel entry covers all of them. No-op (and free) when nothing is

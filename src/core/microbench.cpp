@@ -130,8 +130,9 @@ MicroResult run_micro(ClusterConfig cfg, MicroBench bench, MicroParams params) {
         begin_measurement(cluster);
         for (int i = 0; i < iters; ++i) {
           const sim::Time t0 = cluster.sim().now();
-          c.rdma_write(dst1, src0, static_cast<std::uint32_t>(size),
-                       i + 1 == iters ? last_op_flags : kOpFlagNone);
+          c.rdma_write(
+              dst1, src0, static_cast<std::uint32_t>(size),
+              i + 1 == iters ? last_op_flags : std::uint16_t{kOpFlagNone});
           sh.submit_time_total += cluster.sim().now() - t0;
           sh.lat_ns.record(
               static_cast<std::uint64_t>((cluster.sim().now() - t0) / 1000));
@@ -160,8 +161,9 @@ MicroResult run_micro(ClusterConfig cfg, MicroBench bench, MicroParams params) {
           // later, which is fine for steady-state measurement.
           for (int i = 0; i < iters; ++i) {
             const sim::Time t0 = cluster.sim().now();
-            c.rdma_write(peer_dst, my_src, static_cast<std::uint32_t>(size),
-                         i + 1 == iters ? last_op_flags : kOpFlagNone);
+            c.rdma_write(
+                peer_dst, my_src, static_cast<std::uint32_t>(size),
+                i + 1 == iters ? last_op_flags : std::uint16_t{kOpFlagNone});
             if (n == 0) {
               sh.submit_time_total += cluster.sim().now() - t0;
               sh.lat_ns.record(

@@ -135,28 +135,19 @@ std::uint32_t bucket_of(std::uint64_t key_hash, const KvConfig& cfg) {
                                     cfg.buckets_per_partition);
 }
 
-/// Poll an operation handle to completion with a deadline; the calling
-/// fiber burns `poll` of app CPU per probe. Returns false on timeout (the
-/// operation stays outstanding — callers rotate buffers instead of reusing
-/// the landing area).
-bool wait_op(Endpoint& ep, const OpHandle& h, sim::Time timeout,
-             sim::Time poll) {
-  const sim::Time deadline = ep.cluster().sim().now() + timeout;
-  while (!h.test()) {
-    if (ep.cluster().sim().now() >= deadline) return false;
-    idle_wait(poll);
-  }
-  return true;
-}
-
-/// ClientOpRef variant: terminal also covers broker rejection (the caller
-/// checks rejected() after a successful wait).
+/// Poll a client op to a terminal state with a deadline, idling `poll`
+/// between probes. Terminal also covers broker rejection (the caller checks
+/// rejected() after a successful wait). Returns false on timeout (the op
+/// stays outstanding — callers rotate buffers instead of reusing the landing
+/// area).
 bool wait_ref(Endpoint& ep, const ClientOpRef& r, sim::Time timeout,
               sim::Time poll) {
-  const sim::Time deadline = ep.cluster().sim().now() + timeout;
+  const sim::Simulator& sim = ep.cluster().sim();
+  const sim::Time deadline = sim.now() + timeout;
   while (!r.test()) {
-    if (ep.cluster().sim().now() >= deadline) return false;
-    idle_wait(poll);
+    if (sim.now() >= deadline) return false;
+    sim::Process::current()->poll(
+        poll, [&] { return r.test() || sim.now() >= deadline; });
   }
   return true;
 }
@@ -352,7 +343,17 @@ void Server::serve(Endpoint& ep) {
       }
       lock_.unlock();
     }
-    if (!did) idle_wait(cfg.server_poll);
+    if (!did) {
+      // Idle until a pass would do something: a free lock with waiters
+      // (the try_lock/unlock pair wakes one) or a pending notification.
+      sim::Process::current()->poll(cfg.server_poll, [&] {
+        return sys_.stopped() ||
+               (!lock_.held() &&
+                (lock_.has_waiters() || ack_win_.notify_pending() ||
+                 repl_win_.notify_pending() ||
+                 ep.has_notification(cfg.req_tag)));
+      });
+    }
   }
 }
 
@@ -589,6 +590,17 @@ void Server::replicate(Endpoint& ep, std::uint32_t op, int partition,
   // two primaries replicating to each other would otherwise deadlock. There
   // is no ack timeout: a backup either acks or gets marked down.
   std::vector<char> acked(targets.size(), 0);
+  // True when a pass over the targets would mark one acked or abandoned.
+  const auto ack_progress = [&] {
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      if (!acked[i] &&
+          (*mem.as<std::uint64_t>(dom.ack_slot_va(targets[i])) >= gen ||
+           det.is_down(targets[i]))) {
+        return true;
+      }
+    }
+    return false;
+  };
   for (;;) {
     rma::NotifyEvent ev;
     while (repl_win_.test_notify(&ev)) handle_repl(ep, ev);
@@ -611,7 +623,10 @@ void Server::replicate(Endpoint& ep, std::uint32_t op, int partition,
     if (all) {
       return;
     }
-    idle_wait(cfg.server_poll);
+    sim::Process::current()->poll(cfg.server_poll, [&] {
+      return repl_win_.notify_pending() || ack_win_.notify_pending() ||
+             ack_progress();
+    });
   }
 }
 
@@ -899,10 +914,11 @@ Status Client::rpc(std::uint32_t op, std::string_view key,
 
     // Await the matching response; a resend can race a late original, so
     // stale-seq responses are drained and dropped.
-    const sim::Time deadline = sys_.cluster().sim().now() + cfg.rpc_timeout;
+    const sim::Simulator& sim = sys_.cluster().sim();
+    const sim::Time deadline = sim.now() + cfg.rpc_timeout;
     bool got = false, wrong_primary = false;
     Status st = Status::kUnavailable;
-    while (sys_.cluster().sim().now() < deadline && !got) {
+    while (sim.now() < deadline && !got) {
       Notification n;
       while (ep_.poll_notification(&n, resp_tag)) {
         const auto* rh = mem.as<RespHeader>(n.va);
@@ -915,7 +931,11 @@ Status Client::rpc(std::uint32_t op, std::string_view key,
         got = true;
         break;
       }
-      if (!got) idle_wait(cfg.client_poll);
+      if (!got) {
+        sim::Process::current()->poll(cfg.client_poll, [&] {
+          return sim.now() >= deadline || ep_.has_notification(resp_tag);
+        });
+      }
     }
     if (got && !wrong_primary) return st;
     if (wrong_primary) {
@@ -1030,15 +1050,23 @@ Status Client::one_sided_get(std::string_view key, std::string* out) {
 }
 
 int Client::acquire_get_buf() {
-  for (;;) {
+  const auto free_set = [&] {
     for (int set = 0; set < KvDomain::kGetBufSets; ++set) {
       if (!get_pending_[set].valid() || get_pending_[set].test()) return set;
     }
+    return -1;
+  };
+  int set = free_set();
+  if (set < 0) {
     // Every set has a timed-out read still outstanding; the protocol is
-    // reliable, so one of them will complete.
-    counters_.add(kCtrGetBufStalls);
-    idle_wait(sys_.config().client_poll);
+    // reliable, so one of them will complete. Each idle step is a stall.
+    counters_.add(kCtrGetBufStalls,
+                  sim::Process::current()->poll(
+                      sys_.config().client_poll,
+                      [&] { return free_set() >= 0; }));
+    set = free_set();
   }
+  return set;
 }
 
 Status Client::validate_snapshot(const std::byte* bucket,

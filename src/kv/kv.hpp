@@ -251,6 +251,10 @@ class FiberLock {
     held_ = false;
     q_.notify_one();
   }
+  bool held() const { return held_; }
+  /// Fibers queued in lock(). A try_lock()/unlock() pair on a free lock
+  /// wakes one of them, so a poll predicate must treat them as work.
+  bool has_waiters() const { return !q_.empty(); }
 
  private:
   bool held_ = false;

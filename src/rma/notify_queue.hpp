@@ -64,6 +64,15 @@ class NotifyQueue {
     return false;
   }
 
+  /// Read-only peek: would test() with the same match succeed? Consumes
+  /// nothing and counts nothing.
+  bool pending(int src = kAnySrc, std::uint64_t va = kAnyVa) const {
+    for (const Notification& n : stash_) {
+      if (matches(n, src, va)) return true;
+    }
+    return ep_.has_notification_match(tag_, src, va);
+  }
+
   /// Block the calling fiber until a matching notified access arrives.
   /// Consumes this tag's notifications in arrival order; mismatches are
   /// stashed for later matches (they are someone else's, on this queue).

@@ -121,6 +121,10 @@ class Window {
   NotifyEvent wait_notify(int src = kAnySrc, std::uint64_t va = kAnyVa);
   bool test_notify(NotifyEvent* out, int src = kAnySrc,
                    std::uint64_t va = kAnyVa);
+  /// Read-only peek: would test_notify() with the same match succeed?
+  bool notify_pending(int src = kAnySrc, std::uint64_t va = kAnyVa) const {
+    return nq_.pending(src, va);
+  }
 
   /// Local + remote completion of every op issued through this window since
   /// the last flush. Implies the doorbell for batched ops.

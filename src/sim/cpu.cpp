@@ -1,6 +1,5 @@
 #include "sim/cpu.hpp"
 
-#include <cassert>
 #include <utility>
 
 namespace multiedge::sim {
@@ -20,8 +19,7 @@ void Cpu::submit(Time cost, Simulator::Callback done) {
 void Cpu::charge(Time cost) { occupy(cost); }
 
 void Cpu::consume(Time cost) {
-  Process* self = Process::current();
-  assert(self != nullptr && "Cpu::consume() outside any process");
+  Process* self = &Process::running();
   // Wait until the core frees up, then occupy it. Re-check after each sleep:
   // other work may have queued ahead of us while we slept.
   while (free_at_ > sim_.now()) {

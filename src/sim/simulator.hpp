@@ -81,6 +81,11 @@ class Simulator {
   /// Cancelled events never execute and are not counted.
   std::uint64_t events_executed() const { return executed_; }
 
+  /// Events scheduled so far, counting reschedules (each takes a fresh FIFO
+  /// position). Process::poll() compares it around its predicate to reject
+  /// a predicate that schedules.
+  std::uint64_t events_scheduled() const { return next_seq_; }
+
   /// Events currently pending.
   std::size_t pending() const { return heap_.size(); }
 

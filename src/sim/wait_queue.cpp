@@ -1,13 +1,11 @@
 #include "sim/wait_queue.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace multiedge::sim {
 
 void WaitQueue::wait() {
-  Process* self = Process::current();
-  assert(self != nullptr && "WaitQueue::wait() outside any process");
+  Process* self = &Process::running();
   waiters_.push_back(self);
   self->suspend();
   // On spurious-free wakeup the notifier already removed us; if the process

@@ -35,8 +35,6 @@ const stats::CounterId kCtrRailThrottled =
 const stats::CounterId kCtrStopRejected =
     stats::CounterRegistry::intern("svc_rejected_at_stop");
 
-void idle_wait(sim::Time t) { sim::Process::current()->delay(t); }
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -338,8 +336,21 @@ void Broker::dispatch_loop(Endpoint& ep) {
       ns.flush_pending = false;
       ep.flush();  // one doorbell covers the whole batched pass
     }
-    if (!did) idle_wait(cfg_.dispatch_poll);
+    if (!did) {
+      sim::Process::current()->poll(
+          cfg_.dispatch_poll, [&] { return pass_pending(ep.node_id(), ns); });
+    }
   }
+}
+
+bool Broker::pass_pending(int node, const NodeState& ns) const {
+  if (stop_ || ns.flush_pending) return true;
+  for (const PeerPool& pool : ns.pools) {
+    if (!pool.rr.empty()) return true;
+  }
+  // dispatch_pass counts kCtrRailThrottled on every pass, even an empty one.
+  return cfg_.rail_aware &&
+         effective_credit_limit(node) < credits_per_conn_;
 }
 
 bool Broker::dispatch_pass(Endpoint& ep, NodeState& ns) {
@@ -442,10 +453,12 @@ std::uint32_t Broker::queued_ops(int node, int peer) const {
 
 bool wait_svc_op(Cluster& cluster, const SvcOpPtr& op, sim::Time timeout,
                  sim::Time poll) {
-  const sim::Time deadline = cluster.sim().now() + timeout;
+  const sim::Simulator& sim = cluster.sim();
+  const sim::Time deadline = sim.now() + timeout;
   while (!op->test()) {
-    if (cluster.sim().now() >= deadline) return false;
-    idle_wait(poll);
+    if (sim.now() >= deadline) return false;
+    sim::Process::current()->poll(
+        poll, [&] { return op->test() || sim.now() >= deadline; });
   }
   return true;
 }

@@ -237,6 +237,10 @@ class Broker {
   /// One DRR sweep over every peer with backlog; returns true if any op was
   /// dispatched.
   bool dispatch_pass(Endpoint& ep, NodeState& ns);
+  /// Read-only: would the dispatcher loop do anything observable now (exit,
+  /// flush, or run a pass that dispatches or counts)? Its idle-poll
+  /// predicate.
+  bool pass_pending(int node, const NodeState& ns) const;
   /// Dispatch `op` on its pinned slot; assumes credits were checked.
   void dispatch(Endpoint& ep, NodeState& ns, PeerPool& pool, Slot& slot,
                 int slot_idx, const SvcOpPtr& op);
@@ -256,7 +260,7 @@ class Broker {
 };
 
 /// Poll a brokered op to a terminal state with a deadline (mirrors the KV
-/// client's wait_op): false = still pending at timeout. The calling fiber
+/// client's wait_ref): false = still pending at timeout. The calling fiber
 /// idles `poll` between probes.
 bool wait_svc_op(Cluster& cluster, const SvcOpPtr& op, sim::Time timeout,
                  sim::Time poll);

@@ -287,8 +287,8 @@ TEST_P(CollectiveTest, AllPrimitivesMatchExpectedValues) {
 
       // --- all_to_all (fixed blocks) ---
       for (int d = 0; d < n; ++d) {
-        fill_pattern(mem, a2a_s + std::uint64_t{d} * kBlock, kBlock,
-                     static_cast<std::uint8_t>(i * 131 + d));
+        fill_pattern(mem, a2a_s + static_cast<std::uint64_t>(d) * kBlock,
+                     kBlock, static_cast<std::uint8_t>(i * 131 + d));
       }
       c.barrier();
       c.all_to_all(a2a_s, a2a_r, kBlock);
@@ -340,9 +340,9 @@ TEST_P(CollectiveTest, AllPrimitivesMatchExpectedValues) {
         ASSERT_EQ(mx[k], want) << "all_reduce max rank " << i << " elem " << k;
       }
       for (int s = 0; s < n; ++s) {
-        ASSERT_TRUE(check_pattern(mem, a2a_r + std::uint64_t{s} * kBlock,
-                                  kBlock,
-                                  static_cast<std::uint8_t>(s * 131 + i)))
+        ASSERT_TRUE(check_pattern(
+            mem, a2a_r + static_cast<std::uint64_t>(s) * kBlock, kBlock,
+            static_cast<std::uint8_t>(s * 131 + i)))
             << "all_to_all rank " << i << " from " << s;
       }
       std::uint64_t roff = 0;
@@ -360,7 +360,9 @@ TEST_P(CollectiveTest, AllPrimitivesMatchExpectedValues) {
   EXPECT_EQ(comms[0]->counters().get("coll_barriers"), 6u);
   EXPECT_EQ(comms[0]->counters().get("coll_all_reduces"), 2u);
   EXPECT_GT(comms[0]->counters().get("coll_signals"), 0u);
-  if (n > 1) EXPECT_GT(comms[0]->counters().get("coll_rounds"), 0u);
+  if (n > 1) {
+    EXPECT_GT(comms[0]->counters().get("coll_rounds"), 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,8 +1,9 @@
-// src/kv tests: consistent-hash ring unit checks, differential correctness of
-// the partitioned store against a host-side reference map across node counts
-// and topologies, the one-sided GET torn-read retry protocol, replication
-// under Gilbert-Elliott burst loss, and failover (backup promotion) across a
-// scheduled rail outage — all with the protocol invariant checker armed.
+// src/kv tests: FiberLock state peeks, consistent-hash ring unit checks,
+// differential correctness of the partitioned store against a host-side
+// reference map across node counts and topologies, the one-sided GET
+// torn-read retry protocol, replication under Gilbert-Elliott burst loss, and
+// failover (backup promotion) across a scheduled rail outage — all with the
+// protocol invariant checker armed.
 #include <map>
 #include <random>
 #include <set>
@@ -13,6 +14,7 @@
 
 #include "core/api.hpp"
 #include "kv/kv.hpp"
+#include "sim/process.hpp"
 
 namespace multiedge {
 namespace {
@@ -29,6 +31,47 @@ struct CheckedCluster : Cluster {
     return cfg;
   }
 };
+
+// ---------------------------------------------------------------------------
+// FiberLock
+// ---------------------------------------------------------------------------
+
+TEST(KvFiberLockTest, HeldAndWaitersTrackLockTryLockUnlock) {
+  sim::Simulator sim;
+  kv::FiberLock lock;
+  std::vector<std::string> log;
+  sim::Process owner(sim, "owner", [&] {
+    EXPECT_FALSE(lock.held());
+    lock.lock();
+    EXPECT_TRUE(lock.held());
+    EXPECT_FALSE(lock.try_lock());
+    EXPECT_TRUE(lock.held());
+    sim::Process::current()->delay(sim::ns(10));  // contender queues up
+    EXPECT_TRUE(lock.has_waiters());
+    lock.unlock();
+    EXPECT_FALSE(lock.held());
+    EXPECT_FALSE(lock.has_waiters());  // handed to the contender's wakeup
+    log.push_back("owner released");
+  });
+  sim::Process contender(sim, "contender", [&] {
+    sim::Process::current()->delay(sim::ns(5));
+    lock.lock();
+    EXPECT_TRUE(lock.held());
+    log.push_back("contender acquired");
+    lock.unlock();
+    EXPECT_FALSE(lock.held());
+    EXPECT_TRUE(lock.try_lock());
+    EXPECT_TRUE(lock.held());
+    lock.unlock();
+  });
+  owner.start();
+  contender.start();
+  sim.run();
+  EXPECT_FALSE(lock.held());
+  EXPECT_FALSE(lock.has_waiters());
+  EXPECT_EQ(log, (std::vector<std::string>{"owner released",
+                                           "contender acquired"}));
+}
 
 // ---------------------------------------------------------------------------
 // Ring

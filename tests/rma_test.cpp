@@ -1,11 +1,12 @@
 // src/rma tests: epoch misuse errors, notify matching by source/address,
-// get_notify read tokens, batched-epoch doorbell publication, exactly-once
-// notification delivery under Gilbert-Elliott burst loss plus a transient
-// rail outage (invariant checker armed), and the differential proofs that a
-// Window is wire- and time-identical to the hand-rolled idioms it replaced:
-// the coll put+signal profile (urgent fenced notify) and the DSM write-notice
-// profile (non-urgent notify, per-call fence), plus the KV replication-ack
-// bookkeeping identities the bespoke ack path used to guarantee.
+// read-only notify peeks, get_notify read tokens, batched-epoch doorbell
+// publication, exactly-once notification delivery under Gilbert-Elliott
+// burst loss plus a transient rail outage (invariant checker armed), and the
+// differential proofs that a Window is wire- and time-identical to the
+// hand-rolled idioms it replaced: the coll put+signal profile (urgent fenced
+// notify) and the DSM write-notice profile (non-urgent notify, per-call
+// fence), plus the KV replication-ack bookkeeping identities the bespoke ack
+// path used to guarantee.
 #include <cstdint>
 #include <map>
 #include <set>
@@ -118,6 +119,74 @@ TEST(RmaNotifyTest, MatchesBySourceAndAddress) {
     EXPECT_EQ(*ep.memory().as<std::uint64_t>(ev.va), 0x111u);
     EXPECT_FALSE(win.test_notify(&ev));  // drained
     EXPECT_EQ(win.counters().get("rma_notifies_matched"), 2u);
+  });
+  cluster.run();
+}
+
+TEST(RmaNotifyTest, PendingPeekAgreesWithTestAndConsumesNothing) {
+  CheckedCluster cluster(config_1l_1g(3));
+  const std::uint64_t dst = cluster.memory(0).alloc(64);
+  const std::uint64_t src1 = cluster.memory(1).alloc(8);
+  const std::uint64_t src2 = cluster.memory(2).alloc(8);
+
+  // Node 1's access is delivered strictly before node 2's.
+  kv::HostBarrier first, sent;
+  cluster.spawn(1, "src1", [&](Endpoint& ep) {
+    rma::Window win(ep, {.tag = 9});
+    win.put_notify(0, dst, src1, 8).wait();
+    first.arrive_and_wait(2);
+    sent.arrive_and_wait(3);
+  });
+  cluster.spawn(2, "src2", [&](Endpoint& ep) {
+    rma::Window win(ep, {.tag = 9});
+    first.arrive_and_wait(2);
+    win.put_notify(0, dst + 8, src2, 8).wait();
+    sent.arrive_and_wait(3);
+  });
+  cluster.spawn(0, "sink", [&](Endpoint& ep) {
+    rma::Window win(ep, {.tag = 9});
+    stats::Counters ctrs;
+    const stats::CounterId matched =
+        stats::CounterRegistry::intern("test_nq_matched");
+    const stats::CounterId queued =
+        stats::CounterRegistry::intern("test_nq_queued");
+    rma::NotifyQueue nq(ep, 9, ctrs, matched, queued);
+    EXPECT_FALSE(win.notify_pending());
+    EXPECT_FALSE(nq.pending());
+    sent.arrive_and_wait(3);  // both puts acked -> both delivered
+
+    // Peeks see both queued accesses, by any/exact source and address, and
+    // consume nothing: repeating them changes no answer and no counter.
+    for (int round = 0; round < 2; ++round) {
+      EXPECT_TRUE(win.notify_pending());
+      EXPECT_TRUE(win.notify_pending(2));
+      EXPECT_TRUE(win.notify_pending(rma::kAnySrc, dst));
+      EXPECT_FALSE(win.notify_pending(1, dst + 8));
+      EXPECT_TRUE(nq.pending(1, dst));
+    }
+    EXPECT_EQ(win.counters().get("rma_notifies_matched"), 0u);
+    EXPECT_EQ(ctrs.get(matched), 0u);
+
+    // A blocking wait for node 2 stashes node 1's access in `nq`; the peek
+    // finds stashed accesses too and still leaves stash and counters alone.
+    EXPECT_EQ(nq.wait(2).src, 2);
+    ASSERT_EQ(nq.stashed(), 1u);
+    const std::uint64_t matched_before = ctrs.get(matched);
+    EXPECT_TRUE(nq.pending(1, dst));
+    EXPECT_FALSE(nq.pending(2));
+    EXPECT_EQ(nq.stashed(), 1u);
+    EXPECT_EQ(ctrs.get(matched), matched_before);
+
+    // Each peek agrees with the test() that follows it.
+    rma::NotifyEvent ev;
+    const std::pair<int, std::uint64_t> probes[] = {
+        {2, rma::kAnyVa}, {1, dst + 8}, {1, dst}, {rma::kAnySrc, rma::kAnyVa}};
+    for (const auto& [src, va] : probes) {
+      const bool peek = nq.pending(src, va);
+      EXPECT_EQ(peek, nq.test(&ev, src, va)) << src << " " << va;
+    }
+    EXPECT_EQ(nq.stashed(), 0u);
+    EXPECT_FALSE(win.notify_pending());
   });
   cluster.run();
 }

@@ -1,8 +1,9 @@
 // src/svc tests: connection pooling across tenants, window-credit exhaustion
 // and release, DRR isolation of a light tenant from a hog, admission-control
-// rejection under overload, and KV-through-broker differential correctness
-// plus exactly-once under Gilbert-Elliott burst loss and a rail outage — all
-// with the protocol invariant checker armed.
+// rejection under overload, rail-throttle counting on idle dispatcher ticks,
+// and KV-through-broker differential correctness plus exactly-once under
+// Gilbert-Elliott burst loss and a rail outage — all with the protocol
+// invariant checker armed.
 #include <algorithm>
 #include <map>
 #include <random>
@@ -13,6 +14,7 @@
 
 #include "core/api.hpp"
 #include "kv/kv.hpp"
+#include "sim/process.hpp"
 #include "svc/svc.hpp"
 
 namespace multiedge {
@@ -298,6 +300,38 @@ TEST(SvcBrokerTest, AdmissionRejectsBeyondQueueBounds) {
                 agg.get("svc_rejected_peer_queue"),
             static_cast<std::uint64_t>(rejected));
   EXPECT_EQ(broker.queued_ops(0, 1), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Rail-aware throttling is counted on every dispatcher tick, even idle ones
+// ---------------------------------------------------------------------------
+
+TEST(SvcBrokerTest, IdleDispatcherCountsEveryThrottledTick) {
+  ClusterConfig ccfg = config_1l_1g(2);
+  ccfg.topology.rail_outages.push_back(
+      {/*rail=*/0, /*node=*/0, /*start=*/sim::ms(1), /*end=*/sim::ms(2)});
+  CheckedCluster cluster(std::move(ccfg));
+  svc::Broker broker(cluster);
+  const std::uint64_t dst = cluster.memory(1).alloc(64);
+  const std::uint64_t src = cluster.memory(0).alloc(64);
+
+  svc::Tenant& tenant = broker.attach(0, "t");
+  bool completed = false;
+  cluster.spawn(0, "t", [&](Endpoint&) {
+    // A write into the outage marks the rail sick; the op is dispatched
+    // inline, so the dispatcher has no backlog and only idles until the
+    // retransmission gets through after 2ms. Every one of its ticks in
+    // that time (>= 1600 at 500ns) still counts the throttled limit.
+    sim::Process::current()->delay(sim::us(1200));
+    const svc::SvcOpPtr op = tenant.write(1, dst, src, 64, kOpFlagNone);
+    completed = svc::wait_svc_op(cluster, op, sim::ms(100), sim::ns(500)) &&
+                !op->rejected();
+    tenant.close();
+  });
+  cluster.run();
+
+  EXPECT_TRUE(completed);
+  EXPECT_GE(broker.aggregate_counters().get("svc_rail_throttled"), 1600u);
 }
 
 // ---------------------------------------------------------------------------
