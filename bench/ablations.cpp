@@ -10,12 +10,12 @@
 // Usage: ablations [--quick] [--json[=path]]
 //   --json writes BENCH_ablations.json: every study's table serialized via
 //   stats::Table::to_json, keyed by study name.
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <utility>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/microbench.hpp"
 #include "stats/table.hpp"
 
@@ -159,9 +159,16 @@ int main(int argc, char** argv) {
   bool quick = false;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--json") == 0) json_path = "BENCH_ablations.json";
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
+    const std::string_view arg = argv[i];
+    if (arg == "--quick") {
+      quick = true;
+    } else if (arg == "--json") {
+      json_path = "BENCH_ablations.json";
+    } else if (arg.starts_with("--json=")) {
+      json_path = arg.substr(7);
+    } else {
+      bench::reject_argument(argv[0], arg, "[--quick] [--json[=path]]");
+    }
   }
   std::cout << "== MultiEdge ablation studies ==\n\n";
   std::vector<std::pair<std::string, stats::Table>> tables;

@@ -6,13 +6,13 @@
 // (protocol CPU, interrupt fraction, extra traffic, out-of-order fraction).
 #pragma once
 
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "apps/harness.hpp"
+#include "bench_common.hpp"
 #include "stats/table.hpp"
 
 namespace multiedge::apps {
@@ -122,13 +122,23 @@ inline void run_app_figure(const HarnessOptions& setup, const FigureOptions& fo)
   std::cout << '\n';
 }
 
+/// `speedups` is the figure's default for the speedup sweep, which
+/// --sweep / --no-sweep override.
 inline FigureOptions parse_figure_options(int argc, char** argv,
-                                          std::vector<int> full_nodes) {
+                                          std::vector<int> full_nodes,
+                                          bool speedups = true) {
   FigureOptions fo;
   fo.node_counts = std::move(full_nodes);
+  fo.speedups = speedups;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) fo.quick = true;
-    if (std::strcmp(argv[i], "--no-sweep") == 0) fo.speedups = false;
+    const std::string_view arg = argv[i];
+    if (arg == "--quick") {
+      fo.quick = true;
+    } else if (arg == "--sweep" || arg == "--no-sweep") {
+      fo.speedups = arg == "--sweep";
+    } else {
+      bench::reject_argument(argv[0], arg, "[--quick] [--sweep|--no-sweep]");
+    }
   }
   return fo;
 }

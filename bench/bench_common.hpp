@@ -1,35 +1,53 @@
-// Shared scaffolding for the benchmark binaries (simspeed, coll_bench,
-// kv_bench): command-line parsing, the counters fingerprint, and the
-// baseline-JSON helpers used by --check.
+// Shared scaffolding for the gated benchmark binaries (simspeed, coll_bench,
+// kv_bench, svc_bench, rma_bench, scale_bench): command-line parsing, the
+// counters fingerprint, and the harness that turns a bench's rows and gates
+// into its table, JSON artifact and --check verdict.
 //
-// Every bench speaks the same CLI dialect:
+// Every gated bench speaks the same CLI dialect:
 //   [--quick] [--repeat=N] [--json[=path]] [--check=<baseline>]
-// and emits a JSON artifact whose "workloads" array carries one
-// "counters_fnv1a" fingerprint per workload. The simulation is
-// deterministic, so --check compares fingerprints EXACTLY: any drift means
+// runs each workload into a Row, and hands the Report and its Gate list to
+// finish(). Gates run on every run; --json writes the BENCH_<bench>.json
+// artifact; --check=<baseline> adds the gates that read the baseline and
+// compares each row's "counters_fnv1a" fingerprint. The simulation is
+// deterministic, so fingerprints must match EXACTLY: any drift means
 // behavior changed, not noise.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <functional>
 #include <iostream>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/process.hpp"
 #include "sim/simulator.hpp"
 #include "stats/counters.hpp"
 #include "stats/json.hpp"
+#include "stats/table.hpp"
 
 namespace multiedge::bench {
+
+/// Prints why `arg` is rejected and the accepted `flags`, then exits 2.
+/// Every bench binary rejects what it cannot honour: a mistyped
+/// `--check BENCH.json` must not turn into a run that checks nothing and
+/// exits 0.
+[[noreturn]] inline void reject_argument(
+    const char* argv0, std::string_view arg, std::string_view flags,
+    std::string_view why = "unrecognised argument") {
+  std::cerr << argv0 << ": " << why << " '" << arg << "'\nusage: " << argv0
+            << ' ' << flags << '\n';
+  std::exit(2);
+}
 
 struct Args {
   bool quick = false;
@@ -38,11 +56,11 @@ struct Args {
   std::string check_path;  // empty: no baseline check
 };
 
-/// Parses the shared CLI dialect. Any other argument prints the accepted
-/// flags and exits 2: a mistyped `--check BENCH.json` must not turn into a
-/// run that checks nothing and exits 0.
+/// Parses the shared CLI dialect; anything else is a usage error.
 inline Args parse_args(int argc, char** argv, std::string_view default_json,
                        int default_repeat = 1) {
+  constexpr std::string_view kFlags =
+      "[--quick] [--repeat=N] [--json[=path]] [--check=<baseline>]";
   Args a;
   a.repeat = default_repeat;
   for (int i = 1; i < argc; ++i) {
@@ -58,12 +76,14 @@ inline Args parse_args(int argc, char** argv, std::string_view default_json,
     } else if (arg.starts_with("--check=")) {
       a.check_path = arg.substr(8);
     } else {
-      std::cerr << argv[0] << ": unrecognised argument '" << arg
-                << "'\nusage: " << argv[0]
-                << " [--quick] [--repeat=N] [--json[=path]] "
-                   "[--check=<baseline>]\n";
-      std::exit(2);
+      reject_argument(argv[0], arg, kFlags);
     }
+  }
+  // Quick runs reuse the full run's workload names with smaller parameters,
+  // so no committed baseline describes them.
+  if (a.quick && !a.check_path.empty()) {
+    reject_argument(argv[0], "--check", kFlags,
+                    "--quick cannot be combined with");
   }
   a.repeat = std::max(a.repeat, 1);
   return a;
@@ -96,63 +116,297 @@ inline std::uint64_t counters_fingerprint(const stats::Counters& c) {
   return h;
 }
 
-/// Load and parse a --check baseline; prints the failure reason on stderr.
-inline bool load_baseline(const std::string& path, stats::json::Value* doc) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "ERROR: cannot open baseline " << path << '\n';
-    return false;
+// ---------------------------------------------------------------------------
+// Harness: rows, gates, JSON and --check
+// ---------------------------------------------------------------------------
+
+/// Named values in the order they are written. Each is kept as its JSON
+/// token (integers as integers, doubles through stats::json::number, strings
+/// quoted) plus, for numbers, the value gates read.
+struct Fields {
+  struct Field {
+    std::string key, json;
+    std::optional<double> number;
+  };
+  std::vector<Field> items;
+
+  template <typename T>
+  Fields& add(std::string key, const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      items.push_back({std::move(key), v ? "true" : "false", v ? 1.0 : 0.0});
+    } else if constexpr (std::is_integral_v<T>) {
+      items.push_back(
+          {std::move(key), std::to_string(v), static_cast<double>(v)});
+    } else if constexpr (std::is_floating_point_v<T>) {
+      items.push_back({std::move(key), stats::json::number(v), v});
+    } else {
+      items.push_back(
+          {std::move(key), '"' + stats::json::escape(v) + '"', std::nullopt});
+    }
+    return *this;
   }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  std::string err;
-  if (!stats::json::parse(ss.str(), *doc, &err)) {
-    std::cerr << "ERROR: bad baseline JSON: " << err << '\n';
-    return false;
+
+  std::optional<double> number(std::string_view key) const {
+    for (const Field& f : items) {
+      if (f.key == key) return f.number;
+    }
+    return std::nullopt;
   }
-  return true;
+};
+
+/// One workload's result: `fields` are written after "name" in this order,
+/// then the counters fingerprint; `gate_only` values are read by gates and
+/// never written.
+struct Row {
+  std::string name;
+  Fields fields = {};
+  Fields gate_only = {};
+  std::uint64_t fingerprint = 0;
+
+  std::optional<double> metric(std::string_view key) const {
+    if (auto v = fields.number(key)) return v;
+    return gate_only.number(key);
+  }
+};
+
+/// A bench's rows plus named top-level summary objects.
+struct Report {
+  std::vector<Row> rows;
+  std::vector<std::pair<std::string, Fields>> summaries;
+
+  /// Appends an empty summary object called `name`.
+  Fields& summary(std::string name) {
+    return summaries.emplace_back(std::move(name), Fields()).second;
+  }
+
+  const Row* find(std::string_view name) const {
+    for (const Row& r : rows) {
+      if (r.name == name) return &r;
+    }
+    return nullptr;
+  }
+
+  /// `key` of the row, or else the summary object, called `name`.
+  std::optional<double> metric(std::string_view name,
+                               std::string_view key) const {
+    if (const Row* r = find(name)) return r->metric(key);
+    for (const auto& [s, f] : summaries) {
+      if (s == name) return f.number(key);
+    }
+    return std::nullopt;
+  }
+};
+
+/// The same lookup in a baseline document.
+inline std::optional<double> baseline_metric(const stats::json::Value& doc,
+                                             std::string_view name,
+                                             std::string_view key) {
+  const stats::json::Value* obj = doc.find(name);
+  if (const stats::json::Value* wl = doc.find("workloads");
+      wl && wl->is_array()) {
+    for (const stats::json::Value& e : wl->array) {
+      const stats::json::Value* n = e.find("name");
+      if (n && n->string == name) obj = &e;
+    }
+  }
+  const stats::json::Value* v = obj ? obj->find(key) : nullptr;
+  if (v && v->is_number()) return v->number;
+  return std::nullopt;
 }
 
-/// Compare the baseline's per-workload "counters_fnv1a" fields against the
-/// fresh run. `lookup` maps a workload name to its fresh fingerprint
-/// (nullptr: workload absent from this run, skipped — lets a baseline from a
-/// full run check a --quick rerun). Fails when the baseline has no
-/// "workloads" array or no baseline workload ran, since then nothing was
-/// compared. `what` names the behavior in the failure message, e.g.
-/// "protocol".
-inline bool check_fingerprints(
-    const stats::json::Value& doc,
-    const std::function<const std::uint64_t*(const std::string&)>& lookup,
-    const char* what) {
+enum class Cmp { kGe, kGt, kLe, kLt };
+
+inline bool holds(double v, Cmp cmp, double bound) {
+  switch (cmp) {
+    case Cmp::kGe: return v >= bound;
+    case Cmp::kGt: return v > bound;
+    case Cmp::kLe: return v <= bound;
+    case Cmp::kLt: return v < bound;
+  }
+  return false;
+}
+
+/// A pass/fail property of a run, written as data. The gated value is
+///   a.metric                      when `b` is empty,
+///   a.metric / b.metric           when `b` names another row,
+///   a.metric / baseline a.metric  when `b` is kBaseline,
+/// and the gate holds when `value cmp bound`. `a` may also name a summary
+/// object. An empty `a` gates every row that has `metric`.
+struct Gate {
+  std::string what;
+  std::string a;
+  std::string b;
+  std::string metric;
+  Cmp cmp;
+  double bound;
+};
+
+/// Gate::b for "the committed baseline's own value of a.metric". Such a gate
+/// is skipped when no baseline is loaded.
+inline constexpr char kBaseline[] = "<baseline>";
+
+/// Evaluates `g` on the fresh `report` and prints the verdict. A missing
+/// row or metric fails, except under `quick`, whose rows are a subset; a
+/// kBaseline gate is skipped when no baseline is loaded.
+inline bool evaluate(const Gate& g, const Report& report,
+                     const stats::json::Value* baseline, bool quick) {
+  static constexpr const char* kSymbol[] = {">=", ">", "<=", "<"};
+  std::vector<std::string> names;
+  for (const Row& r : report.rows) {
+    if (g.a.empty() && r.metric(g.metric)) names.push_back(r.name);
+  }
+  if (!g.a.empty() || names.empty()) names.push_back(g.a);
+  bool ok = true;
+  for (const std::string& name : names) {
+    const std::optional<double> num = report.metric(name, g.metric);
+    std::optional<double> den = 1.0;
+    if (g.b == kBaseline) {
+      den = baseline ? baseline_metric(*baseline, name, g.metric)
+                     : std::nullopt;
+    } else if (!g.b.empty()) {
+      den = report.metric(g.b, g.metric);
+    }
+    const bool missing = !num || !den;
+    if (missing && (quick || (g.b == kBaseline && !baseline))) {
+      std::cout << "gate skipped: " << g.what << '\n';
+      continue;
+    }
+    const bool pass = !missing && holds(*num / *den, g.cmp, g.bound);
+    std::ostream& os = pass ? std::cout : std::cerr;
+    os << (pass ? "gate OK: " : "CHECK FAIL: ") << g.what << " [" << name
+       << (g.b.empty() ? "" : " / " + g.b) << "] " << g.metric << ' '
+       << (missing ? "missing" : stats::fmt_double(*num / *den, 3))
+       << (pass ? " " : ", need ") << kSymbol[static_cast<int>(g.cmp)] << ' '
+       << g.bound << '\n';
+    ok &= pass;
+  }
+  return ok;
+}
+
+/// Writes `fields` as JSON object members, each after `sep` and then ", ".
+inline void write_members(std::ostream& os, const Fields& fields,
+                          const char* sep) {
+  for (const Fields::Field& f : fields.items) {
+    os << sep << '"' << f.key << "\": " << f.json;
+    sep = ", ";
+  }
+}
+
+/// Writes `report` as the bench's JSON artifact.
+inline void write_json(std::ostream& os, std::string_view bench, bool quick,
+                       const Report& report) {
+  os << "{\n  \"benchmark\": \"" << bench << "\",\n  \"quick\": "
+     << (quick ? "true" : "false") << ",\n  \"workloads\": [\n";
+  for (std::size_t i = 0; i < report.rows.size(); ++i) {
+    const Row& r = report.rows[i];
+    os << "    {\"name\": \"" << stats::json::escape(r.name) << '"';
+    write_members(os, r.fields, ", ");
+    os << ", \"counters_fnv1a\": \"" << hex(r.fingerprint) << "\"}"
+       << (i + 1 < report.rows.size() ? ",\n" : "\n");
+  }
+  os << "  ]";
+  for (const auto& [name, fields] : report.summaries) {
+    os << ",\n  \"" << name << "\": {";
+    write_members(os, fields, "");
+    os << '}';
+  }
+  os << "\n}\n";
+}
+
+/// One table over every row field (a row without a column shows "-"), then
+/// each summary object as JSON.
+inline void print_table(std::ostream& os, const Report& report) {
+  std::vector<std::string> headers = {"workload"};
+  for (const Row& r : report.rows) {
+    for (const Fields::Field& f : r.fields.items) {
+      if (std::find(headers.begin(), headers.end(), f.key) == headers.end()) {
+        headers.push_back(f.key);
+      }
+    }
+  }
+  const std::size_t field_cols = headers.size();
+  headers.push_back("counters");
+  stats::Table t(headers);
+  for (const Row& r : report.rows) {
+    std::vector<std::string> cells = {r.name};
+    for (std::size_t c = 1; c < field_cols; ++c) {
+      cells.push_back("-");
+      for (const Fields::Field& f : r.fields.items) {
+        if (f.key == headers[c]) cells.back() = f.json;
+      }
+    }
+    cells.push_back(hex(r.fingerprint));
+    t.add_row(std::move(cells));
+  }
+  t.print(os);
+  for (const auto& [name, fields] : report.summaries) {
+    os << name << ": {";
+    write_members(os, fields, "");
+    os << "}\n";
+  }
+}
+
+/// Compares every baseline workload's "counters_fnv1a" with the fresh run's.
+/// A baseline workload that did not run, or has no fingerprint, fails, and
+/// so does a baseline with no workloads, since then nothing was compared.
+inline bool check_fingerprints(const stats::json::Value& doc,
+                               const Report& report) {
   const stats::json::Value* wl = doc.find("workloads");
-  if (!wl || !wl->is_array()) {
-    std::cerr << "CHECK FAIL: baseline has no workloads array — no " << what
-              << " fingerprint compared\n";
+  if (!wl || !wl->is_array() || wl->array.empty()) {
+    std::cerr << "CHECK FAIL: baseline has no workloads — nothing compared\n";
     return false;
   }
   bool ok = true;
-  int compared = 0;
-  for (const auto& e : wl->array) {
+  for (const stats::json::Value& e : wl->array) {
     const stats::json::Value* name = e.find("name");
     const stats::json::Value* fnv = e.find("counters_fnv1a");
-    if (!name || !fnv) continue;
-    const std::uint64_t* fresh = lookup(name->string);
-    if (!fresh) continue;
-    ++compared;
-    if (hex(*fresh) != fnv->string) {
-      std::cerr << "CHECK FAIL: workload " << name->string
-                << " counters fingerprint drifted (baseline " << fnv->string
-                << ", now " << hex(*fresh) << ") — " << what
-                << " behavior changed\n";
+    const Row* r = name ? report.find(name->string) : nullptr;
+    const std::string now = r ? hex(r->fingerprint) : "not run";
+    if (!fnv || now != fnv->string) {
+      std::cerr << "CHECK FAIL: workload " << (name ? name->string : "?")
+                << " counters fingerprint drifted (baseline "
+                << (fnv ? fnv->string : "none") << ", now " << now
+                << ") — behavior changed\n";
       ok = false;
     }
   }
-  if (compared == 0) {
-    std::cerr << "CHECK FAIL: no baseline workload ran — no " << what
-              << " fingerprint compared\n";
-    return false;
-  }
   return ok;
+}
+
+/// Prints the table, evaluates `gates`, writes the JSON artifact and, under
+/// --check, compares fingerprints against the baseline. Returns the exit
+/// code: 0 when every gate and fingerprint holds, else 1.
+inline int finish(const Args& args, std::string_view bench,
+                  const Report& report, const std::vector<Gate>& gates) {
+  print_table(std::cout, report);
+  stats::json::Value baseline;
+  if (!args.check_path.empty()) {
+    std::ifstream in(args.check_path);
+    std::stringstream text;
+    text << in.rdbuf();
+    std::string err;
+    if (!in || !stats::json::parse(text.str(), baseline, &err)) {
+      std::cerr << "ERROR: cannot read baseline " << args.check_path << ": "
+                << err << '\n';
+      return 1;
+    }
+  }
+  const stats::json::Value* base =
+      args.check_path.empty() ? nullptr : &baseline;
+  bool ok = true;
+  for (const Gate& g : gates) ok &= evaluate(g, report, base, args.quick);
+  if (!args.json_path.empty()) {
+    std::ofstream out(args.json_path);
+    write_json(out, bench, args.quick, report);
+    if (!out) {
+      std::cerr << "ERROR: cannot write " << args.json_path << '\n';
+      return 1;
+    }
+    std::cout << "wrote " << args.json_path << '\n';
+  }
+  if (base) ok &= check_fingerprints(baseline, report);
+  if (ok && base) std::cout << "check OK: gates hold, fingerprints match\n";
+  return ok ? 0 : 1;
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 // RDMA-native collectives across node counts, payload sizes, and the paper's
 // network setups (1L-1G single rail, 2L-1G striped dual rail, 1L-10G).
 //
-// Headline evidence (checked by --check against a committed baseline):
+// Headline evidence (gated on every run):
 //   * the dissemination barrier scales ~O(log N) while the linear
 //     (centralized fan-in/fan-out) barrier scales O(N) — at 16 nodes the
 //     dissemination barrier must be strictly faster;
@@ -10,12 +10,7 @@
 //     its 1L-1G (single-rail) throughput at the largest payload.
 //
 // Usage: coll_bench [--quick] [--json[=path]] [--check=<baseline>]
-//   --json   writes the machine-readable BENCH_coll.json artifact.
-//   --check  reruns the sweep, verifies the two headline properties, and
-//            compares per-workload protocol-counter fingerprints against the
-//            baseline (exact: the simulation is deterministic).
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -24,8 +19,6 @@
 #include "bench_common.hpp"
 #include "coll/coll.hpp"
 #include "core/api.hpp"
-#include "stats/json.hpp"
-#include "stats/table.hpp"
 
 namespace {
 
@@ -135,14 +128,7 @@ std::vector<Workload> workloads(bool quick) {
   return ws;
 }
 
-struct Result {
-  double per_op_us = 0;   // simulated time per collective
-  double gbps = 0;        // payload bytes per simulated second (all_reduce/a2a)
-  std::uint64_t frames = 0;
-  std::uint64_t counters_fnv = 0;
-};
-
-Result run_workload(const Workload& w) {
+bench::Row run_workload(const Workload& w) {
   ClusterConfig ccfg = topo_config(w.topo, w.nodes);
   Cluster cluster(ccfg);
 
@@ -198,131 +184,52 @@ Result run_workload(const Workload& w) {
   cluster.run();
 
   stats::Counters all;
-  for (int i = 0; i < w.nodes; ++i) {
-    all.merge(cluster.engine(i).aggregate_counters());
-  }
+  bench::merge_engine_counters(cluster, w.nodes, all);
 
-  Result r;
   const double span_us = sim::to_us(t1 - t0);
-  r.per_op_us = span_us / w.iters;
+  double gbps = 0;  // payload bytes per simulated second (all_reduce/a2a)
   if (w.kind == Kind::kAllReduce && span_us > 0) {
-    r.gbps = static_cast<double>(w.bytes) * w.iters * 8.0 / (span_us * 1e3);
+    gbps = static_cast<double>(w.bytes) * w.iters * 8.0 / (span_us * 1e3);
   } else if (w.kind == Kind::kAllToAll && span_us > 0) {
-    r.gbps = static_cast<double>(w.bytes) * (w.nodes - 1) * w.iters * 8.0 /
-             (span_us * 1e3);
+    gbps = static_cast<double>(w.bytes) * (w.nodes - 1) * w.iters * 8.0 /
+           (span_us * 1e3);
   }
-  r.frames = all.get("data_frames_sent") + all.get("ack_frames_sent");
-  r.counters_fnv = bench::counters_fingerprint(all);
+  bench::Row r{w.name};
+  r.fields.add("iters", w.iters)
+      .add("per_op_us", span_us / w.iters)
+      .add("gbps", gbps)
+      .add("frames", all.get("data_frames_sent") + all.get("ack_frames_sent"));
+  r.fingerprint = bench::counters_fingerprint(all);
   return r;
-}
-
-const Result* find(const std::vector<std::pair<Workload, Result>>& rs,
-                   const std::string& name) {
-  for (const auto& [w, r] : rs) {
-    if (w.name == name) return &r;
-  }
-  return nullptr;
-}
-
-// The two headline properties, asserted on the fresh run (not the baseline):
-// log-depth barrier wins at 16 nodes on every topology, and the ring
-// all-reduce gets >= 1.7x throughput from the second rail.
-bool check_headlines(const std::vector<std::pair<Workload, Result>>& rs,
-                     std::size_t big) {
-  bool ok = true;
-  for (const char* topo : {"1L-1G", "2L-1G", "1L-10G"}) {
-    const Result* dis = find(
-        rs, wl_name(Kind::kBarrier, coll::CollAlgo::kDissemination, topo, 16, 0));
-    const Result* lin = find(
-        rs, wl_name(Kind::kBarrier, coll::CollAlgo::kLinear, topo, 16, 0));
-    if (!dis || !lin) continue;
-    if (dis->per_op_us >= lin->per_op_us) {
-      std::cerr << "CHECK FAIL: dissemination barrier (" << dis->per_op_us
-                << " us) not faster than linear (" << lin->per_op_us
-                << " us) at 16 nodes on " << topo << '\n';
-      ok = false;
-    }
-  }
-  const Result* one = find(
-      rs, wl_name(Kind::kAllReduce, coll::CollAlgo::kRing, "1L-1G", 4, big));
-  const Result* two = find(
-      rs, wl_name(Kind::kAllReduce, coll::CollAlgo::kRing, "2L-1G", 4, big));
-  if (one && two) {
-    const double ratio = one->gbps > 0 ? two->gbps / one->gbps : 0;
-    if (ratio < 1.7) {
-      std::cerr << "CHECK FAIL: ring all-reduce 2L-1G/1L-1G throughput ratio "
-                << ratio << " < 1.7 — second rail not saturated\n";
-      ok = false;
-    } else {
-      std::cout << "rail scaling OK: ring all-reduce " << two->gbps
-                << " Gb/s on 2L-1G vs " << one->gbps << " Gb/s on 1L-1G ("
-                << ratio << "x)\n";
-    }
-  }
-  return ok;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const bench::Args args = bench::parse_args(argc, argv, "BENCH_coll.json");
-  const bool quick = args.quick;
-  const std::string& json_path = args.json_path;
-  const std::string& check_path = args.check_path;
 
   std::cout << "== coll_bench: collective latency/throughput (simulated) ==\n"
             << "per-op = simulated time per collective; Gb/s = per-node "
                "payload rate (all_reduce) / exchanged rate (all_to_all)\n\n";
 
-  stats::Table t(
-      {"workload", "iters", "per-op(us)", "Gb/s", "frames", "counters"});
-  std::vector<std::pair<Workload, Result>> results;
-  for (const Workload& w : workloads(quick)) {
-    Result r = run_workload(w);
-    results.emplace_back(w, r);
-    t.row()
-        .cell(w.name)
-        .cell(static_cast<std::uint64_t>(w.iters))
-        .cell(r.per_op_us, 2)
-        .cell(r.gbps, 2)
-        .cell(r.frames)
-        .cell(bench::hex(r.counters_fnv));
+  bench::Report report;
+  for (const Workload& w : workloads(args.quick)) {
+    report.rows.push_back(run_workload(w));
   }
-  t.print(std::cout);
 
+  std::vector<bench::Gate> gates;
+  for (const char* topo : {"1L-1G", "2L-1G", "1L-10G"}) {
+    gates.push_back(
+        {std::string("16-node dissemination barrier beats linear on ") + topo,
+         wl_name(Kind::kBarrier, coll::CollAlgo::kDissemination, topo, 16, 0),
+         wl_name(Kind::kBarrier, coll::CollAlgo::kLinear, topo, 16, 0),
+         "per_op_us", bench::Cmp::kLt, 1.0});
+  }
   const std::size_t big = 1 << 20;
-  const bool headlines_ok = check_headlines(results, big);
-
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << "{\n  \"benchmark\": \"coll\",\n  \"quick\": "
-        << (quick ? "true" : "false") << ",\n  \"workloads\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const auto& [w, r] = results[i];
-      out << "    {\"name\": \"" << w.name << "\", \"iters\": " << w.iters
-          << ", \"per_op_us\": " << stats::json::number(r.per_op_us)
-          << ", \"gbps\": " << stats::json::number(r.gbps)
-          << ", \"frames\": " << r.frames << ", \"counters_fnv1a\": \""
-          << bench::hex(r.counters_fnv) << "\"}"
-          << (i + 1 < results.size() ? ",\n" : "\n");
-    }
-    out << "  ]\n}\n";
-    std::cout << "wrote " << json_path << '\n';
-  }
-
-  if (!check_path.empty()) {
-    stats::json::Value doc;
-    if (!bench::load_baseline(check_path, &doc)) return 1;
-    bool ok = headlines_ok;
-    ok &= bench::check_fingerprints(
-        doc,
-        [&](const std::string& name) -> const std::uint64_t* {
-          const Result* r = find(results, name);
-          return r ? &r->counters_fnv : nullptr;
-        },
-        "collective");
-    if (!ok) return 1;
-    std::cout << "check OK: headline properties hold, fingerprints match\n";
-  }
-  return headlines_ok ? 0 : 1;
+  gates.push_back(
+      {"ring all-reduce saturates the second rail",
+       wl_name(Kind::kAllReduce, coll::CollAlgo::kRing, "2L-1G", 4, big),
+       wl_name(Kind::kAllReduce, coll::CollAlgo::kRing, "1L-1G", 4, big),
+       "gbps", bench::Cmp::kGe, 1.7});
+  return bench::finish(args, "coll", report, gates);
 }

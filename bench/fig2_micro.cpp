@@ -6,13 +6,13 @@
 // Usage: fig2_micro [--quick] [--csv] [--json[=path]]
 //   --json writes the machine-readable BENCH_fig2.json artifact (per-point
 //   metrics plus the per-op latency histogram) next to the console output.
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/microbench.hpp"
 #include "stats/json.hpp"
 #include "stats/table.hpp"
@@ -43,10 +43,18 @@ int main(int argc, char** argv) {
   bool csv = false;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--csv") == 0) csv = true;
-    if (std::strcmp(argv[i], "--json") == 0) json_path = "BENCH_fig2.json";
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
+    const std::string_view arg = argv[i];
+    if (arg == "--quick") {
+      quick = true;
+    } else if (arg == "--csv") {
+      csv = true;
+    } else if (arg == "--json") {
+      json_path = "BENCH_fig2.json";
+    } else if (arg.starts_with("--json=")) {
+      json_path = arg.substr(7);
+    } else {
+      bench::reject_argument(argv[0], arg, "[--quick] [--csv] [--json[=path]]");
+    }
   }
 
   std::vector<std::size_t> sizes = {64,        256,       1024,     4096,

@@ -11,11 +11,9 @@ int main(int argc, char** argv) {
   using namespace multiedge::apps;
   std::cout << "== Figure 5: applications over 2L-1G (16 nodes, strictly "
                "ordered) ==\n";
-  FigureOptions fo = parse_figure_options(argc, argv, {1, 4, 16});
-  fo.speedups = false;  // the paper shows only breakdowns for this setup
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--sweep") fo.speedups = true;
-  }
+  // The paper shows only breakdowns for this setup.
+  FigureOptions fo =
+      parse_figure_options(argc, argv, {1, 4, 16}, /*speedups=*/false);
   run_app_figure(setup_2l_1g(), fo);
   std::cout << "Paper: times similar to 1L-1G; ooo 10-50% (reorder every "
                "2-10 frames); extra traffic <=10% (Raytrace, W-Nsq) and <=4% "

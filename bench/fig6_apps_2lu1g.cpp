@@ -13,11 +13,8 @@ int main(int argc, char** argv) {
   using namespace multiedge::apps;
   std::cout << "== Figure 6: applications over 2Lu-1G (16 nodes, "
                "out-of-order + fences) ==\n";
-  FigureOptions fo = parse_figure_options(argc, argv, {1, 4, 16});
-  fo.speedups = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--sweep") fo.speedups = true;
-  }
+  FigureOptions fo =
+      parse_figure_options(argc, argv, {1, 4, 16}, /*speedups=*/false);
   run_app_figure(setup_2lu_1g(), fo);
   std::cout << "Paper: relaxing ordering does not significantly change "
                "application performance or network-level statistics vs "

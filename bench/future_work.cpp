@@ -6,7 +6,6 @@
 //      fast path, modelled by the HostCostModel::offload() preset.
 //
 // Usage: future_work [--quick]
-#include <cstring>
 #include <iostream>
 
 #include "app_fig_common.hpp"
@@ -95,7 +94,10 @@ void offload(bool quick) {
 int main(int argc, char** argv) {
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
+    if (std::string_view(argv[i]) != "--quick") {
+      bench::reject_argument(argv[0], argv[i], "[--quick]");
+    }
+    quick = true;
   }
   std::cout << "== Future-work explorations (paper §6) ==\n\n";
   multiswitch(quick);

@@ -10,36 +10,31 @@
 // per-client trace::LatencyHistogram (recorded in simulated ns by kv::Client
 // around each op, GETs and mutations separately).
 //
-// Headline evidence (checked by --check against a committed baseline):
+// Headline evidence (gated on every run; the tail gate needs --check):
 //   * one-sided GETs ride the striped rails: on the zipfian read-heavy mix,
 //     2L-1G GET throughput must reach >= 1.5x 1L-1G at 4 nodes;
 //   * tail latency stays bounded: zipfian 2L-1G p99 GET latency must not
 //     exceed 1.25x the committed baseline (the simulation is deterministic,
-//     so drift means the protocol or store changed, not noise).
+//     so drift means the protocol or store changed, not noise; the headroom
+//     tolerates cross-platform FP drift in the zipfian generator).
 //
 // Usage: kv_bench [--quick] [--json[=path]] [--check=<baseline>]
-//   --json   writes the machine-readable BENCH_kv.json artifact.
-//   --check  reruns the sweep, verifies the headline properties, and
-//            compares per-workload counter fingerprints (exact).
-#include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/api.hpp"
 #include "kv/kv.hpp"
-#include "stats/json.hpp"
-#include "stats/table.hpp"
 #include "trace/histogram.hpp"
 
 namespace {
 
 using namespace multiedge;
+using bench::Cmp;
 
 constexpr std::size_t kValueBytes = 4096;
 constexpr double kZipfTheta = 0.99;
@@ -157,22 +152,7 @@ std::vector<Workload> workloads(bool quick) {
   return ws;
 }
 
-using bench::ZipfGen;
-
-std::string key_str(int k) { return bench::bench_key(k); }
-
-struct Result {
-  double sim_ms = 0;       // measured window, simulated
-  double kops = 0;         // total ops/sec (simulated), thousands
-  double get_kops = 0;
-  std::uint64_t gets = 0, puts = 0, errors = 0;
-  std::uint64_t get_p50 = 0, get_p95 = 0, get_p99 = 0;  // simulated ns
-  std::uint64_t put_p50 = 0, put_p99 = 0;
-  std::uint64_t offered = 0, late = 0, rejected = 0;  // open-loop rows only
-  std::uint64_t counters_fnv = 0;
-};
-
-Result run_workload(const Workload& w) {
+bench::Row run_workload(const Workload& w) {
   ClusterConfig ccfg = topo_config(w.topo, w.nodes);
   ccfg.memory_bytes_per_node = std::size_t{128} << 20;  // 4KB values + slabs
   if (w.batch) {
@@ -203,7 +183,8 @@ Result run_workload(const Workload& w) {
   std::vector<int> hot_keys;
   if (w.hot) {
     for (int k = 0; static_cast<int>(hot_keys.size()) < w.keys; ++k) {
-      const int part = sys.ring().partition_of(kv::fnv1a64(key_str(k)));
+      const int part =
+          sys.ring().partition_of(kv::fnv1a64(bench::bench_key(k)));
       if (sys.ring().replicas(part)[0] == 0) hot_keys.push_back(k);
     }
   }
@@ -212,10 +193,13 @@ Result run_workload(const Workload& w) {
   kv::HostBarrier loaded, done;
   sim::Time t0 = 0, t1 = 0;
   trace::LatencyHistogram get_h, put_h, arr_h;
-  Result r;
+  std::uint64_t gets = 0, puts = 0, errors = 0;
+  bench::OpenLoopCounts open;  // open-loop rows only
   const std::string value(w.value_bytes, 'v');
-  const ZipfGen zipf(w.keys, kZipfTheta);
-  auto bench_key = [&](int k) { return key_str(w.hot ? hot_keys[k] : k); };
+  const bench::ZipfGen zipf(w.keys, kZipfTheta);
+  auto key_of = [&](int k) {
+    return bench::bench_key(w.hot ? hot_keys[k] : k);
+  };
 
   for (int node = first_node; node < w.nodes; ++node) {
     for (int c = 0; c < w.clients; ++c) {
@@ -225,7 +209,7 @@ Result run_workload(const Workload& w) {
         // Preload this client's stripe of the keyspace, then rendezvous and
         // reset the histograms so only the measured window is reported.
         for (int k = id; k < w.keys; k += total) {
-          if (cl.put(bench_key(k), value) != kv::Status::kOk) ++r.errors;
+          if (cl.put(key_of(k), value) != kv::Status::kOk) ++errors;
         }
         loaded.arrive_and_wait(total);
         cl.get_hist().clear();
@@ -255,11 +239,11 @@ Result run_workload(const Workload& w) {
                 const int k = pick_key();
                 kv::Status st;
                 if (u01(rng) < w.get_frac) {
-                  st = cl.get(bench_key(k), &got);
-                  ++r.gets;
+                  st = cl.get(key_of(k), &got);
+                  ++gets;
                 } else {
-                  st = cl.put(bench_key(k), value);
-                  ++r.puts;
+                  st = cl.put(key_of(k), value);
+                  ++puts;
                 }
                 if (st == kv::Status::kOk) return bench::OpenLoopVerdict::kOk;
                 if (st == kv::Status::kRejected) {
@@ -270,19 +254,16 @@ Result run_workload(const Workload& w) {
               [&](sim::Time dt) {
                 arr_h.record(static_cast<std::uint64_t>(sim::to_ns(dt)));
               });
-          r.offered += oc.offered;
-          r.late += oc.late;
-          r.rejected += oc.rejected;
-          r.errors += oc.errors;
+          open.merge(oc);
         } else {
           for (int i = 0; i < w.ops; ++i) {
             const int k = pick_key();
             if (u01(rng) < w.get_frac) {
-              if (cl.get(bench_key(k), &got) != kv::Status::kOk) ++r.errors;
-              ++r.gets;
+              if (cl.get(key_of(k), &got) != kv::Status::kOk) ++errors;
+              ++gets;
             } else {
-              if (cl.put(bench_key(k), value) != kv::Status::kOk) ++r.errors;
-              ++r.puts;
+              if (cl.put(key_of(k), value) != kv::Status::kOk) ++errors;
+              ++puts;
             }
           }
         }
@@ -295,89 +276,37 @@ Result run_workload(const Workload& w) {
   }
   cluster.run();
 
-  r.sim_ms = sim::to_us(t1 - t0) / 1000.0;
-  const double ops = static_cast<double>(r.gets + r.puts);
-  if (r.sim_ms > 0) {
-    r.kops = ops / r.sim_ms;
-    r.get_kops = static_cast<double>(r.gets) / r.sim_ms;
-  }
+  const double sim_ms = sim::to_us(t1 - t0) / 1000.0;
+  const double ops = static_cast<double>(gets + puts);
+  // Open-loop rows report arrival-to-completion latency (all ops), the
+  // number the open-loop methodology exists to measure.
+  const trace::LatencyHistogram& lat_h = w.open_loop ? arr_h : get_h;
+  bench::Row r{w.name};
+  r.fields.add("clients", w.clients)
+      .add("ops_per_client", w.ops)
+      .add("keys", w.keys)
+      .add("gets", gets)
+      .add("puts", puts)
+      .add("sim_ms", sim_ms)
+      .add("kops", sim_ms > 0 ? ops / sim_ms : 0.0)
+      .add("get_kops", sim_ms > 0 ? static_cast<double>(gets) / sim_ms : 0.0)
+      .add("get_p50_us", bench::ns_to_us(lat_h.p50()))
+      .add("get_p95_us", bench::ns_to_us(lat_h.p95()))
+      .add("get_p99_us", bench::ns_to_us(lat_h.p99()))
+      .add("put_p50_us", bench::ns_to_us(put_h.p50()))
+      .add("put_p99_us", bench::ns_to_us(put_h.p99()));
   if (w.open_loop) {
-    // Open-loop rows report arrival-to-completion latency (all ops), the
-    // number the open-loop methodology exists to measure.
-    r.get_p50 = arr_h.p50();
-    r.get_p95 = arr_h.p95();
-    r.get_p99 = arr_h.p99();
-  } else {
-    r.get_p50 = get_h.p50();
-    r.get_p95 = get_h.p95();
-    r.get_p99 = get_h.p99();
+    r.fields.add("offered", open.offered)
+        .add("shed_late", open.late)
+        .add("shed_rejected", open.rejected);
   }
-  r.put_p50 = put_h.p50();
-  r.put_p99 = put_h.p99();
+  r.gate_only.add("errors", errors + open.errors);
 
   stats::Counters all = sys.aggregate_counters();
   bench::merge_engine_counters(cluster, w.nodes, all);
-  r.counters_fnv = bench::counters_fingerprint(all);
+  r.fingerprint = bench::counters_fingerprint(all);
   return r;
 }
-
-const Result* find(const std::vector<std::pair<Workload, Result>>& rs,
-                   const std::string& name) {
-  for (const auto& [w, r] : rs) {
-    if (w.name == name) return &r;
-  }
-  return nullptr;
-}
-
-/// Fresh-run headline properties: error-free run, and the striped dual rail
-/// buys >= 1.5x zipfian GET throughput over the single rail.
-bool check_headlines(const std::vector<std::pair<Workload, Result>>& rs) {
-  bool ok = true;
-  for (const auto& [w, r] : rs) {
-    if (r.errors) {
-      std::cerr << "CHECK FAIL: workload " << w.name << " had " << r.errors
-                << " failed ops\n";
-      ok = false;
-    }
-  }
-  const Result* one = find(rs, "kv-zipf-95g-1L-1G-n4");
-  const Result* two = find(rs, "kv-zipf-95g-2L-1G-n4");
-  if (one && two) {
-    const double ratio = one->get_kops > 0 ? two->get_kops / one->get_kops : 0;
-    if (ratio < 1.5) {
-      std::cerr << "CHECK FAIL: zipfian GET throughput 2L-1G/1L-1G ratio "
-                << ratio << " < 1.5 — one-sided GETs not riding both rails\n";
-      ok = false;
-    } else {
-      std::cout << "rail scaling OK: zipfian GETs " << two->get_kops
-                << " Kops/s on 2L-1G vs " << one->get_kops
-                << " Kops/s on 1L-1G (" << ratio << "x)\n";
-    }
-    if (two->get_p99 == 0) {
-      std::cerr << "CHECK FAIL: zipfian 2L-1G p99 GET latency is zero — "
-                   "histograms not recording\n";
-      ok = false;
-    }
-  }
-  const Result* pu = find(rs, "kv-puthot-small-2L-1G-n4");
-  const Result* pb = find(rs, "kv-puthot-small-2L-1G-n4-batched");
-  if (pu && pb) {
-    const double up = pu->kops > 0 ? pb->kops / pu->kops : 0;
-    if (up < kMinPutSmallSpeedup) {
-      std::cerr << "CHECK FAIL: PUT-heavy small-value batching uplift " << up
-                << "x < " << kMinPutSmallSpeedup
-                << "x — doorbell batching not paying on the RPC path\n";
-      ok = false;
-    } else {
-      std::cout << "small-op batching OK: PUT-heavy " << pb->kops
-                << " Kops/s batched vs " << pu->kops << " Kops/s unbatched ("
-                << up << "x, gate >= " << kMinPutSmallSpeedup << "x)\n";
-    }
-  }
-  return ok;
-}
-
-double us(std::uint64_t ns) { return bench::ns_to_us(ns); }
 
 }  // namespace
 
@@ -388,103 +317,32 @@ int main(int argc, char** argv) {
             << "Kops/s = simulated thousand ops/sec over the measured "
                "window; latency percentiles in simulated us\n\n";
 
-  stats::Table t({"workload", "clients", "ops", "sim(ms)", "Kops/s",
-                  "GET Kops/s", "GETp50(us)", "GETp95", "GETp99", "PUTp99",
-                  "counters"});
-  std::vector<std::pair<Workload, Result>> results;
+  bench::Report report;
   for (const Workload& w : workloads(args.quick)) {
-    Result r = run_workload(w);
-    results.emplace_back(w, r);
-    t.row()
-        .cell(w.name)
-        .cell(static_cast<std::uint64_t>(w.clients))
-        .cell(static_cast<std::uint64_t>(w.ops))
-        .cell(r.sim_ms, 2)
-        .cell(r.kops, 1)
-        .cell(r.get_kops, 1)
-        .cell(us(r.get_p50), 1)
-        .cell(us(r.get_p95), 1)
-        .cell(us(r.get_p99), 1)
-        .cell(us(r.put_p99), 1)
-        .cell(bench::hex(r.counters_fnv));
+    report.rows.push_back(run_workload(w));
   }
-  t.print(std::cout);
+  const char* unbatched = "kv-puthot-small-2L-1G-n4";
+  const char* batched = "kv-puthot-small-2L-1G-n4-batched";
+  const double kops_unbatched = report.metric(unbatched, "kops").value_or(0);
+  const double kops_batched = report.metric(batched, "kops").value_or(0);
+  report.summary("put_small")
+      .add("unbatched", unbatched)
+      .add("batched", batched)
+      .add("kops_unbatched", kops_unbatched)
+      .add("kops_batched", kops_batched)
+      .add("speedup", kops_unbatched > 0 ? kops_batched / kops_unbatched : 0.0)
+      .add("min_speedup", kMinPutSmallSpeedup);
 
-  const bool headlines_ok = check_headlines(results);
-
-  if (!args.json_path.empty()) {
-    std::ofstream out(args.json_path);
-    out << "{\n  \"benchmark\": \"kv\",\n  \"quick\": "
-        << (args.quick ? "true" : "false") << ",\n  \"workloads\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const auto& [w, r] = results[i];
-      out << "    {\"name\": \"" << w.name << "\", \"clients\": " << w.clients
-          << ", \"ops_per_client\": " << w.ops << ", \"keys\": " << w.keys
-          << ", \"gets\": " << r.gets << ", \"puts\": " << r.puts
-          << ", \"sim_ms\": " << stats::json::number(r.sim_ms)
-          << ", \"kops\": " << stats::json::number(r.kops)
-          << ", \"get_kops\": " << stats::json::number(r.get_kops)
-          << ", \"get_p50_us\": " << stats::json::number(us(r.get_p50))
-          << ", \"get_p95_us\": " << stats::json::number(us(r.get_p95))
-          << ", \"get_p99_us\": " << stats::json::number(us(r.get_p99))
-          << ", \"put_p50_us\": " << stats::json::number(us(r.put_p50))
-          << ", \"put_p99_us\": " << stats::json::number(us(r.put_p99));
-      if (w.open_loop) {
-        out << ", \"offered\": " << r.offered << ", \"shed_late\": " << r.late
-            << ", \"shed_rejected\": " << r.rejected;
-      }
-      out << ", \"counters_fnv1a\": \"" << bench::hex(r.counters_fnv) << "\"}"
-          << (i + 1 < results.size() ? ",\n" : "\n");
-    }
-    out << "  ],\n";
-    const Result* pu = find(results, "kv-puthot-small-2L-1G-n4");
-    const Result* pb = find(results, "kv-puthot-small-2L-1G-n4-batched");
-    const double up = pu && pb && pu->kops > 0 ? pb->kops / pu->kops : 0;
-    out << "  \"put_small\": {\"unbatched\": \"kv-puthot-small-2L-1G-n4\", "
-        << "\"batched\": \"kv-puthot-small-2L-1G-n4-batched\", "
-        << "\"kops_unbatched\": "
-        << stats::json::number(pu ? pu->kops : 0)
-        << ", \"kops_batched\": " << stats::json::number(pb ? pb->kops : 0)
-        << ", \"speedup\": " << stats::json::number(up)
-        << ", \"min_speedup\": " << stats::json::number(kMinPutSmallSpeedup)
-        << "}\n}\n";
-    std::cout << "wrote " << args.json_path << '\n';
-  }
-
-  if (!args.check_path.empty()) {
-    stats::json::Value doc;
-    if (!bench::load_baseline(args.check_path, &doc)) return 1;
-    bool ok = headlines_ok;
-    ok &= bench::check_fingerprints(
-        doc,
-        [&](const std::string& name) -> const std::uint64_t* {
-          const Result* r = find(results, name);
-          return r ? &r->counters_fnv : nullptr;
-        },
-        "store");
-    // Tail-latency gate: deterministic sim, so the committed p99 should
-    // reproduce exactly; 25% headroom tolerates cross-platform FP drift in
-    // the zipfian generator.
-    const stats::json::Value* wl = doc.find("workloads");
-    if (wl && wl->is_array()) {
-      for (const auto& e : wl->array) {
-        const stats::json::Value* name = e.find("name");
-        const stats::json::Value* p99 = e.find("get_p99_us");
-        if (!name || !p99 || !p99->is_number() ||
-            name->string != "kv-zipf-95g-2L-1G-n4") {
-          continue;
-        }
-        const Result* r = find(results, name->string);
-        if (r && us(r->get_p99) > p99->number * 1.25) {
-          std::cerr << "CHECK FAIL: " << name->string << " p99 GET latency "
-                    << us(r->get_p99) << " us exceeds 1.25x baseline "
-                    << p99->number << " us\n";
-          ok = false;
-        }
-      }
-    }
-    if (!ok) return 1;
-    std::cout << "check OK: headline properties hold, fingerprints match\n";
-  }
-  return headlines_ok ? 0 : 1;
+  const char* one = "kv-zipf-95g-1L-1G-n4";
+  const char* two = "kv-zipf-95g-2L-1G-n4";
+  return bench::finish(
+      args, "kv", report,
+      {{"no failed ops", "", "", "errors", Cmp::kLe, 0},
+       {"one-sided zipfian GETs ride both rails", two, one, "get_kops",
+        Cmp::kGe, 1.5},
+       {"GET latency histograms record", two, "", "get_p99_us", Cmp::kGt, 0},
+       {"zipfian 2L-1G p99 GET latency holds the baseline", two,
+        bench::kBaseline, "get_p99_us", Cmp::kLe, 1.25},
+       {"doorbell batching pays on the PUT-heavy RPC path", batched,
+        unbatched, "kops", Cmp::kGe, kMinPutSmallSpeedup}});
 }

@@ -19,25 +19,21 @@
 // measurement is the completion-discovery mechanism notified access exists
 // to provide.
 //
-// Headline evidence (checked by --check against a committed baseline):
+// Headline evidence (gated on every run; --check also compares the counter
+// fingerprints against a committed baseline):
 //   * at 8 nodes, notified wait completes hops >= 1.3x faster than 1us
 //     sleep-polling (per-hop simulated latency ratio).
 //
 // Usage: rma_bench [--quick] [--json[=path]] [--check=<baseline>]
 #include <cstdint>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/api.hpp"
 #include "rma/rma.hpp"
 #include "sim/process.hpp"
-#include "stats/json.hpp"
-#include "stats/table.hpp"
 
 namespace {
 
@@ -58,23 +54,16 @@ struct Workload {
   int rounds;  // full ring circulations measured
 };
 
-struct Result {
-  double per_hop_us = 0;
-  std::uint64_t frames = 0;
-  std::uint64_t counters_fnv = 0;
-};
-
 std::string wl_name(Mode m, int nodes) {
-  std::ostringstream os;
-  os << (m == Mode::kPoll ? "poll" : "notify") << "-ring-n" << nodes;
-  return os.str();
+  return (m == Mode::kPoll ? "poll" : "notify") + std::string("-ring-n") +
+         std::to_string(nodes);
 }
 
 // One token circulates the ring `rounds + 1` times (the first circulation is
 // warmup: it absorbs connection setup). The token is a monotonically
 // increasing counter; hop k lands value k at node k % n. Node i forwards
 // value v by writing v + 1 into the next node's flag slot.
-Result run_workload(const Workload& w) {
+bench::Row run_workload(const Workload& w) {
   const int n = w.nodes;
   const int total_rounds = w.rounds + 1;  // + warmup circulation
   ClusterConfig ccfg = config_1l_1g(n);
@@ -133,44 +122,15 @@ Result run_workload(const Workload& w) {
   cluster.run();
 
   stats::Counters all;
-  for (int i = 0; i < n; ++i) {
-    all.merge(cluster.engine(i).aggregate_counters());
-  }
+  bench::merge_engine_counters(cluster, n, all);
 
-  Result r;
-  r.per_hop_us = sim::to_us(t1 - t0) / (static_cast<double>(w.rounds) * n);
-  r.frames = all.get("data_frames_sent") + all.get("ack_frames_sent");
-  r.counters_fnv = bench::counters_fingerprint(all);
+  bench::Row r{w.name};
+  r.fields.add("rounds", w.rounds)
+      .add("per_hop_us",
+           sim::to_us(t1 - t0) / (static_cast<double>(w.rounds) * n))
+      .add("frames", all.get("data_frames_sent") + all.get("ack_frames_sent"));
+  r.fingerprint = bench::counters_fingerprint(all);
   return r;
-}
-
-const Result* find(const std::vector<std::pair<Workload, Result>>& rs,
-                   const std::string& name) {
-  for (const auto& [w, r] : rs) {
-    if (w.name == name) return &r;
-  }
-  return nullptr;
-}
-
-// The headline property, asserted on the fresh run: at 8 nodes the notified
-// wait beats 1us sleep-polling by >= 1.3x per hop.
-bool check_headline(const std::vector<std::pair<Workload, Result>>& rs) {
-  const Result* poll = find(rs, wl_name(Mode::kPoll, 8));
-  const Result* notify = find(rs, wl_name(Mode::kNotify, 8));
-  if (!poll || !notify) {
-    std::cerr << "CHECK FAIL: 8-node workloads missing\n";
-    return false;
-  }
-  const double ratio =
-      notify->per_hop_us > 0 ? poll->per_hop_us / notify->per_hop_us : 0;
-  if (ratio < 1.3) {
-    std::cerr << "CHECK FAIL: notified wait only " << ratio
-              << "x faster than flag-polling at 8 nodes (need >= 1.3x)\n";
-    return false;
-  }
-  std::cout << "notified-wait OK: " << poll->per_hop_us << " us/hop polled vs "
-            << notify->per_hop_us << " us/hop notified (" << ratio << "x)\n";
-  return true;
 }
 
 }  // namespace
@@ -182,58 +142,16 @@ int main(int argc, char** argv) {
             << "token forwarding around a ring; per-hop = simulated latency "
                "from write issue to downstream discovery\n\n";
 
-  std::vector<Workload> ws;
+  bench::Report report;
   const int rounds = args.quick ? 40 : 120;
   for (int n : {2, 4, 8}) {
-    ws.push_back({wl_name(Mode::kPoll, n), Mode::kPoll, n, rounds});
-    ws.push_back({wl_name(Mode::kNotify, n), Mode::kNotify, n, rounds});
-  }
-
-  stats::Table t({"workload", "rounds", "per-hop(us)", "frames", "counters"});
-  std::vector<std::pair<Workload, Result>> results;
-  for (const Workload& w : ws) {
-    Result r = run_workload(w);
-    results.emplace_back(w, r);
-    t.row()
-        .cell(w.name)
-        .cell(static_cast<std::uint64_t>(w.rounds))
-        .cell(r.per_hop_us, 3)
-        .cell(r.frames)
-        .cell(bench::hex(r.counters_fnv));
-  }
-  t.print(std::cout);
-
-  const bool headline_ok = check_headline(results);
-
-  if (!args.json_path.empty()) {
-    std::ofstream out(args.json_path);
-    out << "{\n  \"benchmark\": \"rma\",\n  \"quick\": "
-        << (args.quick ? "true" : "false") << ",\n  \"workloads\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const auto& [w, r] = results[i];
-      out << "    {\"name\": \"" << w.name << "\", \"rounds\": " << w.rounds
-          << ", \"per_hop_us\": " << stats::json::number(r.per_hop_us)
-          << ", \"frames\": " << r.frames << ", \"counters_fnv1a\": \""
-          << bench::hex(r.counters_fnv) << "\"}"
-          << (i + 1 < results.size() ? ",\n" : "\n");
+    for (Mode m : {Mode::kPoll, Mode::kNotify}) {
+      report.rows.push_back(run_workload({wl_name(m, n), m, n, rounds}));
     }
-    out << "  ]\n}\n";
-    std::cout << "wrote " << args.json_path << '\n';
   }
-
-  if (!args.check_path.empty()) {
-    stats::json::Value doc;
-    if (!bench::load_baseline(args.check_path, &doc)) return 1;
-    bool ok = headline_ok;
-    ok &= bench::check_fingerprints(
-        doc,
-        [&](const std::string& name) -> const std::uint64_t* {
-          const Result* r = find(results, name);
-          return r ? &r->counters_fnv : nullptr;
-        },
-        "rma");
-    if (!ok) return 1;
-    std::cout << "check OK: headline property holds, fingerprints match\n";
-  }
-  return headline_ok ? 0 : 1;
+  return bench::finish(
+      args, "rma", report,
+      {{"notified wait beats 1us flag-polling at 8 nodes",
+        wl_name(Mode::kPoll, 8), wl_name(Mode::kNotify, 8), "per_hop_us",
+        bench::Cmp::kGe, 1.3}});
 }

@@ -22,16 +22,11 @@
 //     scales sub-linearly from 16 to 128 nodes.
 //
 // Usage: scale_bench [--quick] [--json[=path]] [--check=<baseline>]
-//   --quick  drops the 128-node rows (CI smoke; --check skips absent rows).
-//   --json   writes the machine-readable BENCH_scale.json artifact.
-//   --check  reruns the sweep, verifies the headline properties, and
-//            compares per-workload counter fingerprints (exact: the
-//            simulation is deterministic).
+//   --quick  drops the 128-node rows and skips the gates that read them
+//            (cannot be combined with --check).
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -41,12 +36,11 @@
 #include "kv/kv.hpp"
 #include "member/member.hpp"
 #include "sim/process.hpp"
-#include "stats/json.hpp"
-#include "stats/table.hpp"
 
 namespace {
 
 using namespace multiedge;
+using bench::Cmp;
 
 // Hierarchical fabric for the member sweeps: single rail, nodes behind edge
 // switches; 128 nodes get the 8-edge x 2-spine fat-tree pod.
@@ -74,17 +68,7 @@ ClusterConfig fabric_config(int nodes) {
 // Detector convergence
 // ---------------------------------------------------------------------------
 
-struct ConvResult {
-  bool converged = false;
-  double detect_ms = 0;   // crash -> first survivor's down-mark
-  double dissem_ms = 0;   // crash -> last survivor's down-mark
-  int false_positives = 0;
-  double probes_per_node_ms = 0;  // probe messages / node / simulated ms
-  double sim_ms = 0;
-  std::uint64_t counters_fnv = 0;
-};
-
-ConvResult run_convergence(int nodes, bool mesh) {
+bench::Row run_convergence(int nodes, bool mesh) {
   ClusterConfig ccfg = member_config(nodes);
   if (mesh) {
     // The legacy mesh predates the hierarchical fabrics; give it the flat
@@ -118,7 +102,7 @@ ConvResult run_convergence(int nodes, bool mesh) {
         }
       });
 
-  ConvResult out;
+  bool converged = false;
   sim::Time dissem_at = 0, end_at = 0;
   cluster.spawn(0, "supervisor", [&](Endpoint&) {
     const sim::Time deadline = crash_at + svc.detection_bound();
@@ -128,7 +112,7 @@ ConvResult run_convergence(int nodes, bool mesh) {
         if (n != victim && !svc.view(n).is_down(victim)) all = false;
       }
       if (all) {
-        out.converged = true;
+        converged = true;
         dissem_at = cluster.sim().now();
         break;
       }
@@ -140,41 +124,37 @@ ConvResult run_convergence(int nodes, bool mesh) {
   });
   cluster.run();
 
+  int false_positives = 0;
   for (int n = 0; n < nodes; ++n) {
     if (n == victim) continue;
     for (int p = 0; p < nodes; ++p) {
-      if (p != victim && svc.view(n).is_down(p)) ++out.false_positives;
+      if (p != victim && svc.view(n).is_down(p)) ++false_positives;
     }
   }
-  out.detect_ms = sim::to_us(first_detect - crash_at) / 1000.0;
-  out.dissem_ms = out.converged ? sim::to_us(dissem_at - crash_at) / 1000.0 : 0;
-  out.sim_ms = sim::to_us(end_at) / 1000.0;
-
+  const double sim_ms = sim::to_us(end_at) / 1000.0;
   stats::Counters all = svc.aggregate_counters();
-  const auto probes = all.get("member_probe_msgs");
-  if (out.sim_ms > 0) {
-    out.probes_per_node_ms =
-        static_cast<double>(probes) / nodes / out.sim_ms;
-  }
+  const auto probes = static_cast<double>(all.get("member_probe_msgs"));
+
+  bench::Row r{std::string("member-") + (mesh ? "mesh" : "swim") + "-n" +
+               std::to_string(nodes)};
+  r.fields.add("kind", "member")
+      .add("nodes", nodes)
+      .add("detect_ms", sim::to_us(first_detect - crash_at) / 1000.0)
+      .add("dissem_ms",
+           converged ? sim::to_us(dissem_at - crash_at) / 1000.0 : 0.0)
+      .add("probes_per_node_ms", sim_ms > 0 ? probes / nodes / sim_ms : 0.0)
+      .add("false_positives", false_positives);
+  r.gate_only.add("converged", converged);
   bench::merge_engine_counters(cluster, nodes, all);
-  out.counters_fnv = bench::counters_fingerprint(all);
-  return out;
+  r.fingerprint = bench::counters_fingerprint(all);
+  return r;
 }
 
 // ---------------------------------------------------------------------------
 // KV scaling
 // ---------------------------------------------------------------------------
 
-struct KvResult {
-  double sim_ms = 0;
-  double kops = 0;
-  std::uint64_t gets = 0, puts = 0, errors = 0;
-  std::uint64_t counters_fnv = 0;
-};
-
-std::string scale_key(int k) { return bench::bench_key(k); }
-
-KvResult run_kv(int nodes, int ops_per_client) {
+bench::Row run_kv(int nodes, int ops_per_client) {
   Cluster cluster(fabric_config(nodes));
 
   kv::KvConfig cfg;
@@ -191,12 +171,12 @@ KvResult run_kv(int nodes, int ops_per_client) {
   const std::string value(256, 'v');
   kv::HostBarrier loaded;
   sim::Time t0 = 0, t1 = 0;
-  KvResult r;
+  std::uint64_t gets = 0, puts = 0, errors = 0;
   for (int node = 0; node < nodes; ++node) {
     sys.spawn_client(node, "load" + std::to_string(node), [&, node](
                                                               kv::Client& cl) {
       for (int k = node; k < keys; k += nodes) {
-        if (cl.put(scale_key(k), value) != kv::Status::kOk) ++r.errors;
+        if (cl.put(bench::bench_key(k), value) != kv::Status::kOk) ++errors;
       }
       loaded.arrive_and_wait(nodes);
       t0 = cluster.sim().now();
@@ -205,11 +185,11 @@ KvResult run_kv(int nodes, int ops_per_client) {
       for (int i = 0; i < ops_per_client; ++i) {
         const int k = static_cast<int>(rng() % keys);
         if (rng() % 2 == 0) {
-          if (cl.get(scale_key(k), &got) != kv::Status::kOk) ++r.errors;
-          ++r.gets;
+          if (cl.get(bench::bench_key(k), &got) != kv::Status::kOk) ++errors;
+          ++gets;
         } else {
-          if (cl.put(scale_key(k), value) != kv::Status::kOk) ++r.errors;
-          ++r.puts;
+          if (cl.put(bench::bench_key(k), value) != kv::Status::kOk) ++errors;
+          ++puts;
         }
       }
       t1 = cluster.sim().now();
@@ -217,13 +197,19 @@ KvResult run_kv(int nodes, int ops_per_client) {
   }
   cluster.run();
 
-  r.sim_ms = sim::to_us(t1 - t0) / 1000.0;
-  if (r.sim_ms > 0) {
-    r.kops = static_cast<double>(r.gets + r.puts) / r.sim_ms;
-  }
+  const double sim_ms = sim::to_us(t1 - t0) / 1000.0;
+  bench::Row r{"kv-scale-n" + std::to_string(nodes)};
+  r.fields.add("kind", "kv")
+      .add("nodes", nodes)
+      .add("kops",
+           sim_ms > 0 ? static_cast<double>(gets + puts) / sim_ms : 0.0)
+      .add("sim_ms", sim_ms)
+      .add("gets", gets)
+      .add("puts", puts)
+      .add("errors", errors);
   stats::Counters all = sys.aggregate_counters();
   bench::merge_engine_counters(cluster, nodes, all);
-  r.counters_fnv = bench::counters_fingerprint(all);
+  r.fingerprint = bench::counters_fingerprint(all);
   return r;
 }
 
@@ -231,12 +217,7 @@ KvResult run_kv(int nodes, int ops_per_client) {
 // Collective scaling
 // ---------------------------------------------------------------------------
 
-struct CollResult {
-  double per_op_us = 0;
-  std::uint64_t counters_fnv = 0;
-};
-
-CollResult run_coll(int nodes, bool allreduce, int iters) {
+bench::Row run_coll(int nodes, bool allreduce, int iters) {
   Cluster cluster(fabric_config(nodes));
 
   const std::size_t bytes = 16 << 10;  // all-reduce payload per node
@@ -272,108 +253,15 @@ CollResult run_coll(int nodes, bool allreduce, int iters) {
   }
   cluster.run();
 
-  CollResult r;
-  r.per_op_us = sim::to_us(t1 - t0) / iters;
+  bench::Row r{allreduce ? "coll-allreduce-n" + std::to_string(nodes) + "-16KB"
+                         : "coll-barrier-n" + std::to_string(nodes)};
+  r.fields.add("kind", "coll")
+      .add("nodes", nodes)
+      .add("per_op_us", sim::to_us(t1 - t0) / iters);
   stats::Counters all;
   bench::merge_engine_counters(cluster, nodes, all);
-  r.counters_fnv = bench::counters_fingerprint(all);
+  r.fingerprint = bench::counters_fingerprint(all);
   return r;
-}
-
-// ---------------------------------------------------------------------------
-// Sweep assembly
-// ---------------------------------------------------------------------------
-
-struct Row {
-  std::string name;
-  std::string kind;  // "member", "kv", "coll"
-  int nodes = 0;
-  ConvResult conv;
-  KvResult kv;
-  CollResult coll;
-  std::uint64_t fnv() const {
-    if (kind == "member") return conv.counters_fnv;
-    if (kind == "kv") return kv.counters_fnv;
-    return coll.counters_fnv;
-  }
-};
-
-const Row* find(const std::vector<Row>& rows, const std::string& name) {
-  for (const Row& r : rows) {
-    if (r.name == name) return &r;
-  }
-  return nullptr;
-}
-
-bool check_headlines(const std::vector<Row>& rows) {
-  bool ok = true;
-  for (const Row& r : rows) {
-    if (r.kind == "member") {
-      if (!r.conv.converged || r.conv.false_positives != 0) {
-        std::cerr << "CHECK FAIL: " << r.name << " converged="
-                  << r.conv.converged << " false_positives="
-                  << r.conv.false_positives << '\n';
-        ok = false;
-      }
-    }
-    if (r.kind == "kv" && r.kv.errors != 0) {
-      std::cerr << "CHECK FAIL: " << r.name << " had " << r.kv.errors
-                << " failed ops\n";
-      ok = false;
-    }
-  }
-
-  const Row* swim16 = find(rows, "member-swim-n16");
-  const Row* mesh16 = find(rows, "member-mesh-n16");
-  if (swim16 && mesh16 && mesh16->conv.dissem_ms > 0) {
-    const double ratio = swim16->conv.dissem_ms / mesh16->conv.dissem_ms;
-    if (ratio > 2.0) {
-      std::cerr << "CHECK FAIL: SWIM dissemination at 16 nodes ("
-                << swim16->conv.dissem_ms << " ms) exceeds 2x the mesh ("
-                << mesh16->conv.dissem_ms << " ms)\n";
-      ok = false;
-    } else {
-      std::cout << "convergence OK: SWIM disseminates a crash in "
-                << swim16->conv.dissem_ms << " ms vs mesh "
-                << mesh16->conv.dissem_ms << " ms at 16 nodes (" << ratio
-                << "x)\n";
-    }
-  }
-
-  const Row* swim128 = find(rows, "member-swim-n128");
-  const Row* mesh128 = find(rows, "member-mesh-n128");
-  if (swim128 && mesh128 && swim128->conv.probes_per_node_ms > 0) {
-    const double ratio =
-        mesh128->conv.probes_per_node_ms / swim128->conv.probes_per_node_ms;
-    if (ratio < 8.0) {
-      std::cerr << "CHECK FAIL: at 128 nodes the mesh sends only " << ratio
-                << "x SWIM's per-node probe rate (need >= 8x — SWIM's O(1) "
-                   "probing is the point)\n";
-      ok = false;
-    } else {
-      std::cout << "probe asymptotics OK: per-node probe msgs/ms at 128 "
-                   "nodes: mesh "
-                << mesh128->conv.probes_per_node_ms << " vs SWIM "
-                << swim128->conv.probes_per_node_ms << " (" << ratio << "x)\n";
-    }
-  }
-
-  const Row* bar16 = find(rows, "coll-barrier-n16");
-  const Row* bar128 = find(rows, "coll-barrier-n128");
-  if (bar16 && bar128 && bar16->coll.per_op_us > 0) {
-    const double ratio = bar128->coll.per_op_us / bar16->coll.per_op_us;
-    if (ratio >= 8.0) {
-      std::cerr << "CHECK FAIL: barrier latency grew " << ratio
-                << "x from 16 to 128 nodes — the log-depth barrier should "
-                   "scale sub-linearly\n";
-      ok = false;
-    } else {
-      std::cout << "barrier scaling OK: " << bar16->coll.per_op_us
-                << " us at 16 nodes -> " << bar128->coll.per_op_us
-                << " us at 128 (" << ratio << "x for 8x nodes)\n";
-    }
-  }
-  return ok;
 }
 
 }  // namespace
@@ -387,108 +275,36 @@ int main(int argc, char** argv) {
   std::vector<int> scales = {16, 64, 128};
   if (args.quick) scales = {16, 64};
 
-  std::vector<Row> rows;
+  bench::Report report;
+  auto& rows = report.rows;
 
   // Detector convergence: SWIM at every scale, the mesh baseline at the
   // endpoints (its 128-node row exists to price O(n) probing, not to win).
+  for (int n : scales) rows.push_back(run_convergence(n, /*mesh=*/false));
   for (int n : scales) {
-    Row r{"member-swim-n" + std::to_string(n), "member", n, {}, {}, {}};
-    r.conv = run_convergence(n, /*mesh=*/false);
-    rows.push_back(r);
-  }
-  for (int n : scales) {
-    if (n != 16 && n != 128) continue;
-    Row r{"member-mesh-n" + std::to_string(n), "member", n, {}, {}, {}};
-    r.conv = run_convergence(n, /*mesh=*/true);
-    rows.push_back(r);
+    if (n == 16 || n == 128) rows.push_back(run_convergence(n, /*mesh=*/true));
   }
 
   // KV and collective scaling on the hierarchical fabric.
   const int kv_ops = args.quick ? 15 : 40;
-  for (int n : scales) {
-    Row r{"kv-scale-n" + std::to_string(n), "kv", n, {}, {}, {}};
-    r.kv = run_kv(n, kv_ops);
-    rows.push_back(r);
-  }
+  for (int n : scales) rows.push_back(run_kv(n, kv_ops));
   const int bar_iters = args.quick ? 10 : 30;
   const int ar_iters = args.quick ? 2 : 4;
   for (int n : scales) {
-    Row r{"coll-barrier-n" + std::to_string(n), "coll", n, {}, {}, {}};
-    r.coll = run_coll(n, /*allreduce=*/false, bar_iters);
-    rows.push_back(r);
-    Row a{"coll-allreduce-n" + std::to_string(n) + "-16KB", "coll", n, {}, {},
-          {}};
-    a.coll = run_coll(n, /*allreduce=*/true, ar_iters);
-    rows.push_back(a);
+    rows.push_back(run_coll(n, /*allreduce=*/false, bar_iters));
+    rows.push_back(run_coll(n, /*allreduce=*/true, ar_iters));
   }
 
-  stats::Table t({"workload", "nodes", "detect(ms)", "dissem(ms)",
-                  "probes/node/ms", "Kops/s", "op(us)", "counters"});
-  for (const Row& r : rows) {
-    auto row = t.row();
-    row.cell(r.name).cell(static_cast<std::uint64_t>(r.nodes));
-    if (r.kind == "member") {
-      row.cell(r.conv.detect_ms, 2)
-          .cell(r.conv.dissem_ms, 2)
-          .cell(r.conv.probes_per_node_ms, 1)
-          .cell("-")
-          .cell("-");
-    } else if (r.kind == "kv") {
-      row.cell("-").cell("-").cell("-").cell(r.kv.kops, 1).cell("-");
-    } else {
-      row.cell("-").cell("-").cell("-").cell("-").cell(r.coll.per_op_us, 1);
-    }
-    row.cell(bench::hex(r.fnv()));
-  }
-  t.print(std::cout);
-
-  const bool headlines_ok = check_headlines(rows);
-
-  if (!args.json_path.empty()) {
-    std::ofstream out(args.json_path);
-    out << "{\n  \"benchmark\": \"scale\",\n  \"quick\": "
-        << (args.quick ? "true" : "false") << ",\n  \"workloads\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      out << "    {\"name\": \"" << r.name << "\", \"kind\": \"" << r.kind
-          << "\", \"nodes\": " << r.nodes;
-      if (r.kind == "member") {
-        out << ", \"detect_ms\": " << stats::json::number(r.conv.detect_ms)
-            << ", \"dissem_ms\": " << stats::json::number(r.conv.dissem_ms)
-            << ", \"probes_per_node_ms\": "
-            << stats::json::number(r.conv.probes_per_node_ms)
-            << ", \"false_positives\": " << r.conv.false_positives;
-      } else if (r.kind == "kv") {
-        out << ", \"kops\": " << stats::json::number(r.kv.kops)
-            << ", \"sim_ms\": " << stats::json::number(r.kv.sim_ms)
-            << ", \"gets\": " << r.kv.gets << ", \"puts\": " << r.kv.puts
-            << ", \"errors\": " << r.kv.errors;
-      } else {
-        out << ", \"per_op_us\": " << stats::json::number(r.coll.per_op_us);
-      }
-      out << ", \"counters_fnv1a\": \"" << bench::hex(r.fnv()) << "\"}"
-          << (i + 1 < rows.size() ? ",\n" : "\n");
-    }
-    out << "  ]\n}\n";
-    std::cout << "wrote " << args.json_path << '\n';
-  }
-
-  if (!args.check_path.empty()) {
-    stats::json::Value doc;
-    if (!bench::load_baseline(args.check_path, &doc)) return 1;
-    bool ok = headlines_ok;
-    ok &= bench::check_fingerprints(
-        doc,
-        [&](const std::string& name) -> const std::uint64_t* {
-          static std::uint64_t tmp;
-          const Row* r = find(rows, name);
-          if (!r) return nullptr;
-          tmp = r->fnv();
-          return &tmp;
-        },
-        "scale-out");
-    if (!ok) return 1;
-    std::cout << "check OK: headline properties hold, fingerprints match\n";
-  }
-  return headlines_ok ? 0 : 1;
+  return bench::finish(
+      args, "scale", report,
+      {{"every detector run converges", "", "", "converged", Cmp::kGe, 1},
+       {"no false down-marks", "", "", "false_positives", Cmp::kLe, 0},
+       {"KV load runs error-free", "", "", "errors", Cmp::kLe, 0},
+       {"SWIM dissemination at 16 nodes within 2x the mesh",
+        "member-swim-n16", "member-mesh-n16", "dissem_ms", Cmp::kLe, 2.0},
+       {"mesh pays >= 8x SWIM's per-node probe rate at 128 nodes",
+        "member-mesh-n128", "member-swim-n128", "probes_per_node_ms",
+        Cmp::kGe, 8.0},
+       {"log-depth barrier scales sub-linearly from 16 to 128 nodes",
+        "coll-barrier-n128", "coll-barrier-n16", "per_op_us", Cmp::kLt, 8.0}});
 }

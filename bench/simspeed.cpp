@@ -6,23 +6,16 @@
 // speedup can be shown to come with bit-identical protocol behavior.
 //
 // Usage: simspeed [--quick] [--repeat=N] [--json[=path]] [--check=<baseline>]
-//   --json   writes the machine-readable BENCH_simspeed.json artifact.
-//   --check  loads a previously committed artifact, reruns the workloads,
-//            and exits non-zero if total frames/sec regressed by more than
-//            20% or if any workload's counter fingerprint changed (CI smoke
-//            stage; see scripts/ci.sh).
-#include <algorithm>
+// (see bench_common.hpp). --check also fails if total frames/sec regressed by
+// more than 20% against the baseline (CI smoke stage; see scripts/ci.sh).
 #include <chrono>
 #include <cstdint>
 #include <iostream>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/api.hpp"
-#include "stats/json.hpp"
-#include "stats/table.hpp"
 
 namespace {
 
@@ -60,272 +53,168 @@ std::vector<Workload> workloads(bool quick) {
 }
 
 // Gate for the smallop-batched vs smallop-unbatched simulated-time speedup
-// (enforced on --check against the committed BENCH_simspeed.json).
+// (enforced on every run).
 constexpr double kMinSmallOpSpeedup = 1.3;
-
-struct RunStats {
-  std::uint64_t frames = 0;  // data + explicit ack frames put on the wire
-  std::uint64_t events = 0;  // simulator events executed
-  double wall_ms = 0;
-  double sim_ms = 0;
-  std::uint64_t counters_fnv = 0;  // fingerprint of aggregate counters
-};
-
-// One full run of `w` on a fresh cluster. The whole run is timed (setup and
-// handshake included; both are negligible against `messages` transfers).
-RunStats run_workload(const Workload& w) {
-  Cluster cluster(w.cfg);
-  const auto size = static_cast<std::uint32_t>(w.msg_bytes);
-  const std::uint64_t src0 = cluster.memory(0).alloc(w.msg_bytes);
-  const std::uint64_t dst0 = cluster.memory(0).alloc(w.msg_bytes);
-  const std::uint64_t src1 = cluster.memory(1).alloc(w.msg_bytes);
-  const std::uint64_t dst1 = cluster.memory(1).alloc(w.msg_bytes);
-
-  // Ordering guard for the last op's completion notification (same trick as
-  // run_micro): in out-of-order mode it must not overtake earlier ops.
-  const auto last_flags = static_cast<std::uint16_t>(
-      kOpFlagNotify |
-      (w.cfg.protocol.in_order_delivery ? kOpFlagNone : kOpFlagBackwardFence));
-
-  const auto none = static_cast<std::uint16_t>(kOpFlagNone);
-  cluster.spawn(0, "fwd", [&](Endpoint& ep) {
-    Connection c = ep.connect(1);
-    for (int i = 0; i < w.messages; ++i) {
-      c.rdma_write(dst1, src0, size, i + 1 == w.messages ? last_flags : none);
-    }
-    // Under batching the tail of the burst (final notify included) may be
-    // parked in the submission ring; ring the doorbell before the fiber
-    // exits rather than relying on the protocol thread's idle sweep.
-    if (w.cfg.protocol.batch_submission) ep.flush();
-  });
-  cluster.spawn(1, "rcv", [&](Endpoint& ep) {
-    Connection c = ep.accept(0);
-    if (w.two_way) {
-      for (int i = 0; i < w.messages; ++i) {
-        c.rdma_write(dst0, src1, size, i + 1 == w.messages ? last_flags : none);
-      }
-    }
-    ep.wait_notification();
-  });
-  if (w.two_way) {
-    cluster.spawn(0, "fin", [&](Endpoint& ep) { ep.wait_notification(); });
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  cluster.run();
-  const auto t1 = std::chrono::steady_clock::now();
-
-  stats::Counters all = cluster.engine(0).aggregate_counters();
-  all.merge(cluster.engine(1).aggregate_counters());
-
-  RunStats r;
-  r.frames = all.get("data_frames_sent") + all.get("ack_frames_sent");
-  r.events = cluster.sim().events_executed();
-  r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  r.sim_ms = sim::to_us(cluster.sim().now()) / 1000.0;
-  r.counters_fnv = bench::counters_fingerprint(all);
-  return r;
-}
-
-// Best-of-N wall time; frames/events/fingerprint must not vary across
-// repeats (same seed), so they are taken from the first run and checked.
-RunStats measure(const Workload& w, int repeat) {
-  RunStats best = run_workload(w);
-  for (int i = 1; i < repeat; ++i) {
-    RunStats r = run_workload(w);
-    if (r.frames != best.frames || r.counters_fnv != best.counters_fnv) {
-      std::cerr << "ERROR: workload " << w.name
-                << " is not deterministic across repeats\n";
-      std::exit(2);
-    }
-    best.wall_ms = std::min(best.wall_ms, r.wall_ms);
-  }
-  return best;
-}
 
 double per_sec(std::uint64_t n, double wall_ms) {
   return wall_ms > 0 ? static_cast<double>(n) / (wall_ms / 1000.0) : 0.0;
 }
 
+// `repeat` full runs of `w`, each on a fresh cluster, reporting the one with
+// the best wall time. The whole run is timed (setup and handshake included;
+// both are negligible against `messages` transfers). Frames and the
+// fingerprint must not vary across repeats (same seed).
+bench::Row run_workload(const Workload& w, int repeat) {
+  bench::Row best;
+  for (int rep = 0; rep < repeat; ++rep) {
+    Cluster cluster(w.cfg);
+    const auto size = static_cast<std::uint32_t>(w.msg_bytes);
+    const std::uint64_t src0 = cluster.memory(0).alloc(w.msg_bytes);
+    const std::uint64_t dst0 = cluster.memory(0).alloc(w.msg_bytes);
+    const std::uint64_t src1 = cluster.memory(1).alloc(w.msg_bytes);
+    const std::uint64_t dst1 = cluster.memory(1).alloc(w.msg_bytes);
+
+    // Ordering guard for the last op's completion notification (same trick
+    // as run_micro): in out-of-order mode it must not overtake earlier ops.
+    const auto last_flags = static_cast<std::uint16_t>(
+        kOpFlagNotify | (w.cfg.protocol.in_order_delivery
+                             ? kOpFlagNone
+                             : kOpFlagBackwardFence));
+
+    const auto none = static_cast<std::uint16_t>(kOpFlagNone);
+    cluster.spawn(0, "fwd", [&](Endpoint& ep) {
+      Connection c = ep.connect(1);
+      for (int i = 0; i < w.messages; ++i) {
+        c.rdma_write(dst1, src0, size, i + 1 == w.messages ? last_flags : none);
+      }
+      // Under batching the tail of the burst (final notify included) may be
+      // parked in the submission ring; ring the doorbell before the fiber
+      // exits rather than relying on the protocol thread's idle sweep.
+      if (w.cfg.protocol.batch_submission) ep.flush();
+    });
+    cluster.spawn(1, "rcv", [&](Endpoint& ep) {
+      Connection c = ep.accept(0);
+      if (w.two_way) {
+        for (int i = 0; i < w.messages; ++i) {
+          c.rdma_write(dst0, src1, size,
+                       i + 1 == w.messages ? last_flags : none);
+        }
+      }
+      ep.wait_notification();
+    });
+    if (w.two_way) {
+      cluster.spawn(0, "fin", [&](Endpoint& ep) { ep.wait_notification(); });
+    }
+
+    const auto t0 = std::chrono::steady_clock::now();
+    cluster.run();
+    const auto t1 = std::chrono::steady_clock::now();
+
+    stats::Counters all = cluster.engine(0).aggregate_counters();
+    all.merge(cluster.engine(1).aggregate_counters());
+    const std::uint64_t frames =
+        all.get("data_frames_sent") + all.get("ack_frames_sent");
+    const std::uint64_t events = cluster.sim().events_executed();
+    const double wall_ms =
+        std::chrono::duration<double, std::milli>(t1 - t0).count();
+    bench::Row r{w.name};
+    r.fields.add("frames", frames)
+        .add("events", events)
+        .add("wall_ms", wall_ms)
+        .add("sim_ms", sim::to_us(cluster.sim().now()) / 1000.0)
+        .add("frames_per_sec", per_sec(frames, wall_ms))
+        .add("events_per_sec", per_sec(events, wall_ms));
+    r.fingerprint = bench::counters_fingerprint(all);
+    if (rep > 0 && (r.metric("frames") != best.metric("frames") ||
+                    r.fingerprint != best.fingerprint)) {
+      std::cerr << "ERROR: workload " << w.name
+                << " is not deterministic across repeats\n";
+      std::exit(2);
+    }
+    if (rep == 0 || wall_ms < *best.metric("wall_ms")) best = std::move(r);
+  }
+  return best;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args =
-      bench::parse_args(argc, argv, "BENCH_simspeed.json", /*default_repeat=*/3);
-  const bool quick = args.quick;
-  const int repeat = args.repeat;
-  const std::string& json_path = args.json_path;
-  const std::string& check_path = args.check_path;
+  const bench::Args args = bench::parse_args(argc, argv, "BENCH_simspeed.json",
+                                             /*default_repeat=*/3);
 
   std::cout << "== simspeed: simulator self-throughput (wall-clock) ==\n"
             << "frames = data+ack frames on the wire; events = simulator "
-               "events executed; best of " << repeat << " runs\n\n";
+               "events executed; best of " << args.repeat << " runs\n\n";
 
-  stats::Table t({"workload", "frames", "events", "wall(ms)", "sim(ms)",
-                  "Kframes/s", "Kevents/s", "counters"});
-  std::vector<std::pair<Workload, RunStats>> results;
-  RunStats total;
-  for (const Workload& w : workloads(quick)) {
-    RunStats r = measure(w, repeat);
-    results.emplace_back(w, r);
-    total.frames += r.frames;
-    total.events += r.events;
-    total.wall_ms += r.wall_ms;
-    t.row()
-        .cell(w.name)
-        .cell(r.frames)
-        .cell(r.events)
-        .cell(r.wall_ms, 1)
-        .cell(r.sim_ms, 1)
-        .cell(per_sec(r.frames, r.wall_ms) / 1e3, 1)
-        .cell(per_sec(r.events, r.wall_ms) / 1e3, 1)
-        .cell(bench::hex(r.counters_fnv));
+  bench::Report report;
+  std::uint64_t frames = 0, events = 0;
+  double wall_ms = 0;
+  for (const Workload& w : workloads(args.quick)) {
+    report.rows.push_back(run_workload(w, args.repeat));
+    frames += static_cast<std::uint64_t>(*report.rows.back().metric("frames"));
+    events += static_cast<std::uint64_t>(*report.rows.back().metric("events"));
+    wall_ms += *report.rows.back().metric("wall_ms");
   }
-  t.print(std::cout);
-  const double total_fps = per_sec(total.frames, total.wall_ms);
-  std::cout << "\ntotal: " << total.frames << " frames / " << total.events
-            << " events in " << total.wall_ms << " ms  =>  "
-            << total_fps / 1e3 << " Kframes/s, "
-            << per_sec(total.events, total.wall_ms) / 1e3 << " Kevents/s\n";
-
-  // --- small-op batching uplift (simulated time, deterministic) -----------
-  auto find_run = [&](const char* name) -> const RunStats& {
-    for (const auto& [w, r] : results) {
-      if (w.name == name) return r;
-    }
-    std::cerr << "ERROR: missing workload " << name << '\n';
-    std::exit(2);
-  };
-  const RunStats& r_soff = find_run("smallop-unbatched");
-  const RunStats& r_son = find_run("smallop-batched");
-  const double small_speedup =
-      r_son.sim_ms > 0 ? r_soff.sim_ms / r_son.sim_ms : 0.0;
-  std::cout << "\n== small-op batching (64 B writes, simulated time) ==\n"
-            << "unbatched " << r_soff.sim_ms << " ms -> batched "
-            << r_son.sim_ms << " ms: speedup " << small_speedup << "x (gate >= "
-            << kMinSmallOpSpeedup << "x)\n";
 
   // --- trace overhead: the recorder must be a pure observer ---------------
   // Rerun the first workload with the flight recorder and with full tracing
   // enabled. Wall-clock cost is reported; the protocol counter fingerprint
   // must be bit-identical to the trace-off run — recording may never perturb
   // simulated behavior.
-  const Workload base_w = workloads(quick)[0];
+  const Workload base_w = workloads(args.quick)[0];
   Workload flight_w = base_w;
   flight_w.cfg.trace.flight_recorder = true;
   Workload full_w = base_w;
   full_w.cfg.trace.enabled = true;
-  const RunStats& r_off = results[0].second;
-  const RunStats r_flight = measure(flight_w, repeat);
-  const RunStats r_full = measure(full_w, repeat);
-  if (r_flight.counters_fnv != r_off.counters_fnv ||
-      r_full.counters_fnv != r_off.counters_fnv) {
+  const bench::Row& off = report.rows[0];
+  const bench::Row flight = run_workload(flight_w, args.repeat);
+  const bench::Row full = run_workload(full_w, args.repeat);
+  if (flight.fingerprint != off.fingerprint ||
+      full.fingerprint != off.fingerprint) {
     std::cerr << "ERROR: tracing perturbed protocol counters (" << base_w.name
-              << "): off=" << bench::hex(r_off.counters_fnv)
-              << " flight=" << bench::hex(r_flight.counters_fnv)
-              << " full=" << bench::hex(r_full.counters_fnv) << '\n';
+              << "): off=" << bench::hex(off.fingerprint)
+              << " flight=" << bench::hex(flight.fingerprint)
+              << " full=" << bench::hex(full.fingerprint) << '\n';
     return 2;
   }
-  auto overhead_pct = [&](const RunStats& r) {
-    return r_off.wall_ms > 0 ? (r.wall_ms - r_off.wall_ms) / r_off.wall_ms * 100.0
-                             : 0.0;
+  const double off_ms = *off.metric("wall_ms");
+  auto overhead_pct = [&](const bench::Row& r) {
+    return off_ms > 0 ? (*r.metric("wall_ms") - off_ms) / off_ms * 100.0 : 0.0;
   };
-  std::cout << "\n== trace overhead (" << base_w.name
-            << ", counters bit-identical across modes) ==\n";
-  stats::Table ot({"mode", "wall(ms)", "Kframes/s", "overhead(%)"});
-  ot.row().cell("off").cell(r_off.wall_ms, 1)
-      .cell(per_sec(r_off.frames, r_off.wall_ms) / 1e3, 1).cell(0.0, 1);
-  ot.row().cell("flight-recorder").cell(r_flight.wall_ms, 1)
-      .cell(per_sec(r_flight.frames, r_flight.wall_ms) / 1e3, 1)
-      .cell(overhead_pct(r_flight), 1);
-  ot.row().cell("full-tracing").cell(r_full.wall_ms, 1)
-      .cell(per_sec(r_full.frames, r_full.wall_ms) / 1e3, 1)
-      .cell(overhead_pct(r_full), 1);
-  ot.print(std::cout);
+  report.summary("trace_overhead")
+      .add("workload", base_w.name)
+      .add("off_wall_ms", off_ms)
+      .add("flight_wall_ms", *flight.metric("wall_ms"))
+      .add("full_wall_ms", *full.metric("wall_ms"))
+      .add("flight_overhead_pct", overhead_pct(flight))
+      .add("full_overhead_pct", overhead_pct(full))
+      .add("counters_identical", true);
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << "{\n  \"benchmark\": \"simspeed\",\n  \"quick\": "
-        << (quick ? "true" : "false") << ",\n  \"workloads\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const auto& [w, r] = results[i];
-      out << "    {\"name\": \"" << w.name << "\", \"frames\": " << r.frames
-          << ", \"events\": " << r.events
-          << ", \"wall_ms\": " << stats::json::number(r.wall_ms)
-          << ", \"sim_ms\": " << stats::json::number(r.sim_ms)
-          << ", \"frames_per_sec\": "
-          << stats::json::number(per_sec(r.frames, r.wall_ms))
-          << ", \"events_per_sec\": "
-          << stats::json::number(per_sec(r.events, r.wall_ms))
-          << ", \"counters_fnv1a\": \"" << bench::hex(r.counters_fnv) << "\"}"
-          << (i + 1 < results.size() ? ",\n" : "\n");
-    }
-    out << "  ],\n  \"trace_overhead\": {\"workload\": \"" << base_w.name
-        << "\", \"off_wall_ms\": " << stats::json::number(r_off.wall_ms)
-        << ", \"flight_wall_ms\": " << stats::json::number(r_flight.wall_ms)
-        << ", \"full_wall_ms\": " << stats::json::number(r_full.wall_ms)
-        << ", \"flight_overhead_pct\": "
-        << stats::json::number(overhead_pct(r_flight))
-        << ", \"full_overhead_pct\": "
-        << stats::json::number(overhead_pct(r_full))
-        << ", \"counters_identical\": true},\n";
-    out << "  \"small_op\": {\"unbatched\": \"smallop-unbatched\", "
-        << "\"batched\": \"smallop-batched\", \"sim_ms_unbatched\": "
-        << stats::json::number(r_soff.sim_ms) << ", \"sim_ms_batched\": "
-        << stats::json::number(r_son.sim_ms) << ", \"sim_speedup\": "
-        << stats::json::number(small_speedup) << ", \"min_speedup\": "
-        << stats::json::number(kMinSmallOpSpeedup) << "},\n";
-    out << "  \"total\": {\"frames\": " << total.frames
-        << ", \"events\": " << total.events
-        << ", \"wall_ms\": " << stats::json::number(total.wall_ms)
-        << ", \"frames_per_sec\": " << stats::json::number(total_fps)
-        << ", \"events_per_sec\": "
-        << stats::json::number(per_sec(total.events, total.wall_ms))
-        << "}\n}\n";
-    std::cout << "wrote " << json_path << '\n';
-  }
+  // --- small-op batching uplift (simulated time, deterministic) -----------
+  const double unbatched_ms =
+      report.metric("smallop-unbatched", "sim_ms").value_or(0);
+  const double batched_ms =
+      report.metric("smallop-batched", "sim_ms").value_or(0);
+  report.summary("small_op")
+      .add("unbatched", "smallop-unbatched")
+      .add("batched", "smallop-batched")
+      .add("sim_ms_unbatched", unbatched_ms)
+      .add("sim_ms_batched", batched_ms)
+      .add("sim_speedup", batched_ms > 0 ? unbatched_ms / batched_ms : 0.0)
+      .add("min_speedup", kMinSmallOpSpeedup);
+  report.summary("total")
+      .add("frames", frames)
+      .add("events", events)
+      .add("wall_ms", wall_ms)
+      .add("frames_per_sec", per_sec(frames, wall_ms))
+      .add("events_per_sec", per_sec(events, wall_ms));
 
-  if (!check_path.empty()) {
-    stats::json::Value doc;
-    if (!bench::load_baseline(check_path, &doc)) return 1;
-    const stats::json::Value* tot = doc.find("total");
-    const stats::json::Value* base_fps =
-        tot ? tot->find("frames_per_sec") : nullptr;
-    if (!base_fps || !base_fps->is_number()) {
-      std::cerr << "ERROR: baseline missing total.frames_per_sec\n";
-      return 1;
-    }
-    // Counter fingerprints are exact (deterministic protocol); wall-clock
-    // throughput gets a 20% noise allowance.
-    bool ok = bench::check_fingerprints(
-        doc,
-        [&](const std::string& name) -> const std::uint64_t* {
-          for (const auto& [w, r] : results) {
-            if (w.name == name) return &r.counters_fnv;
-          }
-          return nullptr;
-        },
-        "protocol");
-    const double floor = base_fps->number * 0.8;
-    if (total_fps < floor) {
-      std::cerr << "CHECK FAIL: total frames/sec " << total_fps
-                << " regressed >20% vs baseline " << base_fps->number << '\n';
-      ok = false;
-    }
-    // Small-op uplift gate: simulated-time speedup must stay at or above the
-    // baseline's committed floor (exact, no noise allowance needed).
-    const stats::json::Value* so = doc.find("small_op");
-    const stats::json::Value* gate = so ? so->find("min_speedup") : nullptr;
-    const double min_speedup =
-        gate && gate->is_number() ? gate->number : kMinSmallOpSpeedup;
-    if (small_speedup < min_speedup) {
-      std::cerr << "CHECK FAIL: small-op batching speedup " << small_speedup
-                << "x below gate " << min_speedup << "x\n";
-      ok = false;
-    }
-    if (!ok) return 1;
-    std::cout << "check OK: " << total_fps << " frames/s vs baseline "
-              << base_fps->number << " (floor " << floor << "), fingerprints match\n";
-  }
-  return 0;
+  // Counter fingerprints are exact (deterministic protocol); wall-clock
+  // throughput gets a 20% noise allowance.
+  return bench::finish(
+      args, "simspeed", report,
+      {{"total frames/sec within 20% of the baseline", "total",
+        bench::kBaseline, "frames_per_sec", bench::Cmp::kGe, 0.8},
+       {"small-op batching speedup (simulated time)", "smallop-unbatched",
+        "smallop-batched", "sim_ms", bench::Cmp::kGe, kMinSmallOpSpeedup}});
 }

@@ -26,13 +26,8 @@
 //     broker exists to prevent).
 //
 // Usage: svc_bench [--quick] [--json[=path]] [--check=<baseline>]
-//   --json   writes the machine-readable BENCH_svc.json artifact.
-//   --check  reruns the sweep, verifies the headline properties, and
-//            compares per-workload counter fingerprints (exact: the
-//            simulation is deterministic).
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <random>
 #include <sstream>
@@ -42,13 +37,12 @@
 #include "bench_common.hpp"
 #include "core/api.hpp"
 #include "kv/kv.hpp"
-#include "stats/json.hpp"
-#include "stats/table.hpp"
 #include "trace/histogram.hpp"
 
 namespace {
 
 using namespace multiedge;
+using bench::Cmp;
 
 constexpr int kNodes = 4;
 constexpr int kClientsPerNode = 16;
@@ -67,16 +61,7 @@ struct Point {
   int ops = 0;              // arrivals per client
 };
 
-struct Result {
-  double sim_ms = 0;
-  double goodput_kops = 0;  // completed-ok ops/sec
-  std::uint64_t p50 = 0, p95 = 0, p99 = 0;  // arrival->completion, sim ns
-  bench::OpenLoopCounts oc;
-  std::uint64_t conns = 0;  // client-side connections opened
-  std::uint64_t counters_fnv = 0;
-};
-
-Result run_point(const Point& pt) {
+bench::Row run_point(const Point& pt) {
   ClusterConfig ccfg = config_2l_1g(kNodes);
   ccfg.memory_bytes_per_node = std::size_t{128} << 20;
   Cluster cluster(ccfg);
@@ -121,7 +106,7 @@ Result run_point(const Point& pt) {
   kv::HostBarrier loaded, done;
   sim::Time t0 = 0, t1 = 0;
   trace::LatencyHistogram arr_h;
-  Result r;
+  bench::OpenLoopCounts oc;
   const std::string value(kValueBytes, 'v');
   const bench::ZipfGen zipf(keys, kZipfTheta);
   auto key_of = [&](int k) {
@@ -134,7 +119,7 @@ Result run_point(const Point& pt) {
       sys.spawn_client(node, "svc" + std::to_string(id), [&, id](
                                                              kv::Client& cl) {
         for (int k = id; k < keys; k += total) {
-          if (cl.put(key_of(k), value) != kv::Status::kOk) ++r.oc.errors;
+          if (cl.put(key_of(k), value) != kv::Status::kOk) ++oc.errors;
         }
         loaded.arrive_and_wait(total);
         t0 = cluster.sim().now();
@@ -147,7 +132,7 @@ Result run_point(const Point& pt) {
         std::mt19937_64 rng(kv::mix64(0x0ffe2edull ^ id));
         std::uniform_real_distribution<double> u01(0.0, 1.0);
         std::string got;
-        const bench::OpenLoopCounts oc = bench::run_open_loop(
+        oc.merge(bench::run_open_loop(
             cluster.sim(), cluster.sim().now(), arrivals,
             /*shed_after=*/sim::ms(2),
             [&]() -> bench::OpenLoopVerdict {
@@ -163,8 +148,7 @@ Result run_point(const Point& pt) {
             },
             [&](sim::Time dt) {
               arr_h.record(static_cast<std::uint64_t>(sim::to_ns(dt)));
-            });
-        r.oc.merge(oc);
+            }));
         done.arrive_and_wait(total);
         t1 = cluster.sim().now();
       });
@@ -172,16 +156,27 @@ Result run_point(const Point& pt) {
   }
   cluster.run();
 
-  r.sim_ms = sim::to_us(t1 - t0) / 1000.0;
-  if (r.sim_ms > 0) r.goodput_kops = static_cast<double>(r.oc.ok) / r.sim_ms;
-  r.p50 = arr_h.p50();
-  r.p95 = arr_h.p95();
-  r.p99 = arr_h.p99();
-
+  const double sim_ms = sim::to_us(t1 - t0) / 1000.0;
   stats::Counters all = sys.aggregate_counters();
-  r.conns = pt.broker ? all.get("svc_conns_opened") : all.get("kv_client_conns");
+  bench::Row r{pt.name};
+  r.fields.add("mode", pt.broker ? "broker" : "perclient")
+      .add("experiment", pt.incast ? "incast" : "sweep")
+      .add("offered_kops", pt.offered_kops)
+      .add("goodput_kops",
+           sim_ms > 0 ? static_cast<double>(oc.ok) / sim_ms : 0.0)
+      .add("sim_ms", sim_ms)
+      .add("p50_us", bench::ns_to_us(arr_h.p50()))
+      .add("p95_us", bench::ns_to_us(arr_h.p95()))
+      .add("p99_us", bench::ns_to_us(arr_h.p99()))
+      .add("offered", oc.offered)
+      .add("ok", oc.ok)
+      .add("shed_late", oc.late)
+      .add("shed_rejected", oc.rejected)
+      .add("errors", oc.errors)
+      .add("conns",
+           all.get(pt.broker ? "svc_conns_opened" : "kv_client_conns"));
   bench::merge_engine_counters(cluster, kNodes, all);
-  r.counters_fnv = bench::counters_fingerprint(all);
+  r.fingerprint = bench::counters_fingerprint(all);
   return r;
 }
 
@@ -217,112 +212,6 @@ std::vector<Point> points(bool quick) {
   return pts;
 }
 
-const Result* find(const std::vector<std::pair<Point, Result>>& rs,
-                   const std::string& name) {
-  for (const auto& [p, r] : rs) {
-    if (p.name == name) return &r;
-  }
-  return nullptr;
-}
-
-/// Peak goodput over the (non-incast) sweep rungs of one mode.
-double peak_goodput(const std::vector<std::pair<Point, Result>>& rs,
-                    bool broker) {
-  double peak = 0;
-  for (const auto& [p, r] : rs) {
-    if (!p.incast && p.broker == broker) {
-      peak = std::max(peak, r.goodput_kops);
-    }
-  }
-  return peak;
-}
-
-bool check_headlines(const std::vector<std::pair<Point, Result>>& rs) {
-  bool ok = true;
-
-  // Connection economy: compare totals at the shared top rung.
-  const Result* pc_top = find(rs, "svc-perclient-sweep-220k");
-  const Result* br_top = find(rs, "svc-broker-sweep-220k");
-  if (pc_top && br_top && br_top->conns > 0) {
-    const double ratio = static_cast<double>(pc_top->conns) /
-                         static_cast<double>(br_top->conns);
-    if (ratio < kMinConnRatio) {
-      std::cerr << "CHECK FAIL: broker used " << br_top->conns
-                << " connections vs per-client " << pc_top->conns << " ("
-                << ratio << "x, need >= " << kMinConnRatio << "x)\n";
-      ok = false;
-    } else {
-      std::cout << "connection economy OK: " << pc_top->conns
-                << " per-client conns vs " << br_top->conns << " pooled ("
-                << ratio << "x fewer)\n";
-    }
-  }
-
-  // Peak goodput: pooling must not cost throughput.
-  const double pc_peak = peak_goodput(rs, false);
-  const double br_peak = peak_goodput(rs, true);
-  if (pc_peak > 0) {
-    if (br_peak < pc_peak) {
-      std::cerr << "CHECK FAIL: broker peak goodput " << br_peak
-                << " Kops/s below per-client peak " << pc_peak << "\n";
-      ok = false;
-    } else {
-      std::cout << "peak goodput OK: broker " << br_peak
-                << " Kops/s vs per-client " << pc_peak << " Kops/s\n";
-    }
-  }
-
-  // Overload: at ~2x saturation the broker keeps >= 0.8x its peak goodput,
-  // with explicit rejections doing the shedding.
-  if (br_top && br_peak > 0) {
-    const double frac = br_top->goodput_kops / br_peak;
-    if (frac < kMinOverloadGoodputFrac) {
-      std::cerr << "CHECK FAIL: broker goodput at 2x saturation "
-                << br_top->goodput_kops << " Kops/s is " << frac
-                << "x its peak (need >= " << kMinOverloadGoodputFrac << ")\n";
-      ok = false;
-    } else {
-      std::cout << "overload goodput OK: " << br_top->goodput_kops
-                << " Kops/s at 2x saturation (" << frac << "x peak)\n";
-    }
-    if (br_top->oc.rejected == 0) {
-      std::cerr << "CHECK FAIL: broker absorbed 2x overload with zero "
-                   "admission rejections — shedding is not happening\n";
-      ok = false;
-    } else {
-      std::cout << "admission control OK: " << br_top->oc.rejected
-                << " arrivals rejected at the top rung (of "
-                << br_top->oc.offered << " offered)\n";
-    }
-    if (br_top->oc.errors != 0) {
-      std::cerr << "CHECK FAIL: broker had " << br_top->oc.errors
-                << " hard errors at the top rung (rejection is the only "
-                   "acceptable failure mode)\n";
-      ok = false;
-    }
-  }
-
-  // Tail under overload: the per-client baseline's p99 must visibly exceed
-  // the broker's at the top rung — that collapse is what the broker's
-  // bounded queues + rejection prevent.
-  if (pc_top && br_top && br_top->p99 > 0) {
-    const double ratio = static_cast<double>(pc_top->p99) /
-                         static_cast<double>(br_top->p99);
-    if (ratio < 1.0) {
-      std::cerr << "CHECK FAIL: at 2x overload per-client p99 "
-                << bench::ns_to_us(pc_top->p99) << " us is below broker p99 "
-                << bench::ns_to_us(br_top->p99)
-                << " us — the baseline is not collapsing first\n";
-      ok = false;
-    } else {
-      std::cout << "overload tail OK: p99 at 2x load — per-client "
-                << bench::ns_to_us(pc_top->p99) << " us vs broker "
-                << bench::ns_to_us(br_top->p99) << " us (" << ratio << "x)\n";
-    }
-  }
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -333,73 +222,42 @@ int main(int argc, char** argv) {
             << "latency = scheduled-arrival to completion, simulated us; "
                "shed = late + rejected arrivals\n\n";
 
-  stats::Table t({"workload", "offered(K/s)", "goodput(K/s)", "p50(us)",
-                  "p95(us)", "p99(us)", "ok", "late", "rej", "err", "conns",
-                  "counters"});
-  std::vector<std::pair<Point, Result>> results;
-  for (const Point& p : points(args.quick)) {
-    Result r = run_point(p);
-    results.emplace_back(p, r);
-    t.row()
-        .cell(p.name)
-        .cell(p.offered_kops, 0)
-        .cell(r.goodput_kops, 1)
-        .cell(bench::ns_to_us(r.p50), 1)
-        .cell(bench::ns_to_us(r.p95), 1)
-        .cell(bench::ns_to_us(r.p99), 1)
-        .cell(r.oc.ok)
-        .cell(r.oc.late)
-        .cell(r.oc.rejected)
-        .cell(r.oc.errors)
-        .cell(r.conns)
-        .cell(bench::hex(r.counters_fnv));
-  }
-  t.print(std::cout);
+  const std::vector<Point> pts = points(args.quick);
+  bench::Report report;
+  for (const Point& p : pts) report.rows.push_back(run_point(p));
 
-  const bool headlines_ok = check_headlines(results);
-
-  if (!args.json_path.empty()) {
-    std::ofstream out(args.json_path);
-    out << "{\n  \"benchmark\": \"svc\",\n  \"quick\": "
-        << (args.quick ? "true" : "false") << ",\n  \"workloads\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const auto& [p, r] = results[i];
-      out << "    {\"name\": \"" << p.name << "\", \"mode\": \""
-          << (p.broker ? "broker" : "perclient") << "\", \"experiment\": \""
-          << (p.incast ? "incast" : "sweep") << '"'
-          << ", \"offered_kops\": " << stats::json::number(p.offered_kops)
-          << ", \"goodput_kops\": " << stats::json::number(r.goodput_kops)
-          << ", \"sim_ms\": " << stats::json::number(r.sim_ms)
-          << ", \"p50_us\": " << stats::json::number(bench::ns_to_us(r.p50))
-          << ", \"p95_us\": " << stats::json::number(bench::ns_to_us(r.p95))
-          << ", \"p99_us\": " << stats::json::number(bench::ns_to_us(r.p99))
-          << ", \"offered\": " << r.oc.offered << ", \"ok\": " << r.oc.ok
-          << ", \"shed_late\": " << r.oc.late
-          << ", \"shed_rejected\": " << r.oc.rejected
-          << ", \"errors\": " << r.oc.errors << ", \"conns\": " << r.conns
-          << ", \"counters_fnv1a\": \"" << bench::hex(r.counters_fnv) << "\"}"
-          << (i + 1 < results.size() ? ",\n" : "\n");
+  // Each sweep rung also carries its mode's peak goodput over the sweep, and
+  // its own goodput as a fraction of that peak, for the gates below.
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    if (pts[i].incast) continue;
+    double peak = 0;
+    for (std::size_t j = 0; j < pts.size(); ++j) {
+      if (!pts[j].incast && pts[j].broker == pts[i].broker) {
+        peak = std::max(peak, *report.rows[j].metric("goodput_kops"));
+      }
     }
-    out << "  ],\n  \"gates\": {\"min_conn_ratio\": "
-        << stats::json::number(kMinConnRatio)
-        << ", \"min_overload_goodput_frac\": "
-        << stats::json::number(kMinOverloadGoodputFrac) << "}\n}\n";
-    std::cout << "wrote " << args.json_path << '\n';
+    report.rows[i].gate_only.add("peak_goodput_kops", peak).add(
+        "goodput_frac_of_peak",
+        *report.rows[i].metric("goodput_kops") / peak);
   }
+  report.summary("gates")
+      .add("min_conn_ratio", kMinConnRatio)
+      .add("min_overload_goodput_frac", kMinOverloadGoodputFrac);
 
-  if (!args.check_path.empty()) {
-    stats::json::Value doc;
-    if (!bench::load_baseline(args.check_path, &doc)) return 1;
-    bool ok = headlines_ok;
-    ok &= bench::check_fingerprints(
-        doc,
-        [&](const std::string& name) -> const std::uint64_t* {
-          const Result* r = find(results, name);
-          return r ? &r->counters_fnv : nullptr;
-        },
-        "serving-tier");
-    if (!ok) return 1;
-    std::cout << "check OK: headline properties hold, fingerprints match\n";
-  }
-  return headlines_ok ? 0 : 1;
+  const char* pc_top = "svc-perclient-sweep-220k";
+  const char* br_top = "svc-broker-sweep-220k";
+  return bench::finish(
+      args, "svc", report,
+      {{"broker needs fewer connections than per-client", pc_top, br_top,
+        "conns", Cmp::kGe, kMinConnRatio},
+       {"pooling costs no peak goodput", br_top, pc_top, "peak_goodput_kops",
+        Cmp::kGe, 1.0},
+       {"broker keeps its goodput at 2x saturation", br_top, "",
+        "goodput_frac_of_peak", Cmp::kGe, kMinOverloadGoodputFrac},
+       {"admission rejections absorb the 2x overload", br_top, "",
+        "shed_rejected", Cmp::kGt, 0},
+       {"rejection is the broker's only failure mode at 2x load", br_top, "",
+        "errors", Cmp::kLe, 0},
+       {"per-client p99 collapses before the broker's at 2x load", pc_top,
+        br_top, "p99_us", Cmp::kGe, 1.0}});
 }

@@ -72,6 +72,7 @@ MicroResult run_micro(ClusterConfig cfg, MicroBench bench, MicroParams params) {
     sim::Time t_end = 0;
     sim::Time submit_time_total = 0;
     bool measuring = false;
+    int warmups_done = 0;  // kTwoWay; its fibers outlive the case block
     stats::Counters base0, base1;
     std::uint64_t drops_base = 0;
     trace::LatencyHistogram lat_ns;
@@ -146,7 +147,6 @@ MicroResult run_micro(ClusterConfig cfg, MicroBench bench, MicroParams params) {
       break;
     }
     case MicroBench::kTwoWay: {
-      int warmups_done = 0;
       for (int n = 0; n < 2; ++n) {
         cluster.spawn(n, "tw" + std::to_string(n), [&, n](Endpoint& ep) {
           const std::uint64_t my_src = n == 0 ? src0 : src1;
@@ -156,7 +156,9 @@ MicroResult run_micro(ClusterConfig cfg, MicroBench bench, MicroParams params) {
                        kOpFlagNotify)
               .wait();
           ep.wait_notification();  // peer's warmup
-          if (++warmups_done == 2 && !sh.measuring) begin_measurement(cluster);
+          if (++sh.warmups_done == 2 && !sh.measuring) {
+            begin_measurement(cluster);
+          }
           // Both warmups seen on this node; the other node may start a hair
           // later, which is fine for steady-state measurement.
           for (int i = 0; i < iters; ++i) {

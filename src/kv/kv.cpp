@@ -505,7 +505,10 @@ Status Server::apply(Endpoint& ep, std::uint32_t op, int partition,
   rh->key_len = static_cast<std::uint32_t>(key.size());
   rh->val_len = static_cast<std::uint32_t>(value.size());
   std::memcpy(kdst, key.data(), key.size());
-  std::memcpy(kdst + key.size(), value.data(), value.size());
+  // An empty value's data() may be null, which memcpy does not accept.
+  if (!value.empty()) {
+    std::memcpy(kdst + key.size(), value.data(), value.size());
+  }
   // The copy cost (plus any configured pause) lands INSIDE the odd-version
   // window — this is the fiber yield a concurrent one-sided reader can
   // observe, and what the torn-read retry protocol exists for.
@@ -569,7 +572,9 @@ void Server::replicate(Endpoint& ep, std::uint32_t op, int partition,
   h->repl_gen = gen;
   std::byte* body = mem.as<std::byte>(build + sizeof(ReqHeader));
   std::memcpy(body, key.data(), key.size());
-  std::memcpy(body + key.size(), value.data(), value.size());
+  if (!value.empty()) {
+    std::memcpy(body + key.size(), value.data(), value.size());
+  }
   const std::uint32_t bytes =
       static_cast<std::uint32_t>(sizeof(ReqHeader) + key.size() + value.size());
 
@@ -697,8 +702,10 @@ void Server::respond(Endpoint& ep, int client_node, int cslot,
   rh->seq = seq;
   rh->status = static_cast<std::uint32_t>(st);
   rh->val_len = static_cast<std::uint32_t>(value.size());
-  std::memcpy(mem.as<std::byte>(build + sizeof(RespHeader)), value.data(),
-              value.size());
+  if (!value.empty()) {
+    std::memcpy(mem.as<std::byte>(build + sizeof(RespHeader)), value.data(),
+                value.size());
+  }
   // QuietNotify: a response is fire-and-forget — the server never waits on
   // this op, and the client unblocks on the data-frame notification, not the
   // ack — so under selective signaling it may ride unsignaled like bulk.
@@ -884,7 +891,9 @@ Status Client::rpc(std::uint32_t op, std::string_view key,
     h->repl_gen = 0;
     std::byte* body = mem.as<std::byte>(build + sizeof(ReqHeader));
     std::memcpy(body, key.data(), key.size());
-    std::memcpy(body + key.size(), value.data(), value.size());
+    if (!value.empty()) {
+      std::memcpy(body + key.size(), value.data(), value.size());
+    }
     // Under submission batching the request rides the ring as a BATCHED
     // (non-urgent) op and is pushed out by the engine-wide flush below: one
     // doorbell syscall can release requests several client fibers on this

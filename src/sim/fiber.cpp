@@ -4,10 +4,49 @@
 #include <cstdlib>
 #include <utility>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
+#endif
+
 namespace multiedge::sim {
+namespace {
+
+// ASan tracks one stack per thread and must be told about every switch
+// between the main stack and a fiber stack. Otherwise it misreads frames on
+// the other stack: an exception unwinding a fiber stack is reported as a
+// stack-buffer-underflow. Without ASan these calls compile away.
+
+// The main context's stack: the only stack a fiber ever switches to.
+const void* main_stack_bottom = nullptr;
+std::size_t main_stack_size = 0;
+
+// Before switching to the stack [bottom, bottom + size). `fake_stack` saves
+// the current stack's ASan fake frames; nullptr when that stack is exiting.
+void start_switch(void** fake_stack, const void* bottom, std::size_t size) {
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_start_switch_fiber(fake_stack, bottom, size);
+#else
+  (void)fake_stack, (void)bottom, (void)size;
+#endif
+}
+
+// First thing on the new stack: restores its `fake_stack` and, if asked,
+// records the bounds of the stack just left.
+void finish_switch(void* fake_stack, const void** old_bottom,
+                   std::size_t* old_size) {
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(fake_stack, old_bottom, old_size);
+#else
+  (void)fake_stack, (void)old_bottom, (void)old_size;
+#endif
+}
+
+}  // namespace
 
 Fiber::Fiber(Body body, std::size_t stack_bytes)
-    : body_(std::move(body)), stack_(new char[stack_bytes]) {
+    : body_(std::move(body)),
+      stack_(new char[stack_bytes]),
+      stack_bytes_(stack_bytes) {
   getcontext(&ctx_);
   ctx_.uc_stack.ss_sp = stack_.get();
   ctx_.uc_stack.ss_size = stack_bytes;
@@ -23,9 +62,11 @@ Fiber::~Fiber() {
 }
 
 void Fiber::trampoline() {
+  finish_switch(nullptr, &main_stack_bottom, &main_stack_size);
   Fiber* self = current_;
   self->body_();
   self->done_ = true;
+  start_switch(nullptr, main_stack_bottom, main_stack_size);
   // Returning lets ucontext switch to uc_link (return_ctx_), i.e. back to
   // whoever resumed us, with current_ already reset by resume().
 }
@@ -35,7 +76,10 @@ void Fiber::resume() {
   assert(!done_);
   started_ = true;
   current_ = this;
+  void* fake_stack = nullptr;
+  start_switch(&fake_stack, stack_.get(), stack_bytes_);
   swapcontext(&return_ctx_, &ctx_);
+  finish_switch(fake_stack, nullptr, nullptr);
   current_ = nullptr;
 }
 
@@ -43,7 +87,10 @@ void Fiber::yield() {
   Fiber* self = current_;
   assert(self != nullptr && "yield() called outside any fiber");
   current_ = nullptr;
+  void* fake_stack = nullptr;
+  start_switch(&fake_stack, main_stack_bottom, main_stack_size);
   swapcontext(&self->ctx_, &self->return_ctx_);
+  finish_switch(fake_stack, &main_stack_bottom, &main_stack_size);
   // When resumed, resume() has set current_ back to self.
 }
 

@@ -48,6 +48,7 @@ class Fiber {
 
   Body body_;
   std::unique_ptr<char[]> stack_;
+  std::size_t stack_bytes_;
   ucontext_t ctx_{};
   ucontext_t return_ctx_{};
   bool started_ = false;
