@@ -102,6 +102,19 @@ if [ -z "${MULTIEDGE_SKIP_BENCH:-}" ] && [ -z "$SAN" ]; then
   # breaks the end-to-end benchmark fail CI.
   cmake -S perfbench -B "$BENCH_DIR/perfbench"
   cmake --build "$BENCH_DIR/perfbench" -j "$(nproc)"
+  # ... and running it checks what an event-loop change must keep: a
+  # repeated input reproduces its per-layer fingerprints, and a traced run
+  # matches an untraced one. The last stdout line must say "correct": true.
+  for w in kv-write dsm-radix; do
+    log="$BENCH_DIR/perfbench-$w.log"
+    "$BENCH_DIR"/perfbench/perfbench --workload "$w" --seed 1 --seconds 2 \
+      --trace 1 > "$log" || { tail -n 20 "$log"; exit 1; }
+    if ! tail -n 1 "$log" | grep -q '^{"correct": true,'; then
+      echo "perfbench $w: not correct"
+      tail -n 20 "$log"
+      exit 1
+    fi
+  done
   # Protocol smoke: throughput floor + exact counter fingerprints, plus the
   # small-op submission-batching gate (smallop-batched must finish >= 1.3x
   # faster in simulated time than smallop-unbatched; see bench/simspeed.cpp).

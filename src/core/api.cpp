@@ -524,9 +524,10 @@ void Cluster::spawn(int node, std::string name,
 
 void Cluster::run() {
   while (true) {
-    bool all_done = true;
-    for (const auto& p : processes_) all_done = all_done && p->done();
-    if (all_done) return;
+    while (finished_ < processes_.size() && processes_[finished_]->done()) {
+      ++finished_;
+    }
+    if (finished_ == processes_.size()) return;
     if (!sim_.step()) {
       throw std::runtime_error(
           "Cluster::run(): event queue drained with fibers still blocked "

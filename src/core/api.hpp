@@ -378,6 +378,9 @@ class Cluster {
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<NodeState>> nodes_;
   std::vector<std::unique_ptr<sim::Process>> processes_;
+  // processes_[0, finished_) are done. Processes never restart, so run()
+  // only ever moves this forward.
+  std::size_t finished_ = 0;
 
   std::unique_ptr<trace::TraceRecorder> tracer_;
   // Per node: [window_occupancy, outstanding_ops, submit_ring,

@@ -78,8 +78,7 @@ std::uint64_t Process::poll_steps(Time every, void* ready,
 // scheduled in between (ready() is read-only). So every step lands at the
 // same (time, seq) as the reference loop's.
 void Process::arm_poll() {
-  const std::uint64_t gen = ++block_gen_;
-  sim_.in(poll_every_, [this, gen] { poll_step(gen); });
+  sim_.schedule_poll(poll_every_, this, ++block_gen_);
 }
 
 void Process::poll_step(std::uint64_t gen) {

@@ -90,6 +90,8 @@ class Process {
   SpanSlot span_slot;
 
  private:
+  friend class Simulator;  // runs poll steps off its poll lanes
+
   void run_slice();
   /// Throws std::logic_error unless this process's fiber is executing.
   void require_running(const char* what) const;

@@ -3,12 +3,16 @@
 #include <cassert>
 #include <utility>
 
+#include "sim/process.hpp"
+
 namespace multiedge::sim {
 
 namespace {
 // Steady-state queue depth for a mid-size cluster; reserving it up front
 // means the first run never pays vector regrowth on the event hot path.
 constexpr std::size_t kInitialCapacity = 1024;
+// First ring size of a poll lane (a power of two); it doubles when full.
+constexpr std::size_t kInitialLaneCapacity = 64;
 }  // namespace
 
 Simulator::Simulator() {
@@ -102,7 +106,75 @@ bool Simulator::reschedule(EventId id, Time t) {
   return true;
 }
 
-bool Simulator::step() {
+std::size_t Simulator::pending() const {
+  std::size_t n = heap_.size();
+  for (const PollLane& lane : lanes_) n += lane.size;
+  return n;
+}
+
+void Simulator::PollLane::push(const PollEntry& e) {
+  if (size == ring.size()) {
+    std::vector<PollEntry> grown(ring.empty() ? kInitialLaneCapacity
+                                              : 2 * ring.size());
+    for (std::size_t i = 0; i < size; ++i) {
+      grown[i] = ring[(head + i) & (ring.size() - 1)];
+    }
+    ring = std::move(grown);
+    head = 0;
+  }
+  ring[(head + size) & (ring.size() - 1)] = e;
+  ++size;
+}
+
+Simulator::PollEntry Simulator::PollLane::pop() {
+  assert(size > 0);
+  const PollEntry e = ring[head];
+  head = (head + 1) & (ring.size() - 1);
+  --size;
+  return e;
+}
+
+void Simulator::schedule_poll(Time every, Process* proc, std::uint64_t gen) {
+  if (every < 0) every = 0;  // in() would clamp the step to now()
+  PollLane* lane = nullptr;
+  for (PollLane& l : lanes_) {
+    if (l.every == every) {
+      lane = &l;
+      break;
+    }
+  }
+  if (lane == nullptr) {
+    lane = &lanes_.emplace_back();
+    lane->every = every;
+  }
+  // now_ never decreases and seqs only grow, so this entry sorts after
+  // every entry already in the lane: the lane stays a sorted FIFO.
+  lane->push(PollEntry{now_ + every, next_seq_++, proc, gen});
+}
+
+Simulator::PollLane* Simulator::next_lane() {
+  PollLane* best = nullptr;
+  for (PollLane& l : lanes_) {
+    if (l.size > 0 && (best == nullptr || before(l.front(), best->front()))) {
+      best = &l;
+    }
+  }
+  if (best != nullptr && !heap_.empty() && before(heap_[0], best->front())) {
+    return nullptr;
+  }
+  return best;
+}
+
+bool Simulator::step() { return run_next(next_lane()); }
+
+bool Simulator::run_next(PollLane* lane) {
+  if (lane != nullptr) {
+    const PollEntry e = lane->pop();
+    now_ = e.t;
+    ++executed_;
+    e.proc->poll_step(e.gen);  // may push to this lane (and regrow lanes_)
+    return true;
+  }
   if (heap_.empty()) return false;
   const HeapEntry top = heap_[0];
   remove_heap_entry(0);
@@ -126,8 +198,13 @@ void Simulator::run() {
 
 void Simulator::run_until(Time t) {
   stopped_ = false;
-  while (!stopped_ && !heap_.empty() && heap_[0].t <= t) {
-    step();
+  while (!stopped_) {
+    PollLane* lane = next_lane();
+    if (lane != nullptr ? lane->front().t > t
+                        : heap_.empty() || heap_[0].t > t) {
+      break;
+    }
+    run_next(lane);
   }
   if (now_ < t) now_ = t;
 }

@@ -15,6 +15,13 @@
 //     heap/slab reach steady-state size;
 //   - slots track their heap position, so timers get true event removal
 //     (cancel/reschedule) instead of queue-clogging dead entries.
+//
+// Idle poll steps (Process::poll) bypass the heap. Each one is scheduled at
+// now() + its period with a fresh seq; now() never decreases and seqs only
+// grow, so one period's steps arrive already sorted by (time, seq). They
+// queue in one FIFO lane per distinct period, and step() runs whichever of
+// the heap top and the lane fronts comes first — the same order one heap
+// would give, at O(1) per poll step.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +31,8 @@
 #include "sim/time.hpp"
 
 namespace multiedge::sim {
+
+class Process;
 
 class Simulator {
  public:
@@ -82,14 +91,16 @@ class Simulator {
   std::uint64_t events_executed() const { return executed_; }
 
   /// Events scheduled so far, counting reschedules (each takes a fresh FIFO
-  /// position). Process::poll() compares it around its predicate to reject
-  /// a predicate that schedules.
+  /// position) and poll steps. Process::poll() compares it around its
+  /// predicate to reject a predicate that schedules.
   std::uint64_t events_scheduled() const { return next_seq_; }
 
-  /// Events currently pending.
-  std::size_t pending() const { return heap_.size(); }
+  /// Events currently pending, poll steps included.
+  std::size_t pending() const;
 
  private:
+  friend class Process;
+
   static constexpr std::uint32_t kNpos = 0xffffffffu;
 
   struct HeapEntry {
@@ -103,10 +114,40 @@ class Simulator {
     std::uint32_t heap_pos = kNpos;
   };
 
-  static bool before(const HeapEntry& a, const HeapEntry& b) {
+  /// One pending poll step: runs `proc->poll_step(gen)`.
+  struct PollEntry {
+    Time t;
+    std::uint64_t seq;
+    Process* proc;
+    std::uint64_t gen;
+  };
+  /// The pending steps of one poll period, oldest first, in a power-of-two
+  /// ring that only grows, so the steady state allocates nothing.
+  struct PollLane {
+    Time every;
+    std::vector<PollEntry> ring;
+    std::size_t head = 0;
+    std::size_t size = 0;
+
+    const PollEntry& front() const { return ring[head]; }
+    void push(const PollEntry& e);
+    PollEntry pop();
+  };
+
+  template <typename A, typename B>
+  static bool before(const A& a, const B& b) {
     if (a.t != b.t) return a.t < b.t;
     return a.seq < b.seq;
   }
+
+  /// Schedule `proc`'s next poll step at now() + `every` (Process::arm_poll).
+  void schedule_poll(Time every, Process* proc, std::uint64_t gen);
+  /// The lane whose front runs before the heap top, or nullptr when the
+  /// heap top (or nothing) runs next.
+  PollLane* next_lane();
+  /// Run `lane`'s front, or the heap top if `lane` is nullptr (what
+  /// next_lane() chose). Returns false if nothing is pending.
+  bool run_next(PollLane* lane);
 
   std::uint32_t schedule(Time t, Callback cb);
   void place(std::size_t pos, const HeapEntry& e);
@@ -117,6 +158,7 @@ class Simulator {
   std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
+  std::vector<PollLane> lanes_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

@@ -4,10 +4,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/api.hpp"
 #include "sim/wait_queue.hpp"
 
 namespace multiedge::sim {
@@ -265,6 +267,127 @@ TEST(ProcessPoll, PredicateThatBlocksIsRejected) {
   EXPECT_TRUE(p.done());
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(sim.now(), ns(30));
+}
+
+// Pollers on two periods (500 ns and 1 us, so two poll lanes) against
+// delay() tickers on the same instants, and flags that land on poll steps
+// both ahead of and behind them.
+PollRun run_mixed_period_scenario(Idle mode) {
+  Simulator sim;
+  PollRun run;
+  auto log = [&](const std::string& what) {
+    run.log.push_back(std::to_string(sim.now() / kNanosecond) + " " + what);
+  };
+  bool a = false;
+  bool b = false;
+  bool c = false;
+  sim.at(us(2), [&] {
+    a = true;
+    log("a");
+  });
+  sim.at(ns(3500), [&] {
+    sim.at(us(4), [&] {
+      b = true;
+      log("b");
+    });
+  });
+  auto poller = [&](const std::string& name, Time every,
+                    std::vector<const bool*> waits) {
+    return std::make_unique<Process>(sim, name, [&, name, every, waits] {
+      for (const bool* flag : waits) {
+        log(name + " steps " + std::to_string(idle(mode, every, [flag] {
+              return *flag;
+            })));
+      }
+      const Time deadline = sim.now() + ns(2200);
+      log(name + " steps " + std::to_string(idle(mode, every, [&] {
+            return sim.now() >= deadline;
+          })));
+    });
+  };
+  std::vector<std::unique_ptr<Process>> ps;
+  ps.push_back(poller("p500a", ns(500), {&a, &c}));
+  ps.push_back(poller("p1000a", us(1), {&a, &b}));
+  ps.push_back(poller("p500b", ns(500), {&b}));
+  ps.push_back(poller("p1000b", us(1), {&c}));
+  auto ticker = [&](const std::string& name, Time every, int ticks) {
+    return std::make_unique<Process>(sim, name, [&, name, every, ticks] {
+      for (int i = 0; i < ticks; ++i) {
+        log(name);
+        if (i == 9) c = true;  // a flag set from a fiber, mid-tick
+        Process::current()->delay(every);
+      }
+    });
+  };
+  ps.push_back(ticker("t500", ns(500), 24));
+  ps.push_back(ticker("t1000", us(1), 12));
+  for (auto& p : ps) p->start();
+  sim.run();
+  for (const auto& p : ps) EXPECT_TRUE(p->done()) << p->name();
+  run.events = sim.events_executed();
+  return run;
+}
+
+TEST(ProcessPoll, MixedPeriodsMatchReferenceLoops) {
+  const PollRun ref = run_mixed_period_scenario(Idle::kReference);
+  const PollRun poll = run_mixed_period_scenario(Idle::kPoll);
+  EXPECT_EQ(poll.log, ref.log);
+  EXPECT_EQ(poll.events, ref.events);
+  EXPECT_GT(poll.log.size(), 40u);
+}
+
+// ---------------------------------------------------------------------------
+// Cluster::run(): returns once every spawned process is done
+// ---------------------------------------------------------------------------
+
+std::function<void(Endpoint&)> sleeper(std::vector<std::string>& finished,
+                                       std::string name, Time d) {
+  return [&finished, name = std::move(name), d](Endpoint&) {
+    Process::current()->delay(d);
+    finished.push_back(name);
+  };
+}
+
+TEST(ClusterRun, WaitsForOutOfOrderAndMidRunSpawns) {
+  Cluster cluster(config_1l_1g(2));
+  std::vector<std::string> finished;
+  cluster.spawn(0, "a", sleeper(finished, "a", us(30)));
+  cluster.spawn(1, "b", sleeper(finished, "b", us(10)));
+  cluster.spawn(0, "c", [&](Endpoint&) {
+    Process::current()->delay(us(5));
+    cluster.spawn(1, "d", sleeper(finished, "d", us(50)));
+    cluster.spawn(0, "e", sleeper(finished, "e", us(1)));
+    finished.push_back("c");
+  });
+  cluster.run();
+  EXPECT_EQ(finished,
+            (std::vector<std::string>{"c", "e", "b", "a", "d"}));
+  EXPECT_EQ(cluster.sim().now(), us(55));
+
+  // A later run() waits for processes spawned after the first one returned.
+  cluster.spawn(1, "f", sleeper(finished, "f", us(3)));
+  cluster.run();
+  EXPECT_EQ(finished.back(), "f");
+  EXPECT_EQ(cluster.sim().now(), us(58));
+}
+
+TEST(ClusterRun, BlockedFiberIsADeadlock) {
+  Cluster cluster(config_1l_1g(2));
+  Process* stuck = nullptr;
+  bool resumed = false;
+  cluster.spawn(0, "done", [](Endpoint&) {});
+  cluster.spawn(1, "stuck", [&](Endpoint&) {
+    stuck = Process::current();
+    stuck->suspend();
+    resumed = true;
+  });
+  EXPECT_THROW(cluster.run(), std::runtime_error);
+  ASSERT_NE(stuck, nullptr);
+  EXPECT_FALSE(stuck->done());
+  // Unblocked, the same cluster runs to completion.
+  stuck->wake();
+  cluster.run();
+  EXPECT_TRUE(resumed);
 }
 
 TEST(WaitQueue, NotifyOneWakesFifo) {

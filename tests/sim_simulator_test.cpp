@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <memory>
 #include <vector>
 
+#include "sim/process.hpp"
+#include "sim/random.hpp"
 #include "sim/timer.hpp"
 
 namespace multiedge::sim {
@@ -96,6 +103,218 @@ TEST(Simulator, CountsExecutedEvents) {
   for (int i = 0; i < 7; ++i) sim.in(us(i), [] {});
   sim.run();
   EXPECT_EQ(sim.events_executed(), 7u);
+}
+
+// ---------------------------------------------------------------------------
+// Poll lanes: differential against one queue sorted on (time, seq)
+// ---------------------------------------------------------------------------
+
+// Mirrors every event handed to the simulator, heap and poll lane alike:
+// the (time, seq) each one must run at, which are still pending, and the
+// order they ran in. Call expect()/moved() right before the scheduling call
+// they describe and ran() first thing in the event.
+class QueueModel {
+ public:
+  struct Entry {
+    Time t;
+    std::uint64_t seq;
+    int id;
+  };
+
+  explicit QueueModel(Simulator& sim) : sim_(sim) {}
+
+  int expect(Time t) {
+    const int id = next_id_++;
+    note(id, t);
+    return id;
+  }
+  void moved(int id, Time t) { note(id, t); }
+  void cancelled(int id) { pending_.erase(id); }
+  bool is_pending(int id) const { return pending_.count(id) != 0; }
+
+  void ran(int id) {
+    const auto it = pending_.find(id);
+    ASSERT_NE(it, pending_.end()) << "event " << id << " ran twice or late";
+    EXPECT_EQ(it->second.t, sim_.now());
+    log_.push_back(it->second);
+    pending_.erase(it);
+    check_counts();
+  }
+
+  void check_counts() const {
+    EXPECT_EQ(sim_.events_executed(), log_.size());
+    EXPECT_EQ(sim_.events_scheduled(), scheduled_);
+    EXPECT_EQ(sim_.pending(), pending_.size());
+  }
+
+  std::size_t pending() const { return pending_.size(); }
+  const std::vector<Entry>& log() const { return log_; }
+
+ private:
+  void note(int id, Time t) {
+    pending_[id] = Entry{std::max(t, sim_.now()), sim_.events_scheduled(), id};
+    ++scheduled_;
+  }
+
+  Simulator& sim_;
+  std::map<int, Entry> pending_;
+  std::vector<Entry> log_;
+  std::uint64_t scheduled_ = 0;
+  int next_id_ = 0;
+};
+
+// A seeded mix of in/at/at_cancellable/cancel/reschedule on a 250 ns grid,
+// racing three pollers (two at 500 ns, one at 1 us) that also delay() in
+// between polls, so heap events and lane steps keep tying on one instant.
+void run_lane_mix(std::uint64_t seed) {
+  Simulator sim;
+  QueueModel model(sim);
+  Rng rng(seed);
+  auto grid = [&](int span) {
+    return static_cast<Time>(rng.next_u64() % static_cast<std::uint64_t>(span)) *
+           ns(250);
+  };
+  struct Handle {
+    int id;
+    Simulator::EventId ev;
+  };
+  std::vector<Handle> handles;
+  int budget = 600;
+
+  std::function<void(int)> event = [&](int id) {
+    model.ran(id);
+    for (int k = 1 + static_cast<int>(rng.next_u64() % 3); k > 0 && budget > 0;
+         --k, --budget) {
+      switch (rng.next_u64() % 5) {
+        case 0: {
+          const Time d = grid(8);
+          const int next = model.expect(sim.now() + d);
+          sim.in(d, [&event, next] { event(next); });
+          break;
+        }
+        case 1: {
+          // Up to 1 us in the past: clamps to now().
+          const Time t = sim.now() - ns(1000) + grid(12);
+          const int next = model.expect(t);
+          sim.at(t, [&event, next] { event(next); });
+          break;
+        }
+        case 2: {
+          const Time t = sim.now() + grid(8);
+          const int next = model.expect(t);
+          handles.push_back(
+              {next, sim.at_cancellable(t, [&event, next] { event(next); })});
+          break;
+        }
+        case 3: {
+          if (handles.empty()) break;
+          const Handle h = handles[rng.next_u64() % handles.size()];
+          const bool live = model.is_pending(h.id);
+          EXPECT_EQ(sim.cancel(h.ev), live);
+          if (live) model.cancelled(h.id);
+          break;
+        }
+        default: {
+          if (handles.empty()) break;
+          const Handle h = handles[rng.next_u64() % handles.size()];
+          const Time t = sim.now() - ns(500) + grid(8);
+          const bool live = model.is_pending(h.id);
+          if (live) model.moved(h.id, t);
+          EXPECT_EQ(sim.reschedule(h.ev, t), live);
+          break;
+        }
+      }
+    }
+  };
+
+  for (int i = 0; i < 8; ++i) {
+    const Time t = grid(8);
+    const int id = model.expect(t);
+    sim.at(t, [&event, id] { event(id); });
+  }
+
+  const std::vector<Time> periods = {ns(500), ns(500), us(1)};
+  std::vector<int> start_ids(periods.size());
+  std::vector<std::unique_ptr<Process>> pollers;
+  for (std::size_t i = 0; i < periods.size(); ++i) {
+    const Time every = periods[i];
+    pollers.push_back(std::make_unique<Process>(sim, "poller", [&, i, every] {
+      model.ran(start_ids[i]);
+      Process* self = Process::current();
+      for (int round = 0; round < 12; ++round) {
+        const std::uint64_t want = 1 + rng.next_u64() % 6;
+        std::uint64_t left = want;
+        int step = model.expect(sim.now() + every);
+        const std::uint64_t took = self->poll(every, [&] {
+          model.ran(step);
+          if (--left == 0) return true;
+          step = model.expect(sim.now() + every);
+          return false;
+        });
+        EXPECT_EQ(took, want);
+        if (rng.next_u64() % 2 == 0) {
+          const Time d = grid(4);
+          const int id = model.expect(sim.now() + d);
+          self->delay(d);
+          model.ran(id);
+        }
+      }
+    }));
+  }
+  for (std::size_t i = 0; i < pollers.size(); ++i) {
+    start_ids[i] = model.expect(sim.now());
+    pollers[i]->start();
+  }
+
+  sim.run();
+  for (const auto& p : pollers) EXPECT_TRUE(p->done());
+  EXPECT_EQ(model.pending(), 0u);
+  model.check_counts();
+
+  // The reference: every executed event, sorted on (time, seq).
+  std::vector<QueueModel::Entry> ref = model.log();
+  std::sort(ref.begin(), ref.end(), [](const auto& a, const auto& b) {
+    return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+  });
+  std::vector<int> ran_ids;
+  std::vector<int> ref_ids;
+  for (const auto& e : model.log()) ran_ids.push_back(e.id);
+  for (const auto& e : ref) ref_ids.push_back(e.id);
+  EXPECT_EQ(ran_ids, ref_ids);
+}
+
+TEST(SimulatorPollLanes, RandomMixRunsInTimeSeqOrder) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    run_lane_mix(seed);
+  }
+}
+
+TEST(SimulatorPollLanes, RunUntilIncludesLaneStepAtBoundaryOnly) {
+  Simulator sim;
+  std::vector<Time> steps;
+  Process p(sim, "p", [&] {
+    Process::current()->poll(ns(10), [&] {
+      steps.push_back(sim.now());
+      return steps.size() == 3;
+    });
+  });
+  p.start();  // first step at 10 ns, then 20 ns and 30 ns
+  sim.run_until(ns(10));
+  EXPECT_EQ(steps, (std::vector<Time>{ns(10)}));
+  EXPECT_EQ(sim.pending(), 1u);
+  const Time t = ns(20) - 1;  // the next step lands at t + 1
+  sim.run_until(t);
+  EXPECT_EQ(steps.size(), 1u);
+  EXPECT_EQ(sim.now(), t);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run_until(t + 1);
+  EXPECT_EQ(steps, (std::vector<Time>{ns(10), ns(20)}));
+  sim.run();
+  EXPECT_TRUE(p.done());
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.events_executed(), 4u);  // start + three steps
+  EXPECT_EQ(sim.events_scheduled(), 4u);
 }
 
 TEST(Timer, FiresAfterDelay) {
