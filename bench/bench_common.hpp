@@ -1,14 +1,15 @@
 // Shared scaffolding for the gated benchmark binaries (simspeed, coll_bench,
-// kv_bench, svc_bench, rma_bench, scale_bench): command-line parsing, the
-// counters fingerprint, and the harness that turns a bench's rows and gates
-// into its table, JSON artifact and --check verdict.
+// kv_bench, svc_bench, rma_bench, scale_bench, paper_bench): command-line
+// parsing, the row fingerprints, and the harness that turns a bench's rows
+// and gates into its tables, JSON artifact and --check verdict.
 //
 // Every gated bench speaks the same CLI dialect:
 //   [--quick] [--repeat=N] [--json[=path]] [--check=<baseline>]
 // runs each workload into a Row, and hands the Report and its Gate list to
 // finish(). Gates run on every run; --json writes the BENCH_<bench>.json
 // artifact; --check=<baseline> adds the gates that read the baseline and
-// compares each row's "counters_fnv1a" fingerprint. The simulation is
+// compares each row's "counters_fnv1a" fingerprint (a hash of its counters,
+// or for paper_bench of its written fields). The simulation is
 // deterministic, so fingerprints must match EXACTLY: any drift means
 // behavior changed, not noise.
 #pragma once
@@ -103,15 +104,23 @@ inline std::string hex(std::uint64_t v) {
   return os.str();
 }
 
+inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+
+/// Folds one "key=value\n" entry into `h`.
+inline std::uint64_t fnv1a_entry(std::uint64_t h, std::string_view key,
+                                 std::string_view value) {
+  h = fnv1a(h, key);
+  h = fnv1a(h, "=");
+  h = fnv1a(h, value);
+  return fnv1a(h, "\n");
+}
+
 /// Order-independent-enough fingerprint of a counter set: Counters::all()
 /// iterates in sorted order, so equal counter maps hash equal.
 inline std::uint64_t counters_fingerprint(const stats::Counters& c) {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kFnvOffset;
   for (const auto& [name, value] : c.all()) {
-    h = fnv1a(h, name);
-    h = fnv1a(h, "=");
-    h = fnv1a(h, std::to_string(value));
-    h = fnv1a(h, "\n");
+    h = fnv1a_entry(h, name, std::to_string(value));
   }
   return h;
 }
@@ -153,6 +162,15 @@ struct Fields {
     return std::nullopt;
   }
 };
+
+/// Fingerprint of `fields` as written: FNV-1a over "key=<json>\n" in order.
+/// When every field is deterministic simulated output, a drift in any
+/// written digit changes it.
+inline std::uint64_t fields_fingerprint(const Fields& fields) {
+  std::uint64_t h = kFnvOffset;
+  for (const Fields::Field& f : fields.items) h = fnv1a_entry(h, f.key, f.json);
+  return h;
+}
 
 /// One workload's result: `fields` are written after "name" in this order,
 /// then the counters fingerprint; `gate_only` values are read by gates and
@@ -231,7 +249,8 @@ inline bool holds(double v, Cmp cmp, double bound) {
 ///   a.metric / b.metric           when `b` names another row,
 ///   a.metric / baseline a.metric  when `b` is kBaseline,
 /// and the gate holds when `value cmp bound`. `a` may also name a summary
-/// object. An empty `a` gates every row that has `metric`.
+/// object. An `a` that is empty or ends in '/' gates every row whose name
+/// starts with it and that has `metric`.
 struct Gate {
   std::string what;
   std::string a;
@@ -251,11 +270,14 @@ inline constexpr char kBaseline[] = "<baseline>";
 inline bool evaluate(const Gate& g, const Report& report,
                      const stats::json::Value* baseline, bool quick) {
   static constexpr const char* kSymbol[] = {">=", ">", "<=", "<"};
+  const bool every = g.a.empty() || g.a.back() == '/';
   std::vector<std::string> names;
   for (const Row& r : report.rows) {
-    if (g.a.empty() && r.metric(g.metric)) names.push_back(r.name);
+    if (every && r.name.starts_with(g.a) && r.metric(g.metric)) {
+      names.push_back(r.name);
+    }
   }
-  if (!g.a.empty() || names.empty()) names.push_back(g.a);
+  if (!every || names.empty()) names.push_back(g.a);
   bool ok = true;
   for (const std::string& name : names) {
     const std::optional<double> num = report.metric(name, g.metric);
@@ -313,32 +335,53 @@ inline void write_json(std::ostream& os, std::string_view bench, bool quick,
   os << "\n}\n";
 }
 
-/// One table over every row field (a row without a column shows "-"), then
-/// each summary object as JSON.
+/// The text of `name` before its first '/', or "" when it has none.
+inline std::string_view row_prefix(std::string_view name) {
+  const std::size_t slash = name.find('/');
+  return slash == std::string_view::npos ? "" : name.substr(0, slash);
+}
+
+/// One table per row-name prefix, in order of first appearance and
+/// separated by a blank line, over that group's fields (a row without a
+/// column shows "-"); then each summary object as JSON.
 inline void print_table(std::ostream& os, const Report& report) {
-  std::vector<std::string> headers = {"workload"};
+  std::vector<std::string_view> prefixes;
   for (const Row& r : report.rows) {
-    for (const Fields::Field& f : r.fields.items) {
-      if (std::find(headers.begin(), headers.end(), f.key) == headers.end()) {
-        headers.push_back(f.key);
-      }
+    if (std::find(prefixes.begin(), prefixes.end(), row_prefix(r.name)) ==
+        prefixes.end()) {
+      prefixes.push_back(row_prefix(r.name));
     }
   }
-  const std::size_t field_cols = headers.size();
-  headers.push_back("counters");
-  stats::Table t(headers);
-  for (const Row& r : report.rows) {
-    std::vector<std::string> cells = {r.name};
-    for (std::size_t c = 1; c < field_cols; ++c) {
-      cells.push_back("-");
+  for (std::size_t p = 0; p < prefixes.size(); ++p) {
+    if (p > 0) os << '\n';
+    std::vector<const Row*> rows;
+    std::vector<std::string> headers = {"workload"};
+    for (const Row& r : report.rows) {
+      if (row_prefix(r.name) != prefixes[p]) continue;
+      rows.push_back(&r);
       for (const Fields::Field& f : r.fields.items) {
-        if (f.key == headers[c]) cells.back() = f.json;
+        if (std::find(headers.begin(), headers.end(), f.key) ==
+            headers.end()) {
+          headers.push_back(f.key);
+        }
       }
     }
-    cells.push_back(hex(r.fingerprint));
-    t.add_row(std::move(cells));
+    const std::size_t field_cols = headers.size();
+    headers.push_back("counters");
+    stats::Table t(headers);
+    for (const Row* r : rows) {
+      std::vector<std::string> cells = {r->name};
+      for (std::size_t c = 1; c < field_cols; ++c) {
+        cells.push_back("-");
+        for (const Fields::Field& f : r->fields.items) {
+          if (f.key == headers[c]) cells.back() = f.json;
+        }
+      }
+      cells.push_back(hex(r->fingerprint));
+      t.add_row(std::move(cells));
+    }
+    t.print(os);
   }
-  t.print(os);
   for (const auto& [name, fields] : report.summaries) {
     os << name << ": {";
     write_members(os, fields, "");

@@ -95,8 +95,9 @@ if [ -z "${MULTIEDGE_SKIP_BENCH:-}" ] && [ -z "$SAN" ]; then
   fi
   echo "== bench smoke ($BENCH_DIR, Release)"
   cmake -B "$BENCH_DIR" -S . "${BGEN_ARGS[@]}" -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$BENCH_DIR" -j "$(nproc)" --target simspeed --target coll_bench \
-    --target kv_bench --target svc_bench --target scale_bench --target rma_bench
+  cmake --build "$BENCH_DIR" -j "$(nproc)" --target paper_bench \
+    --target simspeed --target coll_bench --target kv_bench --target svc_bench \
+    --target scale_bench --target rma_bench
   # perfbench/ is its own CMake package that compiles ../src and links the
   # libraries by target name; building it here makes a src/ change that
   # breaks the end-to-end benchmark fail CI.
@@ -115,6 +116,12 @@ if [ -z "${MULTIEDGE_SKIP_BENCH:-}" ] && [ -z "$SAN" ]; then
       exit 1
     fi
   done
+  # The paper's evaluation: Figure 2, Table 1, Figures 3-6, the ablations
+  # and the future-work studies. Gates are the paper's claims (latency band,
+  # line-rate fractions, the Figure 3 speedup ordering, Figure 6 within 2 %
+  # of Figure 5, ...), and every row's fingerprint covers each printed digit
+  # of the committed BENCH_paper.json.
+  "$BENCH_DIR"/bench/paper_bench --check=BENCH_paper.json
   # Protocol smoke: throughput floor + exact counter fingerprints, plus the
   # small-op submission-batching gate (smallop-batched must finish >= 1.3x
   # faster in simulated time than smallop-unbatched; see bench/simspeed.cpp).

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <ostream>
 
-#include "stats/json.hpp"
-
 namespace multiedge::stats {
 
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {}
@@ -58,36 +56,6 @@ void Table::print(std::ostream& os) const {
   for (std::size_t w : widths) total += w + 2;
   os << std::string(total > 2 ? total - 2 : total, '-') << '\n';
   for (const auto& row : rows_) print_row(row);
-}
-
-void Table::print_csv(std::ostream& os) const {
-  auto print_row = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) os << ',';
-      os << cells[c];
-    }
-    os << '\n';
-  };
-  print_row(headers_);
-  for (const auto& row : rows_) print_row(row);
-}
-
-void Table::to_json(std::ostream& os) const {
-  os << "[";
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    os << (r == 0 ? "" : ",") << "\n  {";
-    for (std::size_t c = 0; c < headers_.size(); ++c) {
-      os << (c == 0 ? "" : ", ") << '"' << json::escape(headers_[c]) << "\": ";
-      const std::string& cell = rows_[r][c];
-      if (json::is_number(cell)) {
-        os << cell;
-      } else {
-        os << '"' << json::escape(cell) << '"';
-      }
-    }
-    os << "}";
-  }
-  os << "\n]";
 }
 
 std::string fmt_double(double v, int precision) {

@@ -1,8 +1,7 @@
 // Fixed-width table printer for bench output.
 //
-// The bench binaries regenerate the paper's tables and figure series as text
-// tables; this keeps their formatting uniform and makes the output easy to
-// diff against EXPERIMENTS.md.
+// The bench binaries print their rows as text tables through this; it keeps
+// their formatting uniform.
 #pragma once
 
 #include <iosfwd>
@@ -37,12 +36,6 @@ class Table {
   RowBuilder row() { return RowBuilder(*this); }
 
   void print(std::ostream& os) const;
-  void print_csv(std::ostream& os) const;
-
-  /// Emit the table as a JSON array of row objects keyed by header. Cells
-  /// that are valid JSON number tokens are written unquoted so downstream
-  /// tooling gets real numbers; everything else is an escaped string.
-  void to_json(std::ostream& os) const;
 
   const std::vector<std::string>& headers() const { return headers_; }
   std::size_t row_count() const { return rows_.size(); }

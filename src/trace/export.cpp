@@ -205,23 +205,4 @@ std::string chrome_trace_string(const TraceRecorder& rec,
   return os.str();
 }
 
-void histogram_to_json(std::ostream& os, const LatencyHistogram& h) {
-  os << "{\"count\":" << h.count() << ",\"min\":" << h.min()
-     << ",\"mean\":" << stats::json::number(h.mean())
-     << ",\"p50\":" << h.p50() << ",\"p95\":" << h.p95()
-     << ",\"p99\":" << h.p99() << ",\"max\":" << h.max() << "}";
-}
-
-void timeseries_to_json(std::ostream& os, const TimeSeries& s) {
-  os << "{\"name\":\"" << stats::json::escape(s.name())
-     << "\",\"samples\":[";
-  bool first = true;
-  for (const auto& [t, v] : s.samples()) {
-    os << (first ? "" : ",") << "[" << ts_us(t) << ","
-       << stats::json::number(v) << "]";
-    first = false;
-  }
-  os << "]}";
-}
-
 }  // namespace multiedge::trace

@@ -17,16 +17,12 @@
 // the parent span's slice, so one distributed op renders as a stitched
 // cross-node timeline. Timestamps are microseconds of simulated time
 // (fractional; the sim runs in picoseconds).
-//
-// The *_to_json helpers emit the machine-readable metrics objects embedded in
-// the bench BENCH_*.json artifacts.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "trace/histogram.hpp"
 #include "trace/timeseries.hpp"
 #include "trace/trace.hpp"
 
@@ -40,11 +36,5 @@ void write_chrome_trace(std::ostream& os, const TraceRecorder& rec,
 /// Same, into a string (used by tests and small tools).
 std::string chrome_trace_string(const TraceRecorder& rec,
                                 const std::vector<const TimeSeries*>& series = {});
-
-/// {"count":N,"min":..,"mean":..,"p50":..,"p95":..,"p99":..,"max":..}
-void histogram_to_json(std::ostream& os, const LatencyHistogram& h);
-
-/// {"name":"..","samples":[[t_us,v],...]}
-void timeseries_to_json(std::ostream& os, const TimeSeries& s);
 
 }  // namespace multiedge::trace

@@ -111,6 +111,44 @@ TEST(BenchReport, WritesTheExactJsonText) {
             "}\n");
 }
 
+TEST(BenchReport, PrintsOneTablePerRowNamePrefix) {
+  // Rows without a '/' share one table; "f/..." rows get their own, in
+  // order of first appearance, each over its own rows' fields.
+  Report r;
+  r.rows.push_back({"w1", Fields().add("x", 1), {}, 0x1});
+  r.rows.push_back({"f/a", Fields().add("x", 2).add("y", "s"), {}, 0x3});
+  r.rows.push_back({"w2", Fields().add("z", 3), {}, 0x2});
+  r.rows.push_back({"f/b", Fields().add("y", "t"), {}, 0x4});
+  r.summaries.push_back({"s", Fields().add("k", 1)});
+  std::ostringstream os;
+  print_table(os, r);
+  EXPECT_EQ(os.str(),
+            "workload  x  z  counters\n"
+            "------------------------\n"
+            "w1        1  -  0x1     \n"
+            "w2        -  3  0x2     \n"
+            "\n"
+            "workload  x  y    counters\n"
+            "--------------------------\n"
+            "f/a       2  \"s\"  0x3     \n"
+            "f/b       -  \"t\"  0x4     \n"
+            "s: {\"k\": 1}\n");
+}
+
+TEST(BenchReport, FieldsFingerprintHashesEveryWrittenDigit) {
+  // FNV-1a over "n=3\nms=1.5\n" from kFnvOffset.
+  EXPECT_EQ(fields_fingerprint(Fields().add("n", 3).add("ms", 1.5)),
+            0x8f04dc22c9b7cfdaull);
+  EXPECT_EQ(fields_fingerprint(Fields().add("n", 3).add("ms", 1.6)),
+            0x8f0efe22c9c05e25ull);
+  // Order and keys count, not just values.
+  EXPECT_NE(fields_fingerprint(Fields().add("ms", 1.5).add("n", 3)),
+            fields_fingerprint(Fields().add("n", 3).add("ms", 1.5)));
+  EXPECT_NE(fields_fingerprint(Fields().add("m", 3)),
+            fields_fingerprint(Fields().add("n", 3)));
+  EXPECT_EQ(fields_fingerprint(Fields()), kFnvOffset);
+}
+
 TEST(BenchGate, EveryComparisonAtAndJustBeyondItsBound) {
   // a.x / b.x = 0.5.
   auto ratio = [](Cmp cmp, double bound) {
@@ -142,6 +180,21 @@ TEST(BenchGate, EmptyRowGatesEveryRowWithTheMetric) {
   // No row has the metric: fails in a full run, skipped under --quick.
   EXPECT_FALSE(gate({"t", "", "", "absent", Cmp::kLe, 0}, r));
   EXPECT_TRUE(gate({"t", "", "", "absent", Cmp::kLe, 0}, r, nullptr, true));
+}
+
+TEST(BenchGate, PrefixGatesEveryRowUnderIt) {
+  Report r = small_report();
+  r.rows.push_back({"p/a", Fields().add("x", 10), {}, 4});
+  r.rows.push_back({"p/b", Fields().add("x", 20), {}, 5});
+  r.rows.push_back({"p/c", Fields().add("y", 0), {}, 6});
+  r.rows.push_back({"pq", Fields().add("x", 0), {}, 7});
+  // Only p/a and p/b: "a", "b", "pq" are outside the prefix, p/c has no x.
+  EXPECT_TRUE(gate({"t", "p/", "", "x", Cmp::kGe, 10}, r));
+  EXPECT_FALSE(gate({"t", "p/", "", "x", Cmp::kGe, 11}, r));  // p/a fails
+  EXPECT_FALSE(gate({"t", "p/", "", "x", Cmp::kLe, 19}, r));  // p/b fails
+  // A prefix no row with the metric falls under fails, unless quick.
+  EXPECT_FALSE(gate({"t", "q/", "", "x", Cmp::kGe, 0}, r));
+  EXPECT_TRUE(gate({"t", "q/", "", "x", Cmp::kGe, 0}, r, nullptr, true));
 }
 
 TEST(BenchGate, BaselineFormNeedsABaseline) {

@@ -4,8 +4,6 @@
 
 #include <sstream>
 
-#include "stats/json.hpp"
-
 namespace multiedge::stats {
 namespace {
 
@@ -23,57 +21,22 @@ TEST(Table, PrintsAlignedColumns) {
   EXPECT_NE(out.find("----"), std::string::npos);
 }
 
-TEST(Table, CsvOutput) {
-  Table t({"a", "b"});
-  t.row().cell("x").cell(1.5, 1);
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\nx,1.5\n");
-}
-
 TEST(Table, MissingCellsRenderEmpty) {
-  Table t({"a", "b", "c"});
+  Table t({"a", "bb", "c"});
   t.add_row({"only"});
+  t.add_row({"x", "y", "z", "dropped"});
   std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b,c\nonly,,\n");
+  t.print(os);
+  EXPECT_EQ(os.str(),
+            "a     bb  c\n"
+            "-----------\n"
+            "only       \n"
+            "x     y   z\n");
 }
 
 TEST(FmtHelpers, DoubleAndPercent) {
   EXPECT_EQ(fmt_double(3.14159, 2), "3.14");
   EXPECT_EQ(fmt_percent(0.255, 1), "25.5%");
-}
-
-TEST(Table, ToJsonRoundTrips) {
-  Table t({"setup", "MB/s", "note"});
-  t.row().cell("1L-1G").cell(116.4, 1).cell("has \"quotes\"");
-  t.row().cell("1L-10G").cell(std::uint64_t{1100}).cell("");
-  std::ostringstream os;
-  t.to_json(os);
-
-  json::Value v;
-  std::string err;
-  ASSERT_TRUE(json::parse(os.str(), v, &err)) << err;
-  ASSERT_TRUE(v.is_array());
-  ASSERT_EQ(v.array.size(), 2u);
-  const json::Value& r0 = v.array[0];
-  ASSERT_TRUE(r0.is_object());
-  EXPECT_EQ(r0.find("setup")->string, "1L-1G");
-  // Numeric-looking cells become real JSON numbers, not strings.
-  ASSERT_TRUE(r0.find("MB/s")->is_number());
-  EXPECT_DOUBLE_EQ(r0.find("MB/s")->number, 116.4);
-  EXPECT_EQ(r0.find("note")->string, "has \"quotes\"");
-  EXPECT_DOUBLE_EQ(v.array[1].find("MB/s")->number, 1100.0);
-}
-
-TEST(Table, ToJsonEmptyTableIsEmptyArray) {
-  Table t({"a"});
-  std::ostringstream os;
-  t.to_json(os);
-  json::Value v;
-  ASSERT_TRUE(json::parse(os.str(), v));
-  EXPECT_TRUE(v.is_array());
-  EXPECT_TRUE(v.array.empty());
 }
 
 }  // namespace

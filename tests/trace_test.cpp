@@ -643,35 +643,5 @@ TEST(FlightRecorder, PostmortemDisabledWhenRecorderOff) {
   EXPECT_EQ(cluster.trigger_postmortem("nothing to dump"), "");
 }
 
-// ------------------------------------------------------------------- exports
-
-TEST(Export, HistogramToJsonRoundTrips) {
-  LatencyHistogram h;
-  for (std::uint64_t v = 1; v <= 100; ++v) h.record(v);
-  std::ostringstream os;
-  trace::histogram_to_json(os, h);
-  stats::json::Value v;
-  ASSERT_TRUE(stats::json::parse(os.str(), v));
-  ASSERT_TRUE(v.is_object());
-  EXPECT_EQ(v.find("count")->number, 100.0);
-  EXPECT_EQ(v.find("min")->number, 1.0);
-  EXPECT_EQ(v.find("max")->number, 100.0);
-  EXPECT_GT(v.find("p95")->number, v.find("p50")->number);
-  EXPECT_GE(v.find("p99")->number, v.find("p95")->number);
-}
-
-TEST(Export, TimeSeriesToJsonRoundTrips) {
-  TimeSeries s("nic.q");
-  s.sample(1'000'000, 3);  // 1us
-  s.sample(2'000'000, 5);
-  std::ostringstream os;
-  trace::timeseries_to_json(os, s);
-  stats::json::Value v;
-  ASSERT_TRUE(stats::json::parse(os.str(), v));
-  ASSERT_TRUE(v.is_object());
-  EXPECT_EQ(v.find("name")->string, "nic.q");
-  ASSERT_EQ(v.find("samples")->array.size(), 2u);
-}
-
 }  // namespace
 }  // namespace multiedge
