@@ -232,7 +232,7 @@ inline std::optional<double> baseline_metric(const stats::json::Value& doc,
   return std::nullopt;
 }
 
-enum class Cmp { kGe, kGt, kLe, kLt };
+enum class Cmp { kGe, kGt, kLe, kLt, kEq };
 
 inline bool holds(double v, Cmp cmp, double bound) {
   switch (cmp) {
@@ -240,6 +240,7 @@ inline bool holds(double v, Cmp cmp, double bound) {
     case Cmp::kGt: return v > bound;
     case Cmp::kLe: return v <= bound;
     case Cmp::kLt: return v < bound;
+    case Cmp::kEq: return v == bound;
   }
   return false;
 }
@@ -269,7 +270,7 @@ inline constexpr char kBaseline[] = "<baseline>";
 /// kBaseline gate is skipped when no baseline is loaded.
 inline bool evaluate(const Gate& g, const Report& report,
                      const stats::json::Value* baseline, bool quick) {
-  static constexpr const char* kSymbol[] = {">=", ">", "<=", "<"};
+  static constexpr const char* kSymbol[] = {">=", ">", "<=", "<", "=="};
   const bool every = g.a.empty() || g.a.back() == '/';
   std::vector<std::string> names;
   for (const Row& r : report.rows) {

@@ -7,7 +7,9 @@
 //
 // Usage: simspeed [--quick] [--repeat=N] [--json[=path]] [--check=<baseline>]
 // (see bench_common.hpp). --check also fails if total frames/sec regressed by
-// more than 20% against the baseline (CI smoke stage; see scripts/ci.sh).
+// more than 20% against the baseline, or if any workload executed a
+// different number of simulator events than the baseline (CI smoke stage;
+// see scripts/ci.sh).
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -209,12 +211,15 @@ int main(int argc, char** argv) {
       .add("frames_per_sec", per_sec(frames, wall_ms))
       .add("events_per_sec", per_sec(events, wall_ms));
 
-  // Counter fingerprints are exact (deterministic protocol); wall-clock
-  // throughput gets a 20% noise allowance.
+  // Counter fingerprints and event counts are exact (deterministic
+  // simulation): an extra event per frame moves no counter but fails the
+  // events gate. Wall-clock throughput gets a 20% noise allowance.
   return bench::finish(
       args, "simspeed", report,
       {{"total frames/sec within 20% of the baseline", "total",
         bench::kBaseline, "frames_per_sec", bench::Cmp::kGe, 0.8},
+       {"simulator events exactly as in the baseline", "", bench::kBaseline,
+        "events", bench::Cmp::kEq, 1.0},
        {"small-op batching speedup (simulated time)", "smallop-unbatched",
         "smallop-batched", "sim_ms", bench::Cmp::kGe, kMinSmallOpSpeedup}});
 }

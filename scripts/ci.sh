@@ -63,6 +63,19 @@ cmake -B "$BUILD_DIR" -S . "${GEN_ARGS[@]}" "${WERROR_ARGS[@]}" \
 echo "== build"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
+# The x86-64 fiber switch (src/sim/fiber_switch_x86_64.S) returns on a
+# different stack than it was called on, which a CET shadow stack would
+# kill. Its object carries no GNU property note, so no binary linking it may
+# come out marked shadow-stack compatible, whatever -fcf-protection the
+# toolchain defaults to.
+if [ "$(uname -m)" = x86_64 ]; then
+  echo "== shadow-stack marking"
+  if readelf -n "$BUILD_DIR/tests/sim_test" | grep -q SHSTK; then
+    echo "sim_test is marked SHSTK-compatible; the fiber switch breaks call/ret pairing"
+    exit 1
+  fi
+fi
+
 echo "== ctest -L $LABEL"
 ctest --test-dir "$BUILD_DIR" -L "$LABEL" --output-on-failure -j "$(nproc)"
 

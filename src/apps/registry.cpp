@@ -61,7 +61,7 @@ std::uint64_t fnv1a(const std::byte* data, std::size_t len, std::uint64_t seed) 
 
 void read_home_copies(dsm::DsmSystem& sys, std::uint64_t va, std::size_t len,
                       std::byte* out) {
-  const std::size_t page = sys.config().page_bytes;
+  const std::size_t page = dsm::kPageBytes;
   const std::uint64_t hi = va + len;
   while (va < hi) {
     const auto pg = static_cast<std::uint32_t>((va - sys.shared_base()) / page);
@@ -81,7 +81,7 @@ void read_home_copies(dsm::DsmSystem& sys, std::uint64_t va, std::size_t len,
 std::uint64_t hash_home_copies(dsm::DsmSystem& sys, std::uint64_t va,
                                std::size_t len) {
   std::uint64_t h = 0xcbf29ce484222325ull;
-  const std::size_t page = sys.config().page_bytes;
+  const std::size_t page = dsm::kPageBytes;
   const std::uint64_t hi = va + len;
   while (va < hi) {
     const auto pg =

@@ -11,8 +11,11 @@
 
 namespace multiedge::dsm {
 
+/// The DSM page: the unit of fetching, twinning, diffing and homing.
+inline constexpr unsigned kPageShift = 12;
+inline constexpr std::size_t kPageBytes = std::size_t{1} << kPageShift;
+
 struct DsmConfig {
-  std::size_t page_bytes = 4096;
   /// Size of the shared region replicated on every node.
   std::size_t shared_bytes = std::size_t{24} << 20;
   /// Pages are assigned round-robin to homes in blocks of this many pages.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <optional>
 
 namespace multiedge::dsm {
 
@@ -19,7 +20,7 @@ DsmSystem::DsmSystem(Cluster& cluster, DsmConfig config)
     Endpoint& ep = cluster_.endpoint(i);
     const std::uint64_t mb = ep.alloc(cfg_.mailbox_bytes * n, 64);
     const std::uint64_t st = ep.alloc(cfg_.mailbox_bytes, 64);
-    const std::uint64_t sh = ep.alloc(cfg_.shared_bytes, cfg_.page_bytes);
+    const std::uint64_t sh = ep.alloc(cfg_.shared_bytes, kPageBytes);
     if (i == 0) {
       mailbox_base_ = mb;
       staging_base_ = st;
@@ -105,6 +106,7 @@ Dsm::Dsm(DsmSystem& system, Endpoint& ep, int rank)
     : system_(system),
       ep_(ep),
       rank_(rank),
+      shared_base_(system.shared_base_),
       // Mailbox window: every DSM control message is a notified put into the
       // destination's per-sender ring. Non-urgent (the service loop blocks on
       // notify events anyway) and unfenced by default — send_msg pins the
@@ -118,7 +120,12 @@ Dsm::Dsm(DsmSystem& system, Endpoint& ep, int rank)
                    .urgent = false,
                    .fenced = false},
                [this](int node) -> Connection& { return conn_to(node); }) {
-  pages_.resize(system_.cfg_.shared_bytes / system_.cfg_.page_bytes);
+  pages_.resize(system_.cfg_.shared_bytes / kPageBytes);
+  for (std::uint32_t p = 0; p < pages_.size(); ++p) {
+    if (home_of(p) != rank_) continue;
+    pages_[p].home = true;
+    pages_[p].state = PageState::kReadOnly;
+  }
   staging_writer_ =
       MailboxWriter(system_.staging_base_, system_.cfg_.mailbox_bytes);
   const int n = system_.num_nodes();
@@ -135,21 +142,9 @@ Dsm::Dsm(DsmSystem& system, Endpoint& ep, int rank)
 int Dsm::num_nodes() const { return system_.num_nodes(); }
 const DsmConfig& Dsm::config() const { return system_.cfg_; }
 
-std::uint32_t Dsm::page_of(std::uint64_t va) const {
-  assert(va >= system_.shared_base_ &&
-         va < system_.shared_base_ + system_.cfg_.shared_bytes);
-  return static_cast<std::uint32_t>((va - system_.shared_base_) /
-                                    system_.cfg_.page_bytes);
-}
-
 int Dsm::home_of(std::uint32_t page) const {
   return static_cast<int>((page / system_.cfg_.home_block_pages) %
                           static_cast<std::uint32_t>(num_nodes()));
-}
-
-std::uint64_t Dsm::va_of(std::uint32_t page) const {
-  return system_.shared_base_ +
-         static_cast<std::uint64_t>(page) * system_.cfg_.page_bytes;
 }
 
 Connection& Dsm::conn_to(int node) {
@@ -164,14 +159,14 @@ Connection& Dsm::conn_to(int node) {
 // Memory access & page protocol
 // ---------------------------------------------------------------------------
 
-void Dsm::ensure_read(std::uint64_t va, std::size_t len) {
+void Dsm::ensure_read_general(std::uint64_t va, std::size_t len) {
   assert(len > 0);
   const std::uint32_t first = page_of(va);
   const std::uint32_t last = page_of(va + len - 1);
   fetch_batch(first, last);
 }
 
-void Dsm::ensure_write(std::uint64_t va, std::size_t len) {
+void Dsm::ensure_write_general(std::uint64_t va, std::size_t len) {
   assert(len > 0);
   const std::uint32_t first = page_of(va);
   const std::uint32_t last = page_of(va + len - 1);
@@ -179,11 +174,14 @@ void Dsm::ensure_write(std::uint64_t va, std::size_t len) {
   // application will overwrite), pipelined like read faults.
   fetch_batch(first, last);
   for (std::uint32_t p = first; p <= last; ++p) {
-    if (home_of(p) == rank_) {
-      home_dirty_pages_.insert(p);
-      continue;
+    Page& pg = pages_[p];
+    if (pg.state == PageState::kDirty) continue;
+    if (pg.home) {
+      pg.state = PageState::kDirty;
+      home_dirty_pages_.push_back(p);
+    } else {
+      write_fault(p);
     }
-    if (pages_[p].state != PageState::kDirty) write_fault(p);
   }
 }
 
@@ -193,16 +191,16 @@ void Dsm::fetch_batch(std::uint32_t first, std::uint32_t last) {
   // the fault handler's prefetch for contiguous accesses (one trap, one
   // batch of pipelined remote reads instead of one stall per page).
   std::vector<std::pair<std::uint32_t, OpHandle>> fetches;
-  // Root span for the fault batch: the remote page reads issued below
-  // stitch under it.
-  trace::TraceRecorder* tracer = ep_.cluster().tracer();
-  const trace::SpanContext ctx =
-      tracer != nullptr ? tracer->new_root() : trace::SpanContext{};
-  const trace::SpanScope scope(ctx);
+  trace::SpanContext ctx;
+  std::optional<trace::SpanScope> scope;
   for (std::uint32_t p = first; p <= last; ++p) {
-    if (home_of(p) == rank_) continue;  // home copy is always current
+    // Home pages are never Invalid: the home copy is always current.
     if (pages_[p].state != PageState::kInvalid) continue;
     if (fetches.empty()) {
+      // Root span for the fault batch: the remote page reads issued below
+      // stitch under it.
+      if (trace::TraceRecorder* t = ep_.cluster().tracer()) ctx = t->new_root();
+      scope.emplace(ctx);
       stats_.overhead += cfg.fault_cost;
       ep_.app_cpu().consume(cfg.fault_cost);
     }
@@ -210,7 +208,7 @@ void Dsm::fetch_batch(std::uint32_t first, std::uint32_t last) {
     fetches.emplace_back(
         p, conn_to(home_of(p))
                .rdma_read(va_of(p), va_of(p),
-                          static_cast<std::uint32_t>(cfg.page_bytes)));
+                          static_cast<std::uint32_t>(kPageBytes)));
   }
   if (fetches.empty()) return;
   const sim::Time t0 = ep_.cluster().sim().now();
@@ -221,7 +219,7 @@ void Dsm::fetch_batch(std::uint32_t first, std::uint32_t last) {
     if (auto* t = ep_.cluster().tracer()) {
       t->record_span(t0, ep_.cluster().sim().now() - t0,
                      trace::EventType::kDsmPageFetch, rank_, -1, -1, p,
-                     cfg.page_bytes, ctx);
+                     kPageBytes, ctx);
     }
   }
   stats_.data_wait += ep_.cluster().sim().now() - t0;
@@ -238,12 +236,12 @@ void Dsm::write_fault(std::uint32_t page) {
 
   // Twin for diffing at the next release.
   const sim::Time twin_cost =
-      static_cast<sim::Time>(cfg.twin_ns_per_byte * cfg.page_bytes *
+      static_cast<sim::Time>(cfg.twin_ns_per_byte * kPageBytes *
                              sim::kNanosecond);
   stats_.overhead += twin_cost;
   ep_.app_cpu().consume(twin_cost);
-  p.twin = std::make_unique<std::byte[]>(cfg.page_bytes);
-  ep_.memory().read(va_of(page), {p.twin.get(), cfg.page_bytes});
+  p.twin = std::make_unique<std::byte[]>(kPageBytes);
+  ep_.memory().read(va_of(page), {p.twin.get(), kPageBytes});
   p.state = PageState::kDirty;
   stats_.twins_created += 1;
   dirty_pages_.push_back(page);
@@ -269,7 +267,7 @@ NoticeSection Dsm::flush_dirty(int fence_peer) {
     const std::uint64_t diff_bytes_before = stats_.diff_bytes;
 
     const sim::Time diff_cost = static_cast<sim::Time>(
-        cfg.diff_ns_per_byte * cfg.page_bytes * sim::kNanosecond);
+        cfg.diff_ns_per_byte * kPageBytes * sim::kNanosecond);
     stats_.overhead += diff_cost;
     ep_.app_cpu().consume(diff_cost);
 
@@ -277,12 +275,12 @@ NoticeSection Dsm::flush_dirty(int fence_peer) {
     // corrupt neighbouring writers' sub-word data — e.g. Radix's 4-byte
     // keys), merging runs separated by < 32 clean bytes.
     const std::uint64_t base = va_of(page);
-    const std::byte* cur = ep_.memory().view(base, cfg.page_bytes).data();
+    const std::byte* cur = ep_.memory().view(base, kPageBytes).data();
     const std::byte* twin = p.twin.get();
     std::vector<std::pair<std::size_t, std::size_t>> runs;  // [from, to]
     std::size_t run_start = SIZE_MAX;
     std::size_t last_dirty = 0;
-    for (std::size_t w = 0; w < cfg.page_bytes; w += 8) {
+    for (std::size_t w = 0; w < kPageBytes; w += 8) {
       if (std::memcmp(cur + w, twin + w, 8) == 0) continue;
       for (std::size_t b = w; b < w + 8; ++b) {
         if (cur[b] == twin[b]) continue;
@@ -329,13 +327,15 @@ NoticeSection Dsm::flush_dirty(int fence_peer) {
     p.stale_while_dirty = false;
     stats_.diffs_flushed += 1;
     sec.pages.push_back(page);
-    since_barrier_pages_.insert(page);
+    note_since_barrier(page);
   }
   dirty_pages_.clear();
 
+  std::sort(home_dirty_pages_.begin(), home_dirty_pages_.end());
   for (std::uint32_t page : home_dirty_pages_) {
+    pages_[page].state = PageState::kReadOnly;
     sec.pages.push_back(page);
-    since_barrier_pages_.insert(page);
+    note_since_barrier(page);
   }
   home_dirty_pages_.clear();
 
@@ -344,14 +344,20 @@ NoticeSection Dsm::flush_dirty(int fence_peer) {
   return sec;
 }
 
+void Dsm::note_since_barrier(std::uint32_t page) {
+  if (pages_[page].since_barrier) return;
+  pages_[page].since_barrier = true;
+  since_barrier_pages_.push_back(page);
+}
+
 void Dsm::apply_notices(const std::vector<NoticeSection>& sections) {
   const DsmConfig& cfg = system_.cfg_;
   sim::Time cost = 0;
   for (const NoticeSection& s : sections) {
     if (s.writer == rank_) continue;
     for (std::uint32_t page : s.pages) {
-      if (home_of(page) == rank_) continue;  // home copy stays current
       Page& p = pages_[page];
+      if (p.home) continue;  // home copy stays current
       cost += cfg.page_bookkeeping_cost;
       if (p.state == PageState::kReadOnly) {
         p.state = PageState::kInvalid;
@@ -546,7 +552,11 @@ void Dsm::barrier() {
   arr.epoch = ++barrier_gen_;
   NoticeSection all;
   all.writer = static_cast<std::uint16_t>(rank_);
-  all.pages.assign(since_barrier_pages_.begin(), since_barrier_pages_.end());
+  std::sort(since_barrier_pages_.begin(), since_barrier_pages_.end());
+  for (std::uint32_t page : since_barrier_pages_) {
+    pages_[page].since_barrier = false;
+  }
+  all.pages = std::move(since_barrier_pages_);
   since_barrier_pages_.clear();
   if (!all.pages.empty()) arr.notices.push_back(std::move(all));
   send_msg(mgr, arr, fence);

@@ -22,12 +22,12 @@
 // instead of waiting for every diff to be acknowledged.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "coll/coll.hpp"
@@ -73,12 +73,21 @@ class Dsm {
   const DsmConfig& config() const;
 
   // --- shared-memory access ---
+  //
+  // Both take a fast path, inline, when [va, va+len) lies in one page whose
+  // state already allows the access; everything else takes the general
+  // path. The fast path only reads state: it is the case in which the
+  // general path would charge no simulated time and change nothing.
 
   /// Make [va, va+len) readable on this node (fetching pages as needed).
-  void ensure_read(std::uint64_t va, std::size_t len);
+  void ensure_read(std::uint64_t va, std::size_t len) {
+    if (!allows(va, len, PageState::kReadOnly)) ensure_read_general(va, len);
+  }
 
   /// Make [va, va+len) writable (fetch + twin as needed).
-  void ensure_write(std::uint64_t va, std::size_t len);
+  void ensure_write(std::uint64_t va, std::size_t len) {
+    if (!allows(va, len, PageState::kDirty)) ensure_write_general(va, len);
+  }
 
   /// Raw pointer into this node's copy of shared memory. Only valid for
   /// ranges covered by a preceding ensure_read/ensure_write in the current
@@ -119,10 +128,16 @@ class Dsm {
  private:
   friend class DsmSystem;
 
+  // Ordered by what they allow: reading needs at least kReadOnly, writing
+  // kDirty. A page homed here is always current, so it starts kReadOnly
+  // and is never Invalid; it is kDirty (with no twin) from its first write
+  // in an interval until the flush that lists it in a write notice.
   enum class PageState : std::uint8_t { kInvalid, kReadOnly, kDirty };
   struct Page {
     PageState state = PageState::kInvalid;
     bool stale_while_dirty = false;  // invalidated by a notice while dirty
+    bool home = false;               // homed on this node
+    bool since_barrier = false;      // listed in since_barrier_pages_
     std::unique_ptr<std::byte[]> twin;
   };
   struct LockState {
@@ -147,13 +162,28 @@ class Dsm {
     std::vector<NoticeSection> sections;
   };
 
-  std::uint32_t page_of(std::uint64_t va) const;
+  std::uint32_t page_of(std::uint64_t va) const {
+    assert(va >= shared_base_ && va - shared_base_ < pages_.size() * kPageBytes);
+    return static_cast<std::uint32_t>((va - shared_base_) >> kPageShift);
+  }
   int home_of(std::uint32_t page) const;
-  std::uint64_t va_of(std::uint32_t page) const;
+  std::uint64_t va_of(std::uint32_t page) const {
+    return shared_base_ + (std::uint64_t{page} << kPageShift);
+  }
   Connection& conn_to(int node);
 
+  /// The fast path: [va, va+len) is in one page whose state is `need` or
+  /// more.
+  bool allows(std::uint64_t va, std::size_t len, PageState need) const {
+    const std::uint32_t page = page_of(va);
+    return page == page_of(va + len - 1) && pages_[page].state >= need;
+  }
+  void ensure_read_general(std::uint64_t va, std::size_t len);
+  void ensure_write_general(std::uint64_t va, std::size_t len);
   void fetch_batch(std::uint32_t first, std::uint32_t last);
   void write_fault(std::uint32_t page);
+  /// Lists `page` in the next barrier's write notice (once).
+  void note_since_barrier(std::uint32_t page);
 
   /// Diff + flush all dirty pages. Returns the write notice. Diffs flushed
   /// to `fence_peer` are not awaited (the caller orders the following
@@ -170,11 +200,14 @@ class Dsm {
   DsmSystem& system_;
   Endpoint& ep_;
   int rank_;
+  std::uint64_t shared_base_;
 
   std::vector<Page> pages_;
-  std::vector<std::uint32_t> dirty_pages_;       // pages with twins
-  std::set<std::uint32_t> home_dirty_pages_;     // locally-written home pages
-  std::set<std::uint32_t> since_barrier_pages_;  // all flushes since barrier
+  std::vector<std::uint32_t> dirty_pages_;  // pages with twins
+  // Unsorted and duplicate-free (kDirty and Page::since_barrier say which
+  // pages are in them); sorted where they become notices.
+  std::vector<std::uint32_t> home_dirty_pages_;     // locally-written home pages
+  std::vector<std::uint32_t> since_barrier_pages_;  // all flushes since barrier
 
   std::map<int, Connection> conns_;
   std::vector<MailboxWriter> mailbox_writers_;  // indexed by destination

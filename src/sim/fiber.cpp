@@ -1,11 +1,19 @@
 #include "sim/fiber.hpp"
 
 #include <cassert>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <utility>
 
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/common_interface_defs.h>
+#endif
+
+#if defined(__x86_64__)
+// sim/fiber_switch_x86_64.S
+extern "C" void multiedge_fiber_switch(void** save_sp, void* load_sp);
+extern "C" void multiedge_fiber_start();
 #endif
 
 namespace multiedge::sim {
@@ -41,17 +49,50 @@ void finish_switch(void* fake_stack, const void** old_bottom,
 #endif
 }
 
+// Saves the running context in *save and resumes *load.
+#if defined(__x86_64__)
+void switch_context(void** save, void* const* load) {
+  multiedge_fiber_switch(save, *load);
+}
+#else
+void switch_context(ucontext_t* save, const ucontext_t* load) {
+  swapcontext(save, load);
+}
+#endif
+
 }  // namespace
 
 Fiber::Fiber(Body body, std::size_t stack_bytes)
     : body_(std::move(body)),
       stack_(new char[stack_bytes]),
       stack_bytes_(stack_bytes) {
+#if defined(__x86_64__)
+  // The frame the first resume() switches to, laid out as in
+  // fiber_switch_x86_64.S: the ABI's initial MXCSR (0x1f80) and x87 control
+  // word (0x037f), i.e. round to nearest with every exception masked; zeroed
+  // callee-saved registers except r12, which carries trampoline() to
+  // multiedge_fiber_start; and that stub as the return address. The stub
+  // then runs with the 16-byte aligned stack top and calls trampoline().
+  const std::uint64_t frame[8] = {
+      0x1f80 | std::uint64_t{0x037f} << 32,
+      0,
+      0,
+      0,
+      reinterpret_cast<std::uint64_t>(&Fiber::trampoline),
+      0,
+      0,
+      reinterpret_cast<std::uint64_t>(&multiedge_fiber_start)};
+  const std::uintptr_t top =
+      (reinterpret_cast<std::uintptr_t>(stack_.get()) + stack_bytes) &
+      ~std::uintptr_t{15};
+  ctx_ = reinterpret_cast<void*>(top - sizeof frame);
+  std::memcpy(ctx_, frame, sizeof frame);
+#else
   getcontext(&ctx_);
   ctx_.uc_stack.ss_sp = stack_.get();
   ctx_.uc_stack.ss_size = stack_bytes;
-  ctx_.uc_link = &return_ctx_;
   makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 0);
+#endif
 }
 
 Fiber::~Fiber() {
@@ -67,8 +108,9 @@ void Fiber::trampoline() {
   self->body_();
   self->done_ = true;
   start_switch(nullptr, main_stack_bottom, main_stack_size);
-  // Returning lets ucontext switch to uc_link (return_ctx_), i.e. back to
-  // whoever resumed us, with current_ already reset by resume().
+  // Back to whoever resumed us, for good: current_ is reset by resume().
+  switch_context(&self->ctx_, &self->return_ctx_);
+  __builtin_unreachable();
 }
 
 void Fiber::resume() {
@@ -78,7 +120,7 @@ void Fiber::resume() {
   current_ = this;
   void* fake_stack = nullptr;
   start_switch(&fake_stack, stack_.get(), stack_bytes_);
-  swapcontext(&return_ctx_, &ctx_);
+  switch_context(&return_ctx_, &ctx_);
   finish_switch(fake_stack, nullptr, nullptr);
   current_ = nullptr;
 }
@@ -89,7 +131,7 @@ void Fiber::yield() {
   current_ = nullptr;
   void* fake_stack = nullptr;
   start_switch(&fake_stack, main_stack_bottom, main_stack_size);
-  swapcontext(&self->ctx_, &self->return_ctx_);
+  switch_context(&self->ctx_, &self->return_ctx_);
   finish_switch(fake_stack, &main_stack_bottom, &main_stack_size);
   // When resumed, resume() has set current_ back to self.
 }

@@ -1,4 +1,6 @@
-// Cooperative user-level fibers built on ucontext.
+// Cooperative user-level fibers. On x86-64 a switch is a few instructions
+// in sim/fiber_switch_x86_64.S that save the callee-saved registers, MXCSR
+// and the x87 control word; elsewhere it is ucontext's swapcontext.
 //
 // Application workers in the simulated cluster run as fibers so that ordinary
 // C++ code (the SPLASH-2-style kernels, the DSM handlers) can block on
@@ -8,7 +10,9 @@
 // which keeps runs deterministic.
 #pragma once
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 #include <cstddef>
 #include <functional>
@@ -49,8 +53,13 @@ class Fiber {
   Body body_;
   std::unique_ptr<char[]> stack_;
   std::size_t stack_bytes_;
-  ucontext_t ctx_{};
-  ucontext_t return_ctx_{};
+#if defined(__x86_64__)
+  using Context = void*;  // the saved stack pointer
+#else
+  using Context = ucontext_t;
+#endif
+  Context ctx_{};         // this fiber's, while it is suspended
+  Context return_ctx_{};  // the main context's, while this fiber runs
   bool started_ = false;
   bool done_ = false;
 

@@ -163,6 +163,10 @@ TEST(BenchGate, EveryComparisonAtAndJustBeyondItsBound) {
   EXPECT_TRUE(ratio(Cmp::kGt, 0.4999));
   EXPECT_FALSE(ratio(Cmp::kLt, 0.5));
   EXPECT_TRUE(ratio(Cmp::kLt, 0.5001));
+  // Equality is exact.
+  EXPECT_TRUE(ratio(Cmp::kEq, 0.5));
+  EXPECT_FALSE(ratio(Cmp::kEq, 0.5001));
+  EXPECT_FALSE(ratio(Cmp::kEq, 0.4999));
   // Without `b` the metric itself is gated; `a` may name a summary.
   EXPECT_TRUE(gate({"t", "s", "", "x", Cmp::kGe, 8}));
   EXPECT_FALSE(gate({"t", "s", "", "x", Cmp::kGt, 8}));

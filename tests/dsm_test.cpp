@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "dsm/dsm.hpp"
 #include "dsm/shared_array.hpp"
@@ -265,6 +266,137 @@ TEST(Dsm, StatsAccumulateSensibly) {
   EXPECT_GT(s1.write_faults, 0u);
   EXPECT_EQ(s0.barriers, 2u);
   EXPECT_EQ(s1.barriers, 2u);
+}
+
+// The node homing the page at `va` (DsmConfig::home_block_pages == 1).
+int HomeOf(DsmSystem& sys, std::uint64_t va) {
+  return static_cast<int>((va - sys.shared_base()) / kPageBytes %
+                          static_cast<std::uint64_t>(sys.num_nodes()));
+}
+
+// The first page-aligned va in [base, base + pages * kPageBytes) whose page
+// `home` homes.
+std::uint64_t PageHomedBy(DsmSystem& sys, std::uint64_t base, int pages,
+                          int home) {
+  for (int p = 0; p < pages; ++p) {
+    const std::uint64_t va = base + static_cast<std::uint64_t>(p) * kPageBytes;
+    if (HomeOf(sys, va) == home) return va;
+  }
+  ADD_FAILURE() << "no page homed by " << home;
+  return base;
+}
+
+TEST(Dsm, ManyPutsToOneRemotePageFaultAndTwinOnce) {
+  Cluster cluster(config_1l_1g(2));
+  DsmConfig cfg;
+  cfg.shared_bytes = 1 << 20;
+  DsmSystem sys(cluster, cfg);
+  const std::uint64_t base = sys.shared_alloc(2 * kPageBytes, kPageBytes);
+  const std::uint64_t va = PageHomedBy(sys, base, 2, /*home=*/1);
+
+  sys.run([&](Dsm& d) {
+    SharedArray<int> a(&d, va, kPageBytes / sizeof(int));
+    if (d.rank() == 0) {
+      for (int i = 0; i < 1000; ++i) a.put(static_cast<std::size_t>(i), i);
+    }
+    d.barrier();
+    if (d.rank() == 1) {
+      for (int i = 0; i < 1000; ++i) ASSERT_EQ(a.get(i), i);
+    }
+    d.barrier();
+  });
+  EXPECT_EQ(sys.node_stats(0).write_faults, 1u);
+  EXPECT_EQ(sys.node_stats(0).twins_created, 1u);
+}
+
+TEST(Dsm, HomeWritesInDescendingOrderInvalidateEachPageOnce) {
+  Cluster cluster(config_1l_1g(4));
+  DsmConfig cfg;
+  cfg.shared_bytes = 1 << 20;
+  // Notices are then the only DSM overhead a reader pays at the barrier.
+  cfg.msg_handling_cost = 0;
+  cfg.page_bookkeeping_cost = sim::us(1);
+  DsmSystem sys(cluster, cfg);
+  constexpr int kPages = 16;
+  constexpr int kWriter = 1;
+  const std::uint64_t base = sys.shared_alloc(kPages * kPageBytes, kPageBytes);
+  std::vector<std::uint64_t> home_pages;  // descending
+  for (int p = kPages - 1; p >= 0; --p) {
+    const std::uint64_t va = base + static_cast<std::uint64_t>(p) * kPageBytes;
+    if (HomeOf(sys, va) == kWriter) home_pages.push_back(va);
+  }
+  ASSERT_EQ(home_pages.size(), 4u);
+
+  std::vector<std::uint64_t> invalidations(4), overhead(4);
+  sys.run([&](Dsm& d) {
+    SharedArray<int> all(&d, base, kPages * kPageBytes / sizeof(int));
+    (void)all.read(0, all.size());  // every reader caches every page
+    d.barrier();
+    const std::uint64_t inv0 = d.stats().invalidations;
+    const sim::Time ovh0 = d.stats().overhead;
+    if (d.rank() == kWriter) {
+      // Each page twice, highest page first.
+      for (int round = 0; round < 2; ++round) {
+        for (std::uint64_t va : home_pages) {
+          SharedArray<int> page(&d, va, kPageBytes / sizeof(int));
+          page.put(static_cast<std::size_t>(round), round + 10);
+        }
+      }
+    }
+    d.barrier();
+    invalidations[d.rank()] = d.stats().invalidations - inv0;
+    overhead[d.rank()] = static_cast<std::uint64_t>(d.stats().overhead - ovh0);
+    for (std::uint64_t va : home_pages) {
+      SharedArray<int> page(&d, va, kPageBytes / sizeof(int));
+      ASSERT_EQ(page.get(0), 10);
+      ASSERT_EQ(page.get(1), 11);
+    }
+    d.barrier();
+  });
+  for (int n = 0; n < 4; ++n) {
+    if (n == kWriter) continue;
+    EXPECT_EQ(invalidations[n], home_pages.size()) << "node " << n;
+    EXPECT_EQ(overhead[n],
+              home_pages.size() * static_cast<std::uint64_t>(sim::us(1)))
+        << "node " << n << ": each page listed once in the notices";
+  }
+}
+
+TEST(Dsm, WriteSpanningAPageBoundaryTakesTheGeneralPath) {
+  // Both pages are remote to the writer. The first is already Dirty when
+  // the spanning write comes, the second is not: a fast path that looked
+  // only at the first page would skip the second page's write fault, and
+  // its bytes would never be diffed home.
+  Cluster cluster(config_1l_1g(4));
+  DsmConfig cfg;
+  cfg.shared_bytes = 1 << 20;
+  DsmSystem sys(cluster, cfg);
+  constexpr int kWriter = 3;
+  const std::uint64_t base = sys.shared_alloc(8 * kPageBytes, kPageBytes);
+  const std::uint64_t first = PageHomedBy(sys, base, 8, /*home=*/1);
+  const std::uint64_t second = first + kPageBytes;
+  ASSERT_EQ(HomeOf(sys, second), 2);
+  constexpr std::size_t kPerPage = kPageBytes / sizeof(std::uint32_t);
+
+  sys.run([&](Dsm& d) {
+    if (d.rank() == kWriter) {
+      SharedArray<std::uint32_t> a(&d, first, 2 * kPerPage);
+      a.put(kPerPage - 1, 0xaaaa);  // first page Dirty
+      std::uint32_t* w = a.write(kPerPage - 1, 2);
+      w[0] = 0x1111;
+      w[1] = 0x2222;
+    }
+    d.barrier();
+  });
+  EXPECT_EQ(sys.node_stats(kWriter).write_faults, 2u);
+  std::uint32_t at_home = 0;
+  sys.cluster().memory(1).read(second - sizeof at_home,
+                               {reinterpret_cast<std::byte*>(&at_home),
+                                sizeof at_home});
+  EXPECT_EQ(at_home, 0x1111u);
+  sys.cluster().memory(2).read(second, {reinterpret_cast<std::byte*>(&at_home),
+                                        sizeof at_home});
+  EXPECT_EQ(at_home, 0x2222u);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace multiedge::sim {
@@ -74,6 +78,85 @@ TEST(Fiber, ManyFibersInterleave) {
     }
   }
   for (int i = 0; i < kFibers; ++i) EXPECT_EQ(counts[i], 3) << i;
+}
+
+int ThrowAfterYield(int v) {
+  Fiber::yield();
+  throw std::runtime_error(std::to_string(v));
+}
+
+TEST(Fiber, ExceptionCaughtInsideFiberAcrossYield) {
+  std::string caught;
+  Fiber f([&] {
+    try {
+      ThrowAfterYield(7);
+    } catch (const std::runtime_error& e) {
+      caught = e.what();
+    }
+  });
+  f.resume();
+  EXPECT_TRUE(caught.empty());
+  f.resume();
+  EXPECT_TRUE(f.done());
+  EXPECT_EQ(caught, "7");
+}
+
+// 1/3 under the current rounding mode. The volatile operands keep the
+// division at run time, in SSE registers, so it reads MXCSR.
+double OneThird() {
+  volatile double one = 1.0, three = 3.0;
+  return one / three;
+}
+
+TEST(Fiber, RoundingModeStaysInItsFiber) {
+  const int main_mode = std::fegetround();
+  const double main_third = OneThird();
+  int fiber_mode = -1;
+  double fiber_third = 0;
+  Fiber f([&] {
+    std::fesetround(FE_UPWARD);
+    Fiber::yield();
+    fiber_mode = std::fegetround();
+    fiber_third = OneThird();
+  });
+  f.resume();
+  // std::fegetround reads the x87 control word, OneThird MXCSR.
+  EXPECT_EQ(std::fegetround(), main_mode);
+  EXPECT_EQ(OneThird(), main_third);
+  f.resume();
+  EXPECT_EQ(fiber_mode, FE_UPWARD);
+  EXPECT_GT(fiber_third, main_third);
+  EXPECT_EQ(std::fegetround(), main_mode);
+  EXPECT_EQ(OneThird(), main_third);
+}
+
+TEST(Fiber, OverAlignedLocalInFreshFiberIsAligned) {
+  std::uintptr_t addr = 1;
+  Fiber f([&] {
+    alignas(32) volatile char buf[32] = {};
+    addr = reinterpret_cast<std::uintptr_t>(&buf[0]);
+  });
+  f.resume();
+  EXPECT_EQ(addr % 32, 0u);
+}
+
+// Recurses `depth` times with a 1 KiB frame the optimiser cannot drop.
+int Recurse(int depth) {
+  volatile char pad[1024];
+  pad[0] = static_cast<char>(depth);
+  if (depth == 0) return pad[0];
+  return Recurse(depth - 1) + pad[0];
+}
+
+TEST(Fiber, DefaultStackHoldsDeepRecursion) {
+  constexpr int kDepth = 200;  // ~200 KiB of the 256 KiB stack
+  int sum = -1;
+  Fiber f([&] { sum = Recurse(kDepth); });
+  f.resume();
+  EXPECT_TRUE(f.done());
+  int expect = 0;
+  for (int d = 0; d <= kDepth; ++d) expect += static_cast<char>(d);
+  EXPECT_EQ(sum, expect);
 }
 
 TEST(Fiber, UnstartedFiberDestructsSafely) {
