@@ -1,11 +1,15 @@
 // Component-level micro-benchmarks (google-benchmark): wall-clock costs of
 // the building blocks the simulator executes billions of times — event queue
-// operations, wire codec, scatter codec, fiber switches, RNG, counters.
+// operations, wire codec, scatter codec, fiber switches, RNG, counters, the
+// KV record checksum.
 // These guard the *host* performance of the simulation itself.
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
 #include <memory>
+#include <vector>
 
+#include "kv/ring.hpp"
 #include "net/frame.hpp"
 #include "net/frame_pool.hpp"
 #include "proto/wire.hpp"
@@ -134,6 +138,23 @@ void BM_FramePoolAcquire(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FramePoolAcquire);
+
+// One record as the kv-write workload stores it: a 16-byte key and a 4 KiB
+// value, hashed on every PUT apply and every one-sided GET validation.
+void BM_RecordChecksum(benchmark::State& state) {
+  std::vector<std::byte> rec(16 + 4096);
+  for (std::size_t i = 0; i < rec.size(); ++i) {
+    rec[i] = static_cast<std::byte>(i * 131);
+  }
+  std::uint64_t seq = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        kv::record_checksum(++seq, 16, 4096, rec.data(), rec.data() + 16));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rec.size()));
+}
+BENCHMARK(BM_RecordChecksum);
 
 }  // namespace
 

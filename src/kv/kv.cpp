@@ -112,18 +112,6 @@ struct RecordHeader {
 };
 static_assert(sizeof(RecordHeader) == 32);
 
-std::uint64_t record_checksum(std::uint64_t seq, std::uint32_t key_len,
-                              std::uint32_t val_len, const std::byte* key,
-                              const std::byte* val) {
-  std::uint64_t h = fnv1a64(
-      {reinterpret_cast<const char*>(&seq), sizeof(seq)});
-  h = fnv1a64({reinterpret_cast<const char*>(&key_len), sizeof(key_len)}, h);
-  h = fnv1a64({reinterpret_cast<const char*>(&val_len), sizeof(val_len)}, h);
-  h = fnv1a64({reinterpret_cast<const char*>(key), key_len}, h);
-  h = fnv1a64({reinterpret_cast<const char*>(val), val_len}, h);
-  return h;
-}
-
 /// Sleep without occupying the app core. All fibers of a node share ONE
 /// core; an idle poll loop modeled as compute() would monopolize it and
 /// starve the fibers doing real work. A blocked/parked thread burns no CPU.

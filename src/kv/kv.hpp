@@ -8,10 +8,10 @@
 //  * GET — pure one-sided. The client hashes the key, rdma_reads the 64-byte
 //    bucket entry (a count + up to K record-slot VAs) from the primary, then
 //    rdma_gather_reads every candidate record slot in ONE gather round trip.
-//    Each record carries a version word (odd = update in progress) and an
-//    FNV-1a checksum over (seq, key_len, val_len, key, value); a torn or
-//    stale snapshot fails validation and the client retries. No server CPU
-//    is involved anywhere on this path.
+//    Each record carries a version word (odd = update in progress) and a
+//    checksum over (seq, key_len, val_len, key, value) (record_checksum in
+//    ring.hpp); a torn or stale snapshot fails validation and the client
+//    retries. No server CPU is involved anywhere on this path.
 //
 //  * PUT/DELETE — tagged urgent-notify RPCs to the primary. The client
 //    writes the request into its per-(node, slot) mailbox on the primary

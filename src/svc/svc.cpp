@@ -171,7 +171,7 @@ std::uint32_t Broker::effective_credit_limit(int node) const {
   const sim::Time now = cluster_.sim().now();
   double worst = 0.0;
   for (int r = 0; r < cluster_.config().topology.rails; ++r) {
-    worst = std::max(worst, cluster_.rail_health(node, r).snapshot(now).score());
+    worst = std::max(worst, cluster_.rail_health(node, r).score(now));
   }
   if (worst <= 0.0) return credits_per_conn_;
   // score 0 -> full window, score 1 (outage) -> quarter window. Always leave
@@ -202,10 +202,7 @@ Broker::Slot& Broker::slot_for(Endpoint& ep, NodeState& ns, int peer,
   return s;
 }
 
-void Broker::dispatch(Endpoint& ep, NodeState& ns, PeerPool& pool, Slot& slot,
-                      int slot_idx, const SvcOpPtr& op) {
-  (void)ep;
-  (void)pool;
+void Broker::dispatch(NodeState& ns, Slot& slot, const SvcOpPtr& op) {
   op->credit_frames = credit_cost(*op);
   slot.credits_used += op->credit_frames;
   // The proto op adopts the svc span as its parent; the svc span itself was
@@ -245,7 +242,6 @@ void Broker::dispatch(Endpoint& ep, NodeState& ns, PeerPool& pool, Slot& slot,
   const sim::Time submitted_at = op->submitted_at;
   const trace::SpanContext ctx = op->ctx;
   const std::uint64_t parent_span = op->parent_span;
-  (void)slot_idx;
   h.on_complete([cluster, node, tenant_id, slot_p, frames, bytes, kind,
                  submitted_at, ctx, parent_span]() {
     slot_p->credits_used -= std::min(slot_p->credits_used, frames);
@@ -303,13 +299,12 @@ SvcOpPtr Broker::submit(Tenant& t, SvcOpPtr op) {
   // to a direct connection, no dispatcher latency). slot_for may block on a
   // lazy handshake, so the credit check runs after it returns.
   if (pool.queued == 0) {
-    const int slot_idx = t.id_ % cfg_.conns_per_peer;
     Endpoint& ep = cluster_.endpoint(t.node_);
     Slot& slot = slot_for(ep, ns, op->peer, t.id_);
     if (pool.queued == 0 &&
         slot.credits_used + credit_cost(*op) <=
             effective_credit_limit(t.node_)) {
-      dispatch(ep, ns, pool, slot, slot_idx, op);
+      dispatch(ns, slot, op);
       t.counters_.add(kCtrInline);
       return op;
     }
@@ -380,7 +375,6 @@ bool Broker::dispatch_pass(Endpoint& ep, NodeState& ns) {
       while (!tq->q.empty()) {
         const SvcOpPtr& head = tq->q.front();
         if (head->bytes > tq->deficit) break;  // spent this visit's quantum
-        const int slot_idx = tq->tenant->id() % cfg_.conns_per_peer;
         Slot& slot = slot_for(ep, ns, peer, tq->tenant->id());
         if (slot.credits_used + credit_cost(*head) > limit) {
           tq->tenant->counters_.add(kCtrCreditStalls);
@@ -396,7 +390,7 @@ bool Broker::dispatch_pass(Endpoint& ep, NodeState& ns) {
         --pool.queued;
         --op->tenant->queued_;
         tq->deficit -= std::min<std::uint64_t>(tq->deficit, op->bytes);
-        dispatch(ep, ns, pool, slot, slot_idx, op);
+        dispatch(ns, slot, op);
         tq->tenant->counters_.add(kCtrQueued);
         any = true;
       }

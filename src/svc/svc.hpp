@@ -242,8 +242,7 @@ class Broker {
   /// predicate.
   bool pass_pending(int node, const NodeState& ns) const;
   /// Dispatch `op` on its pinned slot; assumes credits were checked.
-  void dispatch(Endpoint& ep, NodeState& ns, PeerPool& pool, Slot& slot,
-                int slot_idx, const SvcOpPtr& op);
+  void dispatch(NodeState& ns, Slot& slot, const SvcOpPtr& op);
   Slot& slot_for(Endpoint& ep, NodeState& ns, int peer, int tenant_id);
   std::uint32_t credit_cost(const SvcOp& op) const;
   /// Per-connection credit limit, shrunk by rail health when rail_aware.

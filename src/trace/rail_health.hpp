@@ -4,15 +4,17 @@
 // layers that already observe the relevant signals: the channel fault model
 // reports wire drops, Gilbert-Elliott burst-loss marks and outage flaps as
 // they happen, and the protocol connection reports retransmissions against
-// the rail that carries them. Feeding is a pure observer — a few integer
-// adds plus an exponential-decay fold, no simulated time, no allocation —
-// so the aggregators are ALWAYS on (no config gate) and cannot perturb the
-// protocol or any fingerprinted counter set.
+// the rail that carries them. Feeding is a pure observer — counter adds
+// plus an exponential-decay fold (one std::exp per feed), no simulated time,
+// no allocation — so the aggregators are ALWAYS on (no config gate) and
+// cannot perturb the protocol or any fingerprinted counter set.
 //
 // Rates are irregular-sample EWMAs: instead of a periodic fold timer (which
 // would add simulator events), each feed decays the accumulated rate by
 // exp(-dt/tau) since the previous feed. snapshot() folds up to "now" so two
-// snapshots at the same sim time agree regardless of feed history.
+// snapshots at the same sim time agree regardless of feed history, up to
+// the rounding of the fold instants. score(now) skips the fold on a clean
+// rail, whose score is exactly 0 whatever the send rate.
 //
 // Cluster aggregates every node's snapshots into a cluster-health JSON
 // (Cluster::write_cluster_health) — the substrate the congestion-aware
@@ -32,7 +34,7 @@ class RailHealth {
   /// Decay time constant of the rate EWMAs.
   static constexpr sim::Time kTau = sim::Time{1'000'000'000};  // 1 ms
 
-  // --- feed points (hot path: integer math only) ---
+  // --- feed points (hot path: each folds the EWMAs up to `now`) ---
   void on_frame_sent(sim::Time now, std::uint64_t wire_bytes) {
     fold(now);
     ++frames_sent_;
@@ -104,6 +106,17 @@ class RailHealth {
     double score() const;
   };
   Snapshot snapshot(sim::Time now) const;
+
+  /// Bit-identical to snapshot(now).score(). A rail with no outage, no burst
+  /// state and zero loss and retransmit EWMAs scores exactly 0, so that case
+  /// returns without folding: the broker asks on every idle poll step.
+  double score(sim::Time now) const {
+    if (!in_outage_ && !in_burst_ && loss_rate_ == 0.0 &&
+        retransmit_rate_ == 0.0) {
+      return 0.0;
+    }
+    return snapshot(now).score();
+  }
 
   /// One JSON object (single line) for cluster-health / postmortem dumps.
   static std::string to_json(const Snapshot& s);

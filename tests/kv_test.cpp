@@ -1,9 +1,10 @@
 // src/kv tests: FiberLock state peeks, consistent-hash ring unit checks,
+// record checksum coverage (bit flips, key/value boundary, sequence),
 // differential correctness of the partitioned store against a host-side
 // reference map across node counts and topologies, the one-sided GET
-// torn-read retry protocol, replication under Gilbert-Elliott burst loss, and
-// failover (backup promotion) across a scheduled rail outage — all with the
-// protocol invariant checker armed.
+// torn-read retry protocol and its checksum check, replication under
+// Gilbert-Elliott burst loss, and failover (backup promotion) across a
+// scheduled rail outage — all with the protocol invariant checker armed.
 #include <map>
 #include <random>
 #include <set>
@@ -128,6 +129,63 @@ TEST(KvRingTest, ReplicationClampedToClusterSize) {
   const kv::Ring ring(2, 8, 3, 4, 1);
   EXPECT_EQ(ring.replication(), 2);
   for (int p = 0; p < 8; ++p) EXPECT_EQ(ring.replicas(p).size(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Record checksum
+// ---------------------------------------------------------------------------
+
+std::vector<std::byte> pattern_bytes(std::size_t n, std::uint64_t seed) {
+  std::vector<std::byte> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::byte>(kv::mix64(seed + i));
+  }
+  return out;
+}
+
+TEST(KvChecksumTest, EverySingleBitFlipChangesTheChecksum) {
+  const std::vector<std::byte> key = pattern_bytes(16, 1);
+  std::vector<std::size_t> lens;
+  for (std::size_t n = 0; n <= 67; ++n) lens.push_back(n);
+  lens.push_back(4096);
+  for (std::size_t n : lens) {
+    // Key then value in one buffer, the way a record slot stores them.
+    std::vector<std::byte> rec = key;
+    const std::vector<std::byte> val = pattern_bytes(n, 2 + n);
+    rec.insert(rec.end(), val.begin(), val.end());
+    const auto sum = [&] {
+      return kv::record_checksum(9, 16, static_cast<std::uint32_t>(n),
+                                 rec.data(), rec.data() + 16);
+    };
+    const std::uint64_t clean = sum();
+    for (std::size_t byte = 0; byte < rec.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        rec[byte] ^= std::byte{1} << bit;
+        ASSERT_NE(sum(), clean) << "val_len " << n << ", byte " << byte
+                                << ", bit " << bit;
+        rec[byte] ^= std::byte{1} << bit;
+      }
+    }
+    ASSERT_EQ(sum(), clean);
+  }
+}
+
+TEST(KvChecksumTest, BoundaryAndSequenceAreCovered) {
+  for (std::size_t total : {std::size_t{17}, std::size_t{48},
+                            std::size_t{16 + 4096}}) {
+    const std::vector<std::byte> rec = pattern_bytes(total, total);
+    const auto sum = [&](std::uint64_t seq, std::uint32_t key_len) {
+      return kv::record_checksum(seq, key_len,
+                                 static_cast<std::uint32_t>(total - key_len),
+                                 rec.data(), rec.data() + key_len);
+    };
+    const std::uint64_t base = sum(5, 16);
+    EXPECT_NE(sum(5, 15), base) << "total " << total;
+    EXPECT_NE(sum(5, 17), base) << "total " << total;
+    EXPECT_NE(sum(6, 16), base) << "total " << total;
+    EXPECT_NE(sum(5ull << 32, 16), base) << "total " << total;
+    EXPECT_EQ(sum(5, 16), base);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -324,6 +382,63 @@ TEST(KvTornReadTest, OneSidedGetRetriesThroughInPlaceUpdates) {
   EXPECT_GT(agg.get("kv_get_torn"), 0u)
       << "the race window was never observed — the retry path is untested";
   EXPECT_GT(agg.get("kv_get_retries"), 0u);
+}
+
+TEST(KvTornReadTest, ChecksumRejectsCorruptionBehindAnEvenVersion) {
+  CheckedCluster cluster(config_1l_1g(2));
+  kv::KvConfig cfg;
+  cfg.replication = 1;
+  cfg.clients_per_node = 1;
+  kv::System sys(cluster, cfg);
+
+  std::string key;
+  int partition = 0;
+  for (int i = 0;; ++i) {
+    key = "corrupt-k" + std::to_string(i);
+    partition = sys.ring().partition_of(kv::fnv1a64(key));
+    if (sys.ring().replicas(partition)[0] == 1) break;
+  }
+  const std::string value(100, 'V');
+  proto::MemorySpace& primary_mem = cluster.endpoint(1).memory();
+
+  sys.spawn_client(0, "reader", [&](kv::Client& c) {
+    ASSERT_EQ(c.put(key, value), kv::Status::kOk);
+    // The only stored record is the first slot of the one non-empty bucket
+    // of the key's partition.
+    const kv::KvDomain& dom = sys.domain();
+    std::uint64_t sva = 0;
+    for (std::uint32_t b = 0; b < cfg.buckets_per_partition; ++b) {
+      const auto* e =
+          primary_mem.as<std::uint64_t>(dom.bucket_entry_va(partition, b));
+      if (e[0] != 0) sva = e[1];
+    }
+    ASSERT_NE(sva, 0u);
+    // RecordHeader: version, checksum, seq, key_len | val_len (32 bytes).
+    const auto* hdr = primary_mem.as<std::uint64_t>(sva);
+    ASSERT_EQ(hdr[0] % 2, 0u) << "record must be stable before the flip";
+    std::byte* vbyte =
+        primary_mem.as<std::byte>(sva + 32 + key.size() + value.size() / 2);
+    ASSERT_EQ(*vbyte, std::byte{'V'});
+    *vbyte ^= std::byte{0x04};  // version stays even: only the checksum sees it
+
+    std::string got = "untouched";
+    EXPECT_EQ(c.get(key, &got), kv::Status::kUnavailable);
+    EXPECT_EQ(got, "untouched") << "corrupted bytes leaked to the caller";
+
+    *vbyte ^= std::byte{0x04};  // repaired: the same read now validates
+    ASSERT_EQ(hdr[0] % 2, 0u);
+    EXPECT_EQ(c.get(key, &got), kv::Status::kOk);
+    EXPECT_EQ(got, value);
+  });
+  cluster.run();
+
+  // Client counters merge when the client returns. Every attempt of the
+  // corrupted GET was rejected, and the repaired GET validated first time.
+  const stats::Counters agg = sys.aggregate_counters();
+  EXPECT_EQ(agg.get("kv_get_torn"),
+            static_cast<std::uint64_t>(cfg.max_attempts));
+  EXPECT_EQ(agg.get("kv_get_retries"),
+            static_cast<std::uint64_t>(cfg.max_attempts - 1));
 }
 
 // ---------------------------------------------------------------------------

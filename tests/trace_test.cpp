@@ -1,8 +1,10 @@
 // Observability subsystem: TraceRecorder ring semantics, LatencyHistogram
-// percentile accuracy, TimeSeries caps, Chrome trace-event export structure,
+// percentile accuracy, TimeSeries caps, RailHealth score(now) against
+// snapshot(now).score(), Chrome trace-event export structure,
 // zero-cost-when-off, and byte-identical traces across same-seed runs.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -17,6 +19,7 @@
 #include "stats/json.hpp"
 #include "trace/export.hpp"
 #include "trace/histogram.hpp"
+#include "trace/rail_health.hpp"
 #include "trace/timeseries.hpp"
 #include "trace/trace.hpp"
 
@@ -132,6 +135,72 @@ TEST(TimeSeries, CapsAtMaxSamplesKeepingEarliest) {
   EXPECT_TRUE(s.truncated());
   EXPECT_EQ(s.samples()[0].first, 0);
   EXPECT_EQ(s.samples()[2].first, 20);
+}
+
+// --------------------------------------------------------------- rail health
+
+// score(now) must equal snapshot(now).score() bit for bit. The snapshot runs
+// on a copy taken before score() so neither call sees the other's fold.
+double expect_score_matches(const trace::RailHealth& h, sim::Time now) {
+  const trace::RailHealth copy = h;
+  const double fast = h.score(now);
+  const double full = copy.snapshot(now).score();
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(fast),
+            std::bit_cast<std::uint64_t>(full))
+      << "at " << now << " ps: score " << fast << " vs snapshot " << full;
+  return fast;
+}
+
+void send_frames(trace::RailHealth& h, sim::Time from, int n) {
+  for (int i = 0; i < n; ++i) h.on_frame_sent(from + sim::ns(700) * i, 1538);
+}
+
+TEST(RailHealth, ScoreMatchesSnapshotOnEveryRailState) {
+  const sim::Time t0 = sim::us(50);
+
+  trace::RailHealth fresh;
+  EXPECT_EQ(expect_score_matches(fresh, 0), 0.0);
+  EXPECT_EQ(expect_score_matches(fresh, t0), 0.0);
+
+  trace::RailHealth sends;
+  send_frames(sends, t0, 200);
+  for (sim::Time dt : {sim::Time{0}, sim::us(3), sim::ms(2)}) {
+    EXPECT_EQ(expect_score_matches(sends, t0 + sim::us(140) + dt), 0.0);
+  }
+
+  trace::RailHealth dropped;
+  send_frames(dropped, t0, 50);
+  dropped.on_drop(t0 + sim::us(40), /*burst=*/false);
+  EXPECT_GT(expect_score_matches(dropped, t0 + sim::us(40)), 0.0);
+  EXPECT_GT(expect_score_matches(dropped, t0 + sim::us(90)), 0.0);
+
+  trace::RailHealth retx;
+  send_frames(retx, t0, 50);
+  retx.on_retransmit(t0 + sim::us(45));
+  EXPECT_GT(expect_score_matches(retx, t0 + sim::us(60)), 0.0);
+
+  trace::RailHealth burst;
+  send_frames(burst, t0, 20);
+  burst.on_burst_transition(t0 + sim::us(20), /*now_bad=*/true);
+  EXPECT_GE(expect_score_matches(burst, t0 + sim::us(25)), 0.25);
+  burst.on_drop(t0 + sim::us(30), /*burst=*/true);
+  expect_score_matches(burst, t0 + sim::us(31));
+
+  trace::RailHealth outage;
+  send_frames(outage, t0, 20);
+  outage.on_outage_change(t0 + sim::us(20), /*now_out=*/true);
+  EXPECT_EQ(expect_score_matches(outage, t0 + sim::us(500)), 1.0);
+
+  // 50 ms = 50 tau after the last loss: the loss EWMA has decayed to about
+  // 2e-22 but is not zero, so the score takes the folding path.
+  trace::RailHealth recovered;
+  send_frames(recovered, t0, 50);
+  recovered.on_drop(t0 + sim::us(40), /*burst=*/false);
+  send_frames(recovered, t0 + sim::us(60), 50);
+  const double late =
+      expect_score_matches(recovered, t0 + sim::us(40) + sim::ms(50));
+  EXPECT_GT(late, 0.0);
+  EXPECT_LT(late, 1e-15);
 }
 
 // ------------------------------------------------------- cluster integration
