@@ -56,6 +56,11 @@ if [ -z "$SAN" ]; then
   WERROR_ARGS+=("-DCMAKE_CXX_FLAGS=-Werror -Wno-error=restrict")
 fi
 
+# Every config-struct field must be set by some code, or be a named constant
+# instead (DESIGN.md §4 "Constants, not knobs").
+echo "== config audit"
+scripts/config_audit.sh
+
 echo "== configure ($BUILD_DIR, sanitize='${SAN:-none}')"
 cmake -B "$BUILD_DIR" -S . "${GEN_ARGS[@]}" "${WERROR_ARGS[@]}" \
   -DMULTIEDGE_SANITIZE="$SAN"

@@ -23,9 +23,6 @@ struct AppParams {
   long n = 0;       // main size (elements / particles / keys / molecules)
   long m = 0;       // secondary size (matrix dim, block size, image dim)
   int steps = 0;    // timesteps / iterations
-  /// Scale factor applied to the kernel's default problem (1.0 = default,
-  /// used by quick test runs to shrink further).
-  double scale = 1.0;
   /// Route the kernel's all-to-all phases (FFT transposes, Radix
   /// permutations) over the collective communicator (src/coll) instead of
   /// page-fault-driven DSM sharing. Checksums must not change.

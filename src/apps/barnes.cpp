@@ -43,8 +43,7 @@ struct Moment {
 class BarnesApp final : public Application {
  public:
   explicit BarnesApp(const AppParams& p) {
-    long n = p.n > 0 ? p.n : 32768;
-    n = static_cast<long>(static_cast<double>(n) * (p.scale > 0 ? p.scale : 1.0));
+    const long n = p.n > 0 ? p.n : 32768;
     bodies_ = std::max<std::size_t>(static_cast<std::size_t>(n), 512);
     steps_ = p.steps > 0 ? p.steps : 3;
     grid_ = std::max<std::size_t>(

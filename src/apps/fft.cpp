@@ -52,8 +52,7 @@ void fft_row(Cplx* a, std::size_t len, const std::vector<Cplx>& roots) {
 class FftApp final : public Application {
  public:
   explicit FftApp(const AppParams& p) : use_coll_(p.use_coll) {
-    long n = p.n > 0 ? p.n : (1L << 18);
-    n = static_cast<long>(static_cast<double>(n) * (p.scale > 0 ? p.scale : 1.0));
+    const long n = p.n > 0 ? p.n : (1L << 18);
     m_ = 1;
     while (static_cast<long>(m_) * static_cast<long>(m_) * 4 <= n) m_ *= 2;
     m_ = std::max<std::size_t>(m_ * 2, 8);  // m*m ~ n, m power of two

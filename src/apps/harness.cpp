@@ -87,7 +87,7 @@ AppRunResult run_app(const HarnessOptions& opts, const std::string& app_name,
     // Collective staging (CollDomain) plus the apps' symmetric exchange
     // buffers, both carved from endpoint memory.
     ccfg.memory_bytes_per_node +=
-        8 * dcfg.coll_max_data_bytes + app->footprint_bytes();
+        8 * dsm::kCollMaxDataBytes + app->footprint_bytes();
   }
   Cluster cluster(ccfg);
 

@@ -59,12 +59,6 @@ struct AppRunResult {
     for (const auto& b : per_node) m = std::max(m, b.protocol_cpu);
     return m;
   }
-  /// Average protocol-CPU time as a fraction of parallel time (Fig 3(c)).
-  double avg_protocol_cpu() const {
-    double s = 0;
-    for (const auto& b : per_node) s += b.protocol_cpu;
-    return per_node.empty() ? 0 : s / per_node.size();
-  }
 };
 
 struct HarnessOptions {

@@ -23,9 +23,6 @@ class LuApp final : public Application {
  public:
   explicit LuApp(const AppParams& p) {
     n_ = p.n > 0 ? static_cast<std::size_t>(p.n) : 1536;
-    if (p.scale > 0 && p.scale != 1.0) {
-      n_ = static_cast<std::size_t>(static_cast<double>(n_) * std::sqrt(p.scale));
-    }
     bs_ = p.m > 0 ? static_cast<std::size_t>(p.m) : 64;
     n_ = std::max<std::size_t>(n_ / bs_, 2) * bs_;  // round to whole blocks
     nb_ = n_ / bs_;

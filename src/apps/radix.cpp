@@ -29,8 +29,7 @@ constexpr double kPermNs = 22.0;
 class RadixApp final : public Application {
  public:
   explicit RadixApp(const AppParams& p) : use_coll_(p.use_coll) {
-    long n = p.n > 0 ? p.n : (1L << 20);
-    n = static_cast<long>(static_cast<double>(n) * (p.scale > 0 ? p.scale : 1.0));
+    const long n = p.n > 0 ? p.n : (1L << 20);
     n_ = std::max<std::size_t>(static_cast<std::size_t>(n), 4096);
     n_ = n_ / 256 * 256;
     footprint_ = 2 * n_ * 4 + 64 * kRadix * 8;

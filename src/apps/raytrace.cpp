@@ -49,9 +49,6 @@ class RaytraceApp final : public Application {
  public:
   explicit RaytraceApp(const AppParams& p) {
     img_ = p.m > 0 ? static_cast<std::size_t>(p.m) : 320;
-    if (p.scale > 0 && p.scale != 1.0) {
-      img_ = static_cast<std::size_t>(img_ * std::sqrt(p.scale));
-    }
     img_ = std::max<std::size_t>(img_ / kTile, 2) * kTile;
     nspheres_ = p.n > 0 ? static_cast<std::size_t>(p.n) : 64;
     footprint_ = nspheres_ * sizeof(Sphere) + img_ * img_ * 3 * sizeof(float) + 64;

@@ -34,8 +34,7 @@ struct Molecule {
 class WaterNsqApp final : public Application {
  public:
   explicit WaterNsqApp(const AppParams& p) {
-    long m = p.n > 0 ? p.n : 1440;
-    m = static_cast<long>(static_cast<double>(m) * (p.scale > 0 ? p.scale : 1.0));
+    const long m = p.n > 0 ? p.n : 1440;
     mols_ = std::max<std::size_t>(static_cast<std::size_t>(m), 64);
     steps_ = p.steps > 0 ? p.steps : 3;
     footprint_ = mols_ * sizeof(Molecule);

@@ -35,8 +35,7 @@ class WaterSpatialApp final : public Application {
  public:
   WaterSpatialApp(const AppParams& p, bool fine_locks)
       : fine_locks_(fine_locks) {
-    long m = p.n > 0 ? p.n : 32768;
-    m = static_cast<long>(static_cast<double>(m) * (p.scale > 0 ? p.scale : 1.0));
+    const long m = p.n > 0 ? p.n : 32768;
     mols_ = std::max<std::size_t>(static_cast<std::size_t>(m), 256);
     steps_ = p.steps > 0 ? p.steps : 2;
     // Grid dimension: ~8 molecules per box on average.

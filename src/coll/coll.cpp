@@ -56,7 +56,7 @@ CollDomain::CollDomain(Cluster& cluster, CollConfig cfg)
       static_cast<std::size_t>(num_nodes_) * kNumChannels * 8;
   const std::size_t counts_bytes =
       align64(4ull * num_nodes_) + align64(4ull * num_nodes_ * num_nodes_);
-  staging_bytes_ = 4 * cfg_.max_data_bytes + counts_bytes;
+  const std::size_t staging_bytes = 4 * cfg_.max_data_bytes + counts_bytes;
 
   // Allocate the same regions in the same order on every node; the bump
   // allocator then yields identical VAs (the symmetry every put/signal
@@ -65,7 +65,7 @@ CollDomain::CollDomain(Cluster& cluster, CollConfig cfg)
     proto::MemorySpace& mem = cluster_.memory(i);
     const std::uint64_t slots = mem.alloc(slots_bytes, 64);
     const std::uint64_t sig = mem.alloc(8, 64);
-    const std::uint64_t staging = mem.alloc(staging_bytes_, 64);
+    const std::uint64_t staging = mem.alloc(staging_bytes, 64);
     if (i == 0) {
       slots_va_ = slots;
       sig_src_va_ = sig;
@@ -98,7 +98,7 @@ Communicator::Communicator(CollDomain& domain, Endpoint& ep)
       // window's notified puts: urgent + backward-fenced + tagged, exactly
       // the wire class the hand-rolled signal used.
       win_(ep,
-           rma::WindowConfig{.tag = domain.config().tag},
+           rma::WindowConfig{.tag = kTagColl},
            [this](int peer) -> Connection& { return conn_to(peer); }) {}
 
 Connection& Communicator::conn_to(int peer) {
@@ -154,7 +154,6 @@ void Communicator::consume_signal(int src, int chan) {
 }
 
 std::uint32_t Communicator::chunk_bytes() const {
-  if (config().pipeline_chunk_bytes != 0) return config().pipeline_chunk_bytes;
   const auto& proto_cfg = ep_.cluster().config().protocol;
   return static_cast<std::uint32_t>(proto_cfg.window_frames *
                                     proto::WireHeader::kMaxData);

@@ -14,10 +14,10 @@
 // region for reduce trees and ring steps.
 //
 // Synchronization. A "signal" is an 8-byte notified put (rma::Window
-// put_notify) into the receiver's (sender, channel) slot, tagged with the
-// collective notification tag so DSM traffic is never stolen. Every signal
-// is urgent and backward-fenced, which makes the receiver apply it only after
-// every previously submitted operation on that connection completed. That
+// put_notify) into the receiver's (sender, channel) slot, tagged kTagColl
+// (core/api.hpp) so DSM traffic is never stolen. Every signal is urgent and
+// backward-fenced, which makes the receiver apply it only after every
+// previously submitted operation on that connection completed. That
 // gives two properties at once: "signal received" implies "all preceding
 // data landed" (in both in-order 2L and out-of-order 2Lu delivery modes),
 // and signals from one sender are delivered FIFO, so the i-th token consumed
@@ -28,7 +28,7 @@
 // Pipelining. Bulk payloads are split into chunks of roughly
 // window_frames * kMaxData bytes (one sliding-window's worth), so
 // consecutive chunks overlap in flight and multi-rail striping keeps both
-// rails busy (CollConfig::pipeline_chunk_bytes overrides).
+// rails busy.
 #pragma once
 
 #include <cstdint>
@@ -55,9 +55,6 @@ struct PeerFailure : std::runtime_error {
         peer(peer_node) {}
   int peer;
 };
-
-/// Notification tag used by collective traffic (DSM mailboxes use tag 0).
-inline constexpr std::uint8_t kCollTag = 1;
 
 /// Algorithm selector, pluggable per primitive. kLinear is the naive
 /// fan-in/fan-out fallback every other algorithm is differentially tested
@@ -92,16 +89,9 @@ struct CollConfig {
   CollAlgo all_reduce_algo = CollAlgo::kRing;
   CollAlgo all_to_all_algo = CollAlgo::kPairwise;
 
-  /// Pipelining chunk for bulk transfers; 0 = one sliding window's worth
-  /// (window_frames * WireHeader::kMaxData).
-  std::uint32_t pipeline_chunk_bytes = 0;
-
   /// Upper bound on one broadcast/reduce payload per node (sizes the
   /// symmetric staging region; ring all-reduce admits up to ~2x this).
   std::size_t max_data_bytes = std::size_t{1} << 20;
-
-  /// Notification tag for collective signals.
-  std::uint8_t tag = kCollTag;
 
   /// Local combine cost (reduction arithmetic), charged to the app CPU.
   double combine_ns_per_byte = 0.5;
@@ -140,7 +130,6 @@ class CollDomain {
   //   [2*max, 4*max)  ring reduce-scatter slots (written by left neighbor)
   //   [4*max, ...)    all_to_all_v count row + n*n count matrix
   std::uint64_t staging_va() const { return staging_va_; }
-  std::size_t staging_bytes() const { return staging_bytes_; }
   std::uint64_t contrib_va() const { return staging_va_; }
   std::uint64_t landing_va() const { return staging_va_ + cfg_.max_data_bytes; }
   std::uint64_t ring_slots_va() const {
@@ -159,7 +148,6 @@ class CollDomain {
   std::uint64_t slots_va_ = 0;
   std::uint64_t sig_src_va_ = 0;
   std::uint64_t staging_va_ = 0;
-  std::size_t staging_bytes_ = 0;
 };
 
 /// Per-node collective communicator. Construct one per node over that node's

@@ -332,8 +332,7 @@ void Cluster::setup_flight_recorder() {
   // Black-box mode: the same hooks feed a much smaller ring and no periodic
   // samplers run — cheap enough to leave on in stress/CI runs, and the last
   // N events are exactly what a postmortem needs.
-  tracer_ =
-      std::make_unique<trace::TraceRecorder>(cfg_.trace.flight_ring_capacity);
+  tracer_ = std::make_unique<trace::TraceRecorder>(trace::kFlightRingCapacity);
   attach_tracer_hooks();
 }
 

@@ -54,6 +54,33 @@ using proto::Notification;
 using proto::op_flags_tag;
 using proto::op_tag_flags;
 
+/// The notification-tag table. Bits 8..15 of op_flags carry an 8-bit tag
+/// (proto::op_tag_flags), and each subsystem owns its tags, so no consumer
+/// steals another's notifications. KV client slot `c` takes its responses
+/// on kTagKvResponseBase + c; that range ends at tag 255.
+inline constexpr std::uint8_t kTagDsm = 0;            // DSM mailboxes
+inline constexpr std::uint8_t kTagColl = 1;           // collectives
+inline constexpr std::uint8_t kTagMember = 2;         // membership (SWIM)
+inline constexpr std::uint8_t kTagKvRequest = 8;      // KV PUT/DELETE RPCs
+inline constexpr std::uint8_t kTagKvReplication = 9;  // KV primary -> backup
+inline constexpr std::uint8_t kTagKvAck = 10;         // KV backup -> primary
+inline constexpr std::uint8_t kTagKvResponseBase = 16;
+static_assert(
+    [] {
+      constexpr std::uint8_t fixed[] = {kTagDsm, kTagColl, kTagMember,
+                                        kTagKvRequest, kTagKvReplication,
+                                        kTagKvAck};
+      for (std::size_t i = 0; i < std::size(fixed); ++i) {
+        if (fixed[i] >= kTagKvResponseBase) return false;
+        for (std::size_t j = 0; j < i; ++j) {
+          if (fixed[i] == fixed[j]) return false;
+        }
+      }
+      return true;
+    }(),
+    "fixed notification tags must be distinct and below the KV response "
+    "range");
+
 class Cluster;
 class Endpoint;
 
@@ -295,8 +322,6 @@ class Cluster {
   /// Run until every spawned fiber finished. Throws on deadlock (event queue
   /// drained with fibers still blocked).
   void run();
-
-  void run_for(sim::Time d) { sim_.run_until(sim_.now() + d); }
 
   /// Establish the full connection mesh (every node connects to every other
   /// node) before measurement. Convenience used by benches and the DSM.

@@ -15,6 +15,10 @@ namespace multiedge::dsm {
 inline constexpr unsigned kPageShift = 12;
 inline constexpr std::size_t kPageBytes = std::size_t{1} << kPageShift;
 
+/// CollConfig::max_data_bytes for the communicator DsmConfig::enable_coll
+/// builds.
+inline constexpr std::size_t kCollMaxDataBytes = std::size_t{64} << 10;
+
 struct DsmConfig {
   /// Size of the shared region replicated on every node.
   std::size_t shared_bytes = std::size_t{24} << 20;
@@ -22,8 +26,6 @@ struct DsmConfig {
   std::size_t home_block_pages = 1;
   /// Per-(sender,receiver) control-message ring capacity.
   std::size_t mailbox_bytes = std::size_t{2} << 20;
-  /// Number of distributed locks.
-  int num_locks = 4096;
 
   /// Figure 6 mode: instead of requiring strictly ordered delivery, annotate
   /// only the operations that need ordering with fences (a release message
@@ -34,8 +36,6 @@ struct DsmConfig {
   /// via Dsm::comm(). Collective traffic runs on its own notification tag,
   /// so it never competes with the DSM mailboxes.
   bool enable_coll = false;
-  /// CollConfig::max_data_bytes for the embedded communicator.
-  std::size_t coll_max_data_bytes = std::size_t{64} << 10;
 
   // --- host cost model of the DSM runtime itself (charged to the app CPU;
   //     GeNIMA work is application-level work, not MultiEdge protocol) ---

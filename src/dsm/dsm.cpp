@@ -35,7 +35,7 @@ DsmSystem::DsmSystem(Cluster& cluster, DsmConfig config)
   // DSM regions so the layout stays identical on every node.
   if (cfg_.enable_coll) {
     coll::CollConfig ccfg;
-    ccfg.max_data_bytes = cfg_.coll_max_data_bytes;
+    ccfg.max_data_bytes = kCollMaxDataBytes;
     coll_domain_ = std::make_unique<coll::CollDomain>(cluster_, ccfg);
   }
   nodes_.reserve(n);
@@ -116,7 +116,7 @@ Dsm::Dsm(DsmSystem& system, Endpoint& ep, int rank)
                    .base = system.mailbox_base_,
                    .bytes = static_cast<std::uint64_t>(system.cfg_.mailbox_bytes) *
                             static_cast<std::uint64_t>(system.num_nodes()),
-                   .tag = 0,
+                   .tag = kTagDsm,
                    .urgent = false,
                    .fenced = false},
                [this](int node) -> Connection& { return conn_to(node); }) {
@@ -402,8 +402,8 @@ void Dsm::send_msg(int dst, Message m, bool fence) {
 void Dsm::service_loop() {
   while (!stop_service_) {
     rma::NotifyEvent ev;
-    // The mailbox window matches tag 0 only: collective signals
-    // (coll::kCollTag) belong to the worker fiber's Communicator and must
+    // The mailbox window matches kTagDsm only: collective signals
+    // (kTagColl) belong to the worker fiber's Communicator and must
     // not be stolen here.
     if (msg_win_.test_notify(&ev)) {
       const DsmConfig& cfg = system_.cfg_;

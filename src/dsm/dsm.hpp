@@ -121,8 +121,7 @@ class Dsm {
 
   /// This node's collective communicator, or nullptr unless
   /// DsmConfig::enable_coll is set. Collective calls run in the worker fiber
-  /// on their own notification tag, concurrently with the DSM's tag-0
-  /// mailbox traffic.
+  /// on kTagColl, concurrently with the DSM's kTagDsm mailbox traffic.
   coll::Communicator* comm() { return comm_.get(); }
 
  private:
@@ -212,7 +211,7 @@ class Dsm {
   std::map<int, Connection> conns_;
   std::vector<MailboxWriter> mailbox_writers_;  // indexed by destination
   MailboxWriter staging_writer_;                // local outbound staging ring
-  rma::Window msg_win_;  // tag-0 window over the mailbox rings: every control
+  rma::Window msg_win_;  // kTagDsm window over the mailbox rings: every control
                          // message is a notified put, the service loop a
                          // test_notify + notify-event wait
 

@@ -44,7 +44,6 @@ class SharedArray {
   /// Single-element conveniences (each checks its page's state).
   T get(std::size_t i) { return *read(i, 1); }
   void put(std::size_t i, const T& v) { *write(i, 1) = v; }
-  T& rw(std::size_t i) { return *write(i, 1); }
 
  private:
   Dsm* dsm_ = nullptr;

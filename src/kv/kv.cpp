@@ -82,16 +82,53 @@ constexpr std::uint32_t kOpDel = 2;
 /// Wire layout of a client request / replication message. Key bytes follow
 /// the header, value bytes follow the key.
 struct ReqHeader {
-  std::uint64_t seq;
-  std::uint32_t op;
-  std::uint32_t key_len;
-  std::uint32_t val_len;
-  std::uint32_t partition;    // replication only (requests recompute it)
-  std::uint16_t client_node;
-  std::uint16_t cslot;
-  std::uint32_t repl_gen;     // replication only: value echoed in the ack
+  std::uint64_t seq = 0;
+  std::uint32_t op = 0;
+  std::uint32_t key_len = 0;
+  std::uint32_t val_len = 0;
+  std::uint32_t partition = 0;    // replication only (requests recompute it)
+  std::uint16_t client_node = 0;
+  std::uint16_t cslot = 0;
+  std::uint32_t repl_gen = 0;     // replication only: value echoed in the ack
 };
 static_assert(sizeof(ReqHeader) == 32);
+
+/// Writes a request or replication message at `va`: `h` with its key_len
+/// and val_len taken from `key` and `value`, then the key, then the value.
+/// Returns the message length.
+std::uint32_t encode_request(proto::MemorySpace& mem, std::uint64_t va,
+                             ReqHeader h, std::string_view key,
+                             std::string_view value) {
+  h.key_len = static_cast<std::uint32_t>(key.size());
+  h.val_len = static_cast<std::uint32_t>(value.size());
+  *mem.as<ReqHeader>(va) = h;
+  std::byte* body = mem.as<std::byte>(va + sizeof(ReqHeader));
+  std::memcpy(body, key.data(), key.size());
+  // An empty value's data() may be null, which memcpy does not accept.
+  if (!value.empty()) {
+    std::memcpy(body + key.size(), value.data(), value.size());
+  }
+  return static_cast<std::uint32_t>(sizeof(ReqHeader) + key.size() +
+                                    value.size());
+}
+
+/// A request or replication message copied out of its slot. Handlers take
+/// the copy BEFORE they yield: the slot is remotely writable, and a retry
+/// (or the sender's next message) can land in it meanwhile.
+struct DecodedRequest {
+  ReqHeader h;
+  std::string key;
+  std::string value;
+};
+
+DecodedRequest decode_request(const proto::MemorySpace& mem, std::uint64_t va) {
+  DecodedRequest r{*mem.as<ReqHeader>(va), {}, {}};
+  const auto* body =
+      reinterpret_cast<const char*>(mem.as<std::byte>(va + sizeof(ReqHeader)));
+  r.key.assign(body, r.h.key_len);
+  r.value.assign(body + r.h.key_len, r.h.val_len);
+  return r;
+}
 
 /// Wire layout of a server response; value bytes follow.
 struct RespHeader {
@@ -123,19 +160,18 @@ std::uint32_t bucket_of(std::uint64_t key_hash, const KvConfig& cfg) {
                                     cfg.buckets_per_partition);
 }
 
-/// Poll a client op to a terminal state with a deadline, idling `poll`
+/// Poll a client op to a terminal state with a deadline, idling kClientPoll
 /// between probes. Terminal also covers broker rejection (the caller checks
 /// rejected() after a successful wait). Returns false on timeout (the op
 /// stays outstanding — callers rotate buffers instead of reusing the landing
 /// area).
-bool wait_ref(Endpoint& ep, const ClientOpRef& r, sim::Time timeout,
-              sim::Time poll) {
+bool wait_ref(Endpoint& ep, const ClientOpRef& r, sim::Time timeout) {
   const sim::Simulator& sim = ep.cluster().sim();
   const sim::Time deadline = sim.now() + timeout;
   while (!r.test()) {
     if (sim.now() >= deadline) return false;
     sim::Process::current()->poll(
-        poll, [&] { return r.test() || sim.now() >= deadline; });
+        kClientPoll, [&] { return r.test() || sim.now() >= deadline; });
   }
   return true;
 }
@@ -169,9 +205,22 @@ class KvOpSpan {
   trace::SpanScope scope_;
 };
 
+/// Response tags run from kTagKvResponseBase up, one per client slot, and a
+/// tag is 8 bits wide: a wider config would wrap a slot onto another
+/// subsystem's tag.
+const KvConfig& check_client_slots(const KvConfig& cfg) {
+  constexpr int kMaxClients = 256 - kTagKvResponseBase;
+  if (cfg.clients_per_node > kMaxClients) {
+    throw std::invalid_argument("kv: clients_per_node above " +
+                                std::to_string(kMaxClients) +
+                                " (one 8-bit response tag per client slot)");
+  }
+  return cfg;
+}
+
 void check_sizes(const KvConfig& cfg, std::string_view key,
                  std::string_view value) {
-  if (key.empty() || key.size() > cfg.max_key_bytes) {
+  if (key.empty() || key.size() > kMaxKeyBytes) {
     throw std::invalid_argument("kv: key length out of range");
   }
   if (value.size() > cfg.max_value_bytes) {
@@ -202,9 +251,9 @@ KvDomain::KvDomain(Cluster& cluster, const KvConfig& cfg, const Ring& ring)
   (void)ring;
   bucket_entry_bytes_ = 8 + 8 * cfg.chain_slots;
   record_stride_ = static_cast<std::uint32_t>(
-      align64(sizeof(RecordHeader) + cfg.max_key_bytes + cfg.max_value_bytes));
+      align64(sizeof(RecordHeader) + kMaxKeyBytes + cfg.max_value_bytes));
   req_stride_ = static_cast<std::uint32_t>(
-      align64(sizeof(ReqHeader) + cfg.max_key_bytes + cfg.max_value_bytes));
+      align64(sizeof(ReqHeader) + kMaxKeyBytes + cfg.max_value_bytes));
   resp_stride_ = static_cast<std::uint32_t>(
       align64(sizeof(RespHeader) + cfg.max_value_bytes));
   get_buf_stride_ = static_cast<std::uint32_t>(
@@ -274,12 +323,12 @@ void HostBarrier::arrive_and_wait(int expected) {
 Server::Server(System& sys, int node)
     : sys_(sys),
       node_(node),
-      // Replication fan-out window: fenced urgent notified puts on repl_tag,
+      // Replication fan-out window: fenced urgent notified puts,
       // QuietNotify (the primary blocks on the backup's ack word, never on
       // this op's own completion), ring-batched exactly when server bursting
       // is on — closing the fan-out epoch is then the burst doorbell.
       repl_win_(sys.cluster().endpoint(node),
-                rma::WindowConfig{.tag = sys.config().repl_tag,
+                rma::WindowConfig{.tag = kTagKvReplication,
                                   .quiet = true,
                                   .batched = sys.config().server_burst > 1},
                 [this](int peer) -> Connection& {
@@ -289,7 +338,7 @@ Server::Server(System& sys, int node)
       // notification is a wakeup hint for the primary's ack wait; the word
       // itself stays authoritative (late or duplicated hints are harmless).
       ack_win_(sys.cluster().endpoint(node),
-               rma::WindowConfig{.tag = sys.config().ack_tag, .quiet = true},
+               rma::WindowConfig{.tag = kTagKvAck, .quiet = true},
                [this](int peer) -> Connection& {
                  return sys_.conn_to(sys_.cluster().endpoint(node_), peer);
                }) {
@@ -315,7 +364,7 @@ void Server::serve(Endpoint& ep) {
       if (repl_win_.test_notify(&ev)) {
         handle_repl(ep, ev);
         did = true;
-      } else if (ep.poll_notification(&n, cfg.req_tag)) {
+      } else if (ep.poll_notification(&n, kTagKvRequest)) {
         handle_request(ep, n);
         did = true;
         // Burst drain (server_burst > 1): handle whatever requests are
@@ -323,7 +372,7 @@ void Server::serve(Endpoint& ep) {
         // then push the whole burst out with one doorbell. With the default
         // burst of 1 this degenerates to exactly the original shape.
         for (int i = 1;
-             i < cfg.server_burst && ep.poll_notification(&n, cfg.req_tag);
+             i < cfg.server_burst && ep.poll_notification(&n, kTagKvRequest);
              ++i) {
           handle_request(ep, n);
         }
@@ -334,12 +383,12 @@ void Server::serve(Endpoint& ep) {
     if (!did) {
       // Idle until a pass would do something: a free lock with waiters
       // (the try_lock/unlock pair wakes one) or a pending notification.
-      sim::Process::current()->poll(cfg.server_poll, [&] {
+      sim::Process::current()->poll(kServerPoll, [&] {
         return sys_.stopped() ||
                (!lock_.held() &&
                 (lock_.has_waiters() || ack_win_.notify_pending() ||
                  repl_win_.notify_pending() ||
-                 ep.has_notification(cfg.req_tag)));
+                 ep.has_notification(kTagKvRequest)));
       });
     }
   }
@@ -358,17 +407,13 @@ Status Server::execute_local(Endpoint& ep, std::uint32_t op,
 }
 
 void Server::handle_request(Endpoint& ep, const Notification& n) {
-  proto::MemorySpace& mem = ep.memory();
-  // Snapshot the slot BEFORE dispatching: the slot is client-writable and
-  // dispatch yields (replication ack wait), during which a retry — or, once
-  // the response write has raced ahead, the client's NEXT request — lands in
-  // the same slot. Re-reading the header after the yield would respond with
-  // the new request's seq without ever applying it.
-  const ReqHeader h = *mem.as<ReqHeader>(n.va);
-  const auto* body =
-      reinterpret_cast<const char*>(mem.as<std::byte>(n.va + sizeof(ReqHeader)));
-  const std::string key(body, h.key_len);
-  const std::string value(body + h.key_len, h.val_len);
+  // Snapshot the slot BEFORE dispatching: dispatch yields (replication ack
+  // wait), during which a retry — or, once the response write has raced
+  // ahead, the client's NEXT request — lands in the same slot. Re-reading the
+  // header after the yield would respond with the new request's seq without
+  // ever applying it.
+  const DecodedRequest req = decode_request(ep.memory(), n.va);
+  const ReqHeader& h = req.h;
   counters_.add(kCtrServerRequests);
   // Handler span: child of the request's receive span, parent of the
   // replication and response writes issued while the scope is live.
@@ -379,7 +424,7 @@ void Server::handle_request(Endpoint& ep, const Notification& n) {
   {
     const trace::SpanScope scope(hctx);
     const ApplyResult r =
-        dispatch(ep, h.op, key, value, h.seq, h.client_node, h.cslot);
+        dispatch(ep, h.op, req.key, req.value, h.seq, h.client_node, h.cslot);
     respond(ep, h.client_node, h.cslot, h.seq, r.status, r.value);
   }
   if (hctx.active()) {
@@ -536,7 +581,6 @@ Status Server::lookup_local(Endpoint& ep, int partition, std::string_view key,
 void Server::replicate(Endpoint& ep, std::uint32_t op, int partition,
                        std::string_view key, std::string_view value,
                        std::uint64_t seq, int client_node, int cslot) {
-  const KvConfig& cfg = sys_.config();
   const KvDomain& dom = sys_.domain();
   proto::MemorySpace& mem = ep.memory();
   const member::View& det = sys_.detector(node_);
@@ -549,22 +593,15 @@ void Server::replicate(Endpoint& ep, std::uint32_t op, int partition,
 
   const std::uint32_t gen = ++repl_gen_;
   const std::uint64_t build = dom.repl_build_va();
-  auto* h = mem.as<ReqHeader>(build);
-  h->seq = seq;
-  h->op = op;
-  h->key_len = static_cast<std::uint32_t>(key.size());
-  h->val_len = static_cast<std::uint32_t>(value.size());
-  h->partition = static_cast<std::uint32_t>(partition);
-  h->client_node = static_cast<std::uint16_t>(client_node);
-  h->cslot = static_cast<std::uint16_t>(cslot);
-  h->repl_gen = gen;
-  std::byte* body = mem.as<std::byte>(build + sizeof(ReqHeader));
-  std::memcpy(body, key.data(), key.size());
-  if (!value.empty()) {
-    std::memcpy(body + key.size(), value.data(), value.size());
-  }
-  const std::uint32_t bytes =
-      static_cast<std::uint32_t>(sizeof(ReqHeader) + key.size() + value.size());
+  const std::uint32_t bytes = encode_request(
+      mem, build,
+      ReqHeader{.seq = seq,
+                .op = op,
+                .partition = static_cast<std::uint32_t>(partition),
+                .client_node = static_cast<std::uint16_t>(client_node),
+                .cslot = static_cast<std::uint16_t>(cslot),
+                .repl_gen = gen},
+      key, value);
 
   // The fan-out is one access epoch on the replication window. With server
   // bursting the window is batched: the notified puts park in the submission
@@ -616,7 +653,7 @@ void Server::replicate(Endpoint& ep, std::uint32_t op, int partition,
     if (all) {
       return;
     }
-    sim::Process::current()->poll(cfg.server_poll, [&] {
+    sim::Process::current()->poll(kServerPoll, [&] {
       return repl_win_.notify_pending() || ack_win_.notify_pending() ||
              ack_progress();
     });
@@ -628,8 +665,8 @@ void Server::handle_repl(Endpoint& ep, const rma::NotifyEvent& n) {
   proto::MemorySpace& mem = ep.memory();
   // Snapshot before apply: apply() charges CPU (yields), and the sender may
   // reuse the slot for the next generation once it prunes a slow ack.
-  const ReqHeader h_copy = *mem.as<ReqHeader>(n.va);
-  const ReqHeader* h = &h_copy;
+  const DecodedRequest req = decode_request(mem, n.va);
+  const ReqHeader* h = &req.h;
   const int src = n.src;
   const int p = static_cast<int>(h->partition);
   counters_.add(kCtrReplReceived);
@@ -640,10 +677,6 @@ void Server::handle_repl(Endpoint& ep, const rma::NotifyEvent& n) {
   if (tr != nullptr && n.ctx.active()) rctx = tr->new_child(n.ctx);
   const sim::Time r0 = sys_.cluster().sim().now();
   const trace::SpanScope scope(rctx);
-  const auto* body =
-      reinterpret_cast<const char*>(mem.as<std::byte>(n.va + sizeof(ReqHeader)));
-  const std::string key(body, h->key_len);
-  const std::string value(body + h->key_len, h->val_len);
 
   // Apply if new (by the replicated client-seq table), regardless of whether
   // WE still think the sender is primary: seq monotonicity already makes the
@@ -654,7 +687,7 @@ void Server::handle_repl(Endpoint& ep, const rma::NotifyEvent& n) {
     std::uint64_t* tbl = mem.as<std::uint64_t>(
         dom.seq_table_va(p, h->client_node, h->cslot));
     if (h->seq > (*tbl >> 8)) {
-      const Status st = apply(ep, h->op, p, key, value, h->seq,
+      const Status st = apply(ep, h->op, p, req.key, req.value, h->seq,
                               /*pause=*/false);
       *tbl = (h->seq << 8) | static_cast<std::uint64_t>(st);
       counters_.add(kCtrReplApplied);
@@ -700,7 +733,7 @@ void Server::respond(Endpoint& ep, int client_node, int cslot,
   std::uint16_t flags =
       kOpFlagNotify | kOpFlagUrgent | kOpFlagBackwardFence |
       kOpFlagQuietNotify |
-      op_tag_flags(static_cast<std::uint8_t>(cfg.resp_tag_base + cslot));
+      op_tag_flags(static_cast<std::uint8_t>(kTagKvResponseBase + cslot));
   // Under a serve-loop burst the responses of the whole burst share one
   // doorbell (serve() flushes after the drain); the response data is copied
   // into frames at submit, so reusing resp_build_va per response stays safe.
@@ -849,9 +882,9 @@ Status Client::rpc(std::uint32_t op, std::string_view key,
   proto::MemorySpace& mem = ep_.memory();
   const int p = sys_.ring().partition_of(fnv1a64(key));
   const std::uint64_t seq = ++seq_;  // retries of this op reuse the seq
-  const int resp_tag = cfg.resp_tag_base + cslot_;
+  const int resp_tag = kTagKvResponseBase + cslot_;
 
-  for (int attempt = 0; attempt < cfg.max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     if (attempt) counters_.add(kCtrRpcRetries);
     const int primary =
         sys_.ring().primary_of(p, sys_.detector(node_).down_map());
@@ -868,20 +901,14 @@ Status Client::rpc(std::uint32_t op, std::string_view key,
     }
 
     const std::uint64_t build = dom.req_build_va(cslot_);
-    auto* h = mem.as<ReqHeader>(build);
-    h->seq = seq;
-    h->op = op;
-    h->key_len = static_cast<std::uint32_t>(key.size());
-    h->val_len = static_cast<std::uint32_t>(value.size());
-    h->partition = static_cast<std::uint32_t>(p);
-    h->client_node = static_cast<std::uint16_t>(node_);
-    h->cslot = static_cast<std::uint16_t>(cslot_);
-    h->repl_gen = 0;
-    std::byte* body = mem.as<std::byte>(build + sizeof(ReqHeader));
-    std::memcpy(body, key.data(), key.size());
-    if (!value.empty()) {
-      std::memcpy(body + key.size(), value.data(), value.size());
-    }
+    const std::uint32_t bytes = encode_request(
+        mem, build,
+        ReqHeader{.seq = seq,
+                  .op = op,
+                  .partition = static_cast<std::uint32_t>(p),
+                  .client_node = static_cast<std::uint16_t>(node_),
+                  .cslot = static_cast<std::uint16_t>(cslot_)},
+        key, value);
     // Under submission batching the request rides the ring as a BATCHED
     // (non-urgent) op and is pushed out by the engine-wide flush below: one
     // doorbell syscall can release requests several client fibers on this
@@ -890,13 +917,10 @@ Status Client::rpc(std::uint32_t op, std::string_view key,
     // batching the request is urgent — submitted and transmitted eagerly.
     const bool batch = ep_.engine().config().batch_submission;
     const std::uint16_t req_flags = static_cast<std::uint16_t>(
-        kOpFlagNotify | kOpFlagBackwardFence | op_tag_flags(cfg.req_tag) |
+        kOpFlagNotify | kOpFlagBackwardFence | op_tag_flags(kTagKvRequest) |
         (batch ? kOpFlagBatched : kOpFlagUrgent));
     const ClientOpRef req = issue_write(
-        primary, dom.req_slot_va(node_, cslot_), build,
-        static_cast<std::uint32_t>(sizeof(ReqHeader) + key.size() +
-                                   value.size()),
-        req_flags);
+        primary, dom.req_slot_va(node_, cslot_), build, bytes, req_flags);
     if (req.rejected()) {
       // Broker admission control shed the request before it touched the
       // wire: fail fast so the caller backs off instead of piling retries
@@ -929,7 +953,7 @@ Status Client::rpc(std::uint32_t op, std::string_view key,
         break;
       }
       if (!got) {
-        sim::Process::current()->poll(cfg.client_poll, [&] {
+        sim::Process::current()->poll(kClientPoll, [&] {
           return sim.now() >= deadline || ep_.has_notification(resp_tag);
         });
       }
@@ -960,7 +984,7 @@ Status Client::one_sided_get(std::string_view key, std::string* out) {
       slab_base + std::uint64_t{cfg.slots_per_partition} * stride;
   const std::uint16_t rflags = kOpFlagSolicit | kOpFlagUrgent;
 
-  for (int attempt = 0; attempt < cfg.max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     if (attempt) counters_.add(kCtrGetRetries);
     const int primary =
         sys_.ring().primary_of(p, sys_.detector(node_).down_map());
@@ -991,7 +1015,7 @@ Status Client::one_sided_get(std::string_view key, std::string* out) {
       return shed(h);
     }
     get_pending_[set] = h;
-    if (!wait_ref(ep_, h, cfg.get_timeout, cfg.client_poll)) {
+    if (!wait_ref(ep_, h, cfg.get_timeout)) {
       counters_.add(kCtrGetTimeouts);
       continue;  // re-resolve: the primary may be on its way down
     }
@@ -1029,7 +1053,7 @@ Status Client::one_sided_get(std::string_view key, std::string* out) {
       return shed(g);
     }
     get_pending_[set] = g;
-    if (!wait_ref(ep_, g, cfg.get_timeout, cfg.client_poll)) {
+    if (!wait_ref(ep_, g, cfg.get_timeout)) {
       counters_.add(kCtrGetTimeouts);
       continue;
     }
@@ -1041,7 +1065,7 @@ Status Client::one_sided_get(std::string_view key, std::string* out) {
                                         key, out);
     if (st != Status::kWrongPrimary) return st;  // kWrongPrimary = torn here
     counters_.add(kCtrGetTorn);
-    idle_wait(cfg.client_poll);  // brief backoff before re-reading
+    idle_wait(kClientPoll);  // brief backoff before re-reading
   }
   return Status::kUnavailable;
 }
@@ -1059,8 +1083,7 @@ int Client::acquire_get_buf() {
     // reliable, so one of them will complete. Each idle step is a stall.
     counters_.add(kCtrGetBufStalls,
                   sim::Process::current()->poll(
-                      sys_.config().client_poll,
-                      [&] { return free_set() >= 0; }));
+                      kClientPoll, [&] { return free_set() >= 0; }));
     set = free_set();
   }
   return set;
@@ -1079,7 +1102,7 @@ Status Client::validate_snapshot(const std::byte* bucket,
     std::memcpy(&rh, rec, sizeof(rh));
     if (rh.version & 1) return Status::kWrongPrimary;  // mid-update: torn
     if (rh.key_len == 0) continue;  // freed between the two round trips
-    if (rh.key_len > cfg.max_key_bytes || rh.val_len > cfg.max_value_bytes) {
+    if (rh.key_len > kMaxKeyBytes || rh.val_len > cfg.max_value_bytes) {
       return Status::kWrongPrimary;
     }
     const std::byte* k = rec + sizeof(RecordHeader);
@@ -1102,7 +1125,7 @@ Status Client::validate_snapshot(const std::byte* bucket,
 
 System::System(Cluster& cluster, KvConfig cfg, member::Service* membership)
     : cluster_(cluster),
-      cfg_(cfg),
+      cfg_(check_client_slots(cfg)),
       ring_(cluster.num_nodes(), cfg.partitions, cfg.replication, cfg.vnodes,
             cfg.seed),
       domain_(cluster, cfg_, ring_) {

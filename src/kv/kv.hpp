@@ -15,7 +15,7 @@
 //
 //  * PUT/DELETE — tagged urgent-notify RPCs to the primary. The client
 //    writes the request into its per-(node, slot) mailbox on the primary
-//    (kOpFlagNotify | kOpFlagUrgent | kOpFlagBackwardFence, request tag);
+//    (kOpFlagNotify | kOpFlagUrgent | kOpFlagBackwardFence, kTagKvRequest);
 //    the primary applies the mutation under the record version protocol,
 //    replicates it through a notified-access rma::Window (one access epoch
 //    of fenced urgent notified puts to every live backup; the epoch close is
@@ -91,6 +91,15 @@ enum class ConnMode : std::uint8_t {
   kBroker = 2,
 };
 
+/// Longest key a record, request or replication message holds.
+inline constexpr std::uint32_t kMaxKeyBytes = 32;
+/// Server (request and replication-ack) poll granularity.
+inline constexpr sim::Time kServerPoll = sim::us(1);
+/// Client response and GET poll granularity; also the torn-GET backoff.
+inline constexpr sim::Time kClientPoll = sim::ns(500);
+/// Per-op retry budget of a client GET, PUT or DELETE.
+inline constexpr int kMaxAttempts = 64;
+
 struct KvConfig {
   // --- placement ---
   int partitions = 32;      // fixed partitions on the consistent-hash ring
@@ -102,15 +111,12 @@ struct KvConfig {
   std::uint32_t buckets_per_partition = 64;
   std::uint32_t chain_slots = 7;        // K: max records per bucket
   std::uint32_t slots_per_partition = 256;  // record slab capacity
-  std::uint32_t max_key_bytes = 32;
   std::uint32_t max_value_bytes = 128;
 
   // --- RPC plumbing ---
-  int clients_per_node = 4;     // sizes mailbox arrays and response tags
-  std::uint8_t req_tag = 8;     // notification tags (DSM=0, coll=1)
-  std::uint8_t repl_tag = 9;
-  std::uint8_t ack_tag = 10;
-  std::uint8_t resp_tag_base = 16;  // + client slot
+  /// Sizes the mailbox arrays; client slot c takes its responses on tag
+  /// kTagKvResponseBase + c, so System rejects more than 240.
+  int clients_per_node = 4;
   /// Max requests the server drains per poll before flushing. With 1
   /// (default) each response is doorbelled individually — the pre-batching
   /// behavior on every configuration. With > 1 the server handles up to this
@@ -124,11 +130,8 @@ struct KvConfig {
   sim::Time heartbeat_period = sim::us(100);
   /// Unrefuted-suspicion maturity -> Dead (the membership suspect_timeout).
   sim::Time failure_timeout = sim::ms(2);
-  sim::Time server_poll = sim::us(1);       // server/ack poll granularity
-  sim::Time client_poll = sim::ns(500);     // client response poll granularity
   sim::Time rpc_timeout = sim::us(800);     // resend/reroute a PUT/DELETE
   sim::Time get_timeout = sim::us(800);     // abandon a one-sided read
-  int max_attempts = 64;                    // per-op retry budget
   /// Artificial pause inside the record-update critical section (version
   /// held odd), charged to the primary's app CPU. Widens the torn-read
   /// window so tests can deterministically exercise the GET retry path.
@@ -317,8 +320,8 @@ class Server {
   std::vector<std::vector<std::uint32_t>> free_slots_;  // [partition]
   std::vector<std::uint32_t> next_fresh_;               // [partition]
   std::uint32_t repl_gen_ = 0;  // stamps replication RPCs; acked by value
-  rma::Window repl_win_;  // replication fan-out: notified puts on repl_tag
-  rma::Window ack_win_;   // replication acks: notified puts on ack_tag
+  rma::Window repl_win_;  // replication fan-out: notified puts, kTagKvReplication
+  rma::Window ack_win_;   // replication acks: notified puts on kTagKvAck
   stats::Counters counters_;
 };
 
@@ -423,6 +426,8 @@ class HostBarrier {
 /// order is part of the symmetric-VA contract). The service fibers exit
 /// when every client spawned through spawn_client has returned (or on an
 /// explicit stop()); an owned membership service is stopped with them.
+/// Throws std::invalid_argument when clients_per_node would push a response
+/// tag past 255.
 class System {
  public:
   explicit System(Cluster& cluster, KvConfig cfg = {},

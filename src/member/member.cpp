@@ -111,14 +111,14 @@ const char* state_str(PeerState s) {
 }
 
 sim::Time detection_bound(const MemberConfig& cfg, int n) {
-  if (cfg.mesh) return cfg.period + cfg.mesh_timeout + cfg.period;
+  if (cfg.mesh) return cfg.period + kMeshTimeout + cfg.period;
   // Detection: with ~n-1 independent shuffled probers, some live node probes
   // the dead peer within a handful of periods w.h.p.; the suspicion then
   // needs ping + indirect timeouts to form and suspect_timeout to mature.
   // Dissemination: piggybacked gossip is epidemic — O(log n) periods. The
   // constants are deliberately loose; this is a ceiling for tests.
   const int rounds = 10 + 3 * ceil_log2(std::max(2, n));
-  return cfg.period * rounds + cfg.ping_timeout + cfg.indirect_timeout +
+  return cfg.period * rounds + kPingTimeout + kIndirectTimeout +
          cfg.suspect_timeout;
 }
 
@@ -128,11 +128,10 @@ sim::Time detection_bound(const MemberConfig& cfg, int n) {
 
 Service::Service(Cluster& cluster, MemberConfig cfg)
     : cluster_(cluster), cfg_(cfg), num_nodes_(cluster.num_nodes()) {
-  if (cfg_.max_updates < 1) throw std::invalid_argument("member: max_updates");
-  gossip_budget_ = cfg_.retransmit_factor * (ceil_log2(num_nodes_) + 1);
+  gossip_budget_ = kRetransmitFactor * (ceil_log2(num_nodes_) + 1);
   msg_stride_ = static_cast<std::uint32_t>(align64(
       sizeof(MsgHeader) +
-      static_cast<std::uint64_t>(cfg_.max_updates) * sizeof(UpdateEntry)));
+      std::uint64_t{kMaxUpdates} * sizeof(UpdateEntry)));
 
   const std::uint64_t N = num_nodes_;
   // Same regions, same order, on every node (the symmetric-VA invariant all
@@ -140,7 +139,7 @@ Service::Service(Cluster& cluster, MemberConfig cfg)
   for (int i = 0; i < num_nodes_; ++i) {
     proto::MemorySpace& mem = cluster_.memory(i);
     const std::uint64_t inbox =
-        mem.alloc(N * cfg_.inbox_slots * msg_stride_, 64);
+        mem.alloc(N * kInboxSlots * msg_stride_, 64);
     const std::uint64_t build = mem.alloc(msg_stride_, 64);
     const std::uint64_t hb = mem.alloc(N * 8, 64);
     const std::uint64_t hb_src = mem.alloc(8, 64);
@@ -270,12 +269,12 @@ void Service::send_msg(NodeCtx& ctx, Endpoint& ep, int dst, std::uint8_t type,
   entries[m++] = UpdateEntry{static_cast<std::uint32_t>(self),
                              static_cast<std::uint32_t>(PeerState::kAlive),
                              ctx.view.incarnation(self)};
-  if (!ctx.gossip.empty() && m < cfg_.max_updates) {
+  if (!ctx.gossip.empty() && m < kMaxUpdates) {
     // Piggyback the freshest updates (highest remaining send budget).
     std::vector<int> idx(ctx.gossip.size());
     std::iota(idx.begin(), idx.end(), 0);
     const std::size_t take = std::min<std::size_t>(
-        idx.size(), static_cast<std::size_t>(cfg_.max_updates - m));
+        idx.size(), static_cast<std::size_t>(kMaxUpdates - m));
     std::partial_sort(idx.begin(), idx.begin() + take, idx.end(),
                       [&](int a, int b) {
                         return ctx.gossip[a].sends_left > ctx.gossip[b].sends_left;
@@ -298,7 +297,7 @@ void Service::send_msg(NodeCtx& ctx, Endpoint& ep, int dst, std::uint8_t type,
 
   int& cursor = ctx.next_inbox_slot[dst];
   const int slot = cursor;
-  cursor = (cursor + 1) % cfg_.inbox_slots;
+  cursor = (cursor + 1) % kInboxSlots;
   const auto bytes = static_cast<std::uint32_t>(sizeof(MsgHeader) +
                                                 m * sizeof(UpdateEntry));
   // BackwardFence keeps one sender's messages applying in issue order, so
@@ -306,7 +305,7 @@ void Service::send_msg(NodeCtx& ctx, Endpoint& ep, int dst, std::uint8_t type,
   Connection(&ep, pc).rdma_write(
       inbox_slot_va(self, slot), build_va_, bytes,
       kOpFlagNotify | kOpFlagUrgent | kOpFlagBackwardFence |
-          op_tag_flags(cfg_.tag));
+          op_tag_flags(kTagMember));
   ctx.counters.add(kCtrMsgsSent);
 }
 
@@ -317,7 +316,7 @@ void Service::handle_msg(NodeCtx& ctx, Endpoint& ep, const Notification& n) {
   MsgHeader h;
   std::memcpy(&h, mem.as<std::byte>(n.va), sizeof(h));
   std::array<UpdateEntry, 255> updates;
-  const int m = std::min<int>(h.num_updates, cfg_.max_updates);
+  const int m = std::min<int>(h.num_updates, kMaxUpdates);
   std::memcpy(updates.data(), mem.as<std::byte>(n.va + sizeof(MsgHeader)),
               static_cast<std::size_t>(m) * sizeof(UpdateEntry));
   ctx.counters.add(kCtrMsgsRx);
@@ -457,7 +456,7 @@ void Service::apply_update(NodeCtx& ctx, int node, PeerState st,
       ctx.counters.add(kCtrDeadMarks);
       enqueue_gossip(ctx, node);
       // A confirmed death is too important to wait out the next probe tick:
-      // push it to indirect_k random live peers right away. Each recipient
+      // push it to kIndirectK random live peers right away. Each recipient
       // that learns something new pushes again, so the confirmation spreads
       // in O(log n) network hops instead of O(log n) probe periods.
       if (ctx.ep) eager_disseminate(ctx, *ctx.ep);
@@ -473,7 +472,7 @@ void Service::eager_disseminate(NodeCtx& ctx, Endpoint& ep) {
     }
     cands.push_back(p);
   }
-  for (int k = 0; k < cfg_.indirect_k && !cands.empty(); ++k) {
+  for (int k = 0; k < kIndirectK && !cands.empty(); ++k) {
     const std::size_t i = ctx.rng.next_below(cands.size());
     const int dst = cands[i];
     cands[i] = cands.back();
@@ -485,9 +484,8 @@ void Service::eager_disseminate(NodeCtx& ctx, Endpoint& ep) {
 
 bool Service::passively_fresh(NodeCtx& ctx, Endpoint& ep, int peer) const {
   (void)ctx;
-  if (cfg_.suppress_window <= 0) return false;
   const sim::Time lr = ep.engine().last_rx_from(peer);
-  return lr > 0 && cluster_.sim().now() - lr <= cfg_.suppress_window;
+  return lr > 0 && cluster_.sim().now() - lr <= kSuppressWindow;
 }
 
 int Service::next_probe_target(NodeCtx& ctx) {
@@ -546,7 +544,7 @@ void Service::start_probe(NodeCtx& ctx, Endpoint& ep) {
   }
   ctx.counters.add(kCtrPingsSent);
   ctx.counters.add(kCtrProbeMsgs);
-  ctx.probe = Probe{target, seq, cluster_.sim().now() + cfg_.ping_timeout,
+  ctx.probe = Probe{target, seq, cluster_.sim().now() + kPingTimeout,
                     false, cluster_.sim().now(), pctx};
 }
 
@@ -576,7 +574,7 @@ void Service::advance_probe(NodeCtx& ctx, Endpoint& ep) {
       if (ctx.view.state(p) == PeerState::kDead) continue;
       cands.push_back(p);
     }
-    for (int k = 0; k < cfg_.indirect_k && !cands.empty(); ++k) {
+    for (int k = 0; k < kIndirectK && !cands.empty(); ++k) {
       const std::size_t i = ctx.rng.next_below(cands.size());
       const int helper = cands[i];
       cands[i] = cands.back();
@@ -589,7 +587,7 @@ void Service::advance_probe(NodeCtx& ctx, Endpoint& ep) {
     }
     if (sent > 0) {
       ctx.probe.indirect = true;
-      ctx.probe.deadline = cluster_.sim().now() + cfg_.indirect_timeout;
+      ctx.probe.deadline = cluster_.sim().now() + kIndirectTimeout;
       return;
     }
   }
@@ -630,21 +628,21 @@ void Service::fiber(Endpoint& ep) {
           static_cast<std::uint64_t>(std::max<sim::Time>(1, cfg_.period))));
   while (!stop_) {
     Notification n;
-    while (ep.poll_notification(&n, cfg_.tag)) handle_msg(ctx, ep, n);
+    while (ep.poll_notification(&n, kTagMember)) handle_msg(ctx, ep, n);
     advance_probe(ctx, ep);
     if (cluster_.sim().now() >= next_round) {
       next_round = cluster_.sim().now() + cfg_.period;
       start_probe(ctx, ep);
     }
     check_suspects(ctx);
-    idle_wait(cfg_.poll);
+    idle_wait(kPollInterval);
   }
 }
 
 void Service::mesh_fiber(Endpoint& ep) {
   // The pre-SWIM baseline: every node one-sided-writes a heartbeat counter
   // to EVERY peer each period and marks silent peers dead after
-  // mesh_timeout. O(n) probe frames per node per period, no suspicion.
+  // kMeshTimeout. O(n) probe frames per node per period, no suspicion.
   NodeCtx& ctx = *nodes_[ep.node_id()];
   const int me = ctx.view.self();
   proto::MemorySpace& mem = ep.memory();
@@ -670,7 +668,7 @@ void Service::mesh_fiber(Endpoint& ep) {
         // Handshake grace: count silence from the first check, not t=0, or
         // slow connection setup at scale reads as a death.
         ctx.mesh_last_change[peer] = now;
-      } else if (now - ctx.mesh_last_change[peer] > cfg_.mesh_timeout) {
+      } else if (now - ctx.mesh_last_change[peer] > kMeshTimeout) {
         transition(ctx, peer, PeerState::kDead);
         ctx.counters.add(kCtrDeadMarks);
       }

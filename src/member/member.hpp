@@ -14,7 +14,7 @@
 //
 //  * Passive liveness. The protocol engine stamps the arrival time of every
 //    frame per source node (Engine::last_rx_from). A peer whose data or ack
-//    frames arrived within `suppress_window` is provably alive, so its probe
+//    frames arrived within `kSuppressWindow` is provably alive, so its probe
 //    is suppressed entirely — on a busy cluster the detector rides the
 //    application's own traffic and sends almost no dedicated probes.
 //
@@ -26,8 +26,8 @@
 //    backup-promotion semantics (rejoin/resync stays future work).
 //
 // Messages are 8-byte-aligned records written into per-(source, slot) inbox
-// rings on the receiver (urgent + notify + backward-fenced writes, own
-// notification tag), exactly the mailbox idiom the KV RPCs use. A legacy
+// rings on the receiver (urgent + notify + backward-fenced writes, tagged
+// kTagMember), exactly the mailbox idiom the KV RPCs use. A legacy
 // `mesh` mode reproduces the old all-pairs heartbeat detector so benches can
 // measure SWIM against it on identical plumbing.
 #pragma once
@@ -44,8 +44,29 @@
 
 namespace multiedge::member {
 
-/// Notification tag for membership traffic (DSM=0, coll=1, kv=8+).
-inline constexpr std::uint8_t kMemberTag = 2;
+/// Deadline for the direct ping's ack.
+inline constexpr sim::Time kPingTimeout = sim::us(200);
+/// Deadline for any indirect ack after the ping-req fan-out.
+inline constexpr sim::Time kIndirectTimeout = sim::us(400);
+/// Helpers asked to probe on our behalf when the direct ping times out.
+inline constexpr int kIndirectK = 3;
+/// Max piggybacked membership updates per message.
+inline constexpr int kMaxUpdates = 8;
+static_assert(kMaxUpdates >= 1, "a message must carry at least one update");
+/// Each update is piggybacked on `kRetransmitFactor * (ceil_log2(n) + 1)`
+/// outgoing messages before it is dropped from the gossip buffer.
+inline constexpr int kRetransmitFactor = 3;
+/// A peer whose frames (any protocol traffic) arrived within this window
+/// is implicitly alive; its probe is suppressed.
+inline constexpr sim::Time kSuppressWindow = sim::us(400);
+/// Notification-poll granularity of the member fiber. Bounds ack latency,
+/// so it stays well under kPingTimeout.
+inline constexpr sim::Time kPollInterval = sim::us(25);
+/// Inbox ring slots per source node (tolerates this many unconsumed
+/// messages from one source before overwrite).
+inline constexpr int kInboxSlots = 8;
+/// Mesh mode: silence longer than this marks a peer Dead.
+inline constexpr sim::Time kMeshTimeout = sim::ms(2);
 
 enum class PeerState : std::uint8_t { kAlive = 0, kSuspect = 1, kDead = 2 };
 
@@ -55,36 +76,14 @@ struct MemberConfig {
   /// Protocol period: one probe round (direct ping, then indirect round)
   /// per period per node.
   sim::Time period = sim::us(500);
-  /// Deadline for the direct ping's ack.
-  sim::Time ping_timeout = sim::us(200);
-  /// Deadline for any indirect ack after the ping-req fan-out.
-  sim::Time indirect_timeout = sim::us(400);
   /// A matured (unrefuted) suspicion becomes Dead after this long.
   sim::Time suspect_timeout = sim::ms(2);
-  /// Helpers asked to probe on our behalf when the direct ping times out.
-  int indirect_k = 3;
-  /// Max piggybacked membership updates per message.
-  int max_updates = 8;
-  /// Each update is piggybacked on `retransmit_factor * (ceil_log2(n) + 1)`
-  /// outgoing messages before it is dropped from the gossip buffer.
-  int retransmit_factor = 3;
-  /// A peer whose frames (any protocol traffic) arrived within this window
-  /// is implicitly alive; its probe is suppressed. 0 disables suppression.
-  sim::Time suppress_window = sim::us(400);
-  /// Notification-poll granularity of the member fiber. Bounds ack latency,
-  /// so keep it well under ping_timeout.
-  sim::Time poll = sim::us(25);
-  std::uint8_t tag = kMemberTag;
   std::uint64_t seed = 0x51f7eedull;
-  /// Inbox ring slots per source node (tolerates this many unconsumed
-  /// messages from one source before overwrite).
-  int inbox_slots = 8;
 
   /// Legacy baseline: all-pairs heartbeat writes every `period`, silence
-  /// longer than `mesh_timeout` marks Dead directly (the detector the KV
+  /// longer than kMeshTimeout marks Dead directly (the detector the KV
   /// layer used before SWIM). No suspicion, no gossip, O(n) per node.
   bool mesh = false;
-  sim::Time mesh_timeout = sim::ms(2);
 };
 
 /// Upper bound on crash-to-everyone-knows convergence (detection by the
@@ -182,7 +181,7 @@ class Service {
   Cluster& cluster_;
   MemberConfig cfg_;
   int num_nodes_;
-  int gossip_budget_;  // retransmit_factor * (ceil_log2(n) + 1)
+  int gossip_budget_;  // kRetransmitFactor * (ceil_log2(n) + 1)
 
   // Symmetric memory layout (same VAs on every node).
   std::uint32_t msg_stride_ = 0;
@@ -193,7 +192,7 @@ class Service {
 
   std::uint64_t inbox_slot_va(int src, int slot) const {
     return inbox_va_ +
-           (static_cast<std::uint64_t>(src) * cfg_.inbox_slots + slot) *
+           (static_cast<std::uint64_t>(src) * kInboxSlots + slot) *
                msg_stride_;
   }
   std::uint64_t hb_slot_va(int src) const {

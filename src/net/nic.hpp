@@ -81,7 +81,6 @@ class Nic : public FrameSink {
   /// Mask/unmask interrupts. Level-triggered: unmasking with events pending
   /// raises an interrupt immediately, so no wakeup is ever lost.
   void set_irq_enabled(bool enabled);
-  bool irq_enabled() const { return irq_enabled_; }
   void set_irq_handler(std::function<void()> handler) {
     irq_handler_ = std::move(handler);
   }

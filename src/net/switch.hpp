@@ -64,10 +64,6 @@ class Switch {
   const Stats& stats() const { return stats_; }
   const std::string& name() const { return name_; }
 
-  /// Depth of an output queue (diagnostics / tests).
-  std::size_t queue_depth(std::size_t port) const {
-    return ports_[port]->queue.size();
-  }
   /// Frames enqueued toward port `port` (diagnostics / tests — the uplink
   /// spread assertions count these).
   std::uint64_t port_tx_frames(std::size_t port) const {

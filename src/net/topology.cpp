@@ -67,7 +67,7 @@ Network::Network(sim::Simulator& sim, TopologyConfig config)
   for (int r = 0; r < cfg_.rails; ++r) {
     for (int g = 0; g < groups_per_rail_; ++g) {
       switches_.push_back(std::make_unique<Switch>(
-          sim_, cfg_.switch_cfg,
+          sim_, SwitchConfig{},
           "switch" + std::to_string(r) + "." + std::to_string(g)));
     }
   }
@@ -82,7 +82,7 @@ Network::Network(sim::Simulator& sim, TopologyConfig config)
         std::string name = "core" + std::to_string(r);
         if (s > 0) name += "." + std::to_string(s);
         cores_.push_back(
-            std::make_unique<Switch>(sim_, cfg_.switch_cfg, std::move(name)));
+            std::make_unique<Switch>(sim_, SwitchConfig{}, std::move(name)));
       }
       for (int g = 0; g < groups_per_rail_; ++g) {
         Switch& edge = edge_switch(r, g);

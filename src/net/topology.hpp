@@ -49,7 +49,6 @@ struct TopologyConfig {
   int rails = 1;
   LinkSpec link;
   NicConfig nic;          // gbps is overridden by link.gbps
-  SwitchConfig switch_cfg;
   std::uint64_t seed = 42;
 
   /// Scheduled per-rail failure/recovery windows (§2.4: transfers survive

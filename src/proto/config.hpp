@@ -1,11 +1,12 @@
-// Protocol tuning knobs and the host cost model.
+// Protocol parameters and the host cost model.
 //
-// ProtocolConfig collects every protocol parameter the paper describes as
-// fixed-at-compile-time or policy-selectable (window size, delayed-ACK
-// thresholds, retransmission timeout, striping policy, in-order vs
-// out-of-order delivery). HostCostModel collects the per-operation CPU costs
-// the simulation charges; its defaults are calibrated so micro-benchmarks
-// land on the paper's measured envelope (see DESIGN.md §6).
+// The paper fixes its protocol timers at compile time; so does this file:
+// the ack, NACK and handshake timers below are constants. ProtocolConfig
+// keeps the parameters some experiment varies (window size, delayed-ACK
+// threshold, retransmission timeout, striping policy, in-order vs
+// out-of-order delivery, batching). HostCostModel collects the per-operation
+// CPU costs the simulation charges; its defaults are calibrated so
+// micro-benchmarks land on the paper's measured envelope (see DESIGN.md §6).
 #pragma once
 
 #include <cstddef>
@@ -22,52 +23,54 @@ enum class StripingPolicy : std::uint8_t {
   kShortestQueue,     // ablation: join-shortest-queue by free tx slots
 };
 
+/// Delayed-ACK timer (§2.4): an explicit ACK goes out this long after the
+/// first acknowledgeable frame if the frame threshold was not reached. Acks
+/// matter for the sender's buffer reclamation and completion reporting, not
+/// for receiver progress, so the timer is generous — request/response
+/// traffic piggy-backs most acknowledgments anyway.
+inline constexpr sim::Time kAckTimeout = sim::us(500);
+/// When an operation completes at the receiver its initiator is usually
+/// blocked on the acknowledgment, so the ack timer is shortened to this at
+/// the next receive lull — long enough for an application reply to
+/// piggy-back it, short enough not to stall releases.
+inline constexpr sim::Time kSolicitedAckDelay = sim::us(25);
+/// A sequence gap is NACKed once it is this old, even below
+/// ProtocolConfig::nack_frame_threshold...
+inline constexpr sim::Time kNackTimeout = sim::us(500);
+/// ...and re-reported if still open after this long.
+inline constexpr sim::Time kRenackTimeout = sim::ms(1);
+/// Connection handshake retry interval.
+inline constexpr sim::Time kConnectRetryTimeout = sim::ms(10);
+/// Max frames the protocol thread processes per CPU quantum before
+/// re-evaluating (bounds batching latency).
+inline constexpr std::uint32_t kThreadBatchFrames = 16;
+
 struct ProtocolConfig {
   /// Sliding window size in frames (fixed size, frame-granularity, §2.4).
   std::size_t window_frames = 64;
 
   /// Delayed acknowledgements (§2.4): send an explicit ACK after this many
-  /// unacknowledged data frames...
+  /// unacknowledged data frames, or after kAckTimeout.
   std::uint32_t ack_threshold = 24;
-  /// ...or after this much time with acknowledgeable frames outstanding.
-  /// Acks matter for the sender's buffer reclamation and completion
-  /// reporting, not for receiver progress, so the timer is generous —
-  /// request/response traffic piggy-backs most acknowledgments anyway.
-  sim::Time ack_timeout = sim::us(500);
-  /// When an operation completes at the receiver its initiator is usually
-  /// blocked on the acknowledgment, so the ack timer is shortened to this
-  /// at the next receive lull — long enough for an application reply to
-  /// piggy-back it, short enough not to stall releases.
-  sim::Time solicited_ack_delay = sim::us(25);
 
   /// Coarse-grain retransmission timeout: if no positive ACK arrives for the
   /// last transmitted frame within this period, retransmit it (§2.4).
   sim::Time retransmit_timeout = sim::ms(5);
 
   /// NACK generation: a sequence gap is reported once this many later data
-  /// frames arrived while it stayed open (tolerates striping reorder)...
-  /// The threshold must sit well above the apparent reorder introduced by
-  /// striping plus round-robin ring polling at the receiver (~2x the NIC
-  /// interrupt-moderation batch); the timeout path catches real losses when
-  /// traffic stalls before the frame threshold is reached.
+  /// frames arrived while it stayed open (tolerates striping reorder), or
+  /// once it is kNackTimeout old. The threshold must sit well above the
+  /// apparent reorder introduced by striping plus round-robin ring polling
+  /// at the receiver (~2x the NIC interrupt-moderation batch); the timeout
+  /// path catches real losses when traffic stalls before the frame
+  /// threshold is reached.
   std::uint32_t nack_frame_threshold = 40;
-  /// ...or once the gap is this old.
-  sim::Time nack_timeout = sim::us(500);
-  /// A NACKed gap is re-reported if still open after this long.
-  sim::Time renack_timeout = sim::ms(1);
 
   /// Strict frame-order delivery (the 2L-1G configuration). When false,
   /// fragments apply as they arrive subject only to fence constraints (2Lu).
   bool in_order_delivery = true;
 
   StripingPolicy striping = StripingPolicy::kRoundRobin;
-
-  /// Connection handshake retry interval.
-  sim::Time connect_retry_timeout = sim::ms(10);
-
-  /// Max frames the protocol thread processes per CPU quantum before
-  /// re-evaluating (bounds batching latency).
-  std::uint32_t thread_batch_frames = 16;
 
   /// Instantiate the protocol InvariantChecker (see proto/invariants.hpp).
   /// Test instrumentation: defaults off; when off the only cost is one null

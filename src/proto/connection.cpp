@@ -720,11 +720,11 @@ void Connection::after_new_data_frame(sim::Cpu& cpu) {
       const Gap* gap = gaps_.find(m);
       if (gap != nullptr && !gap->nacked &&
           (gap->frames_since >= cfg.nack_frame_threshold ||
-           now - gap->first_seen >= cfg.nack_timeout)) {
+           now - gap->first_seen >= kNackTimeout)) {
         nacks_due = true;
       }
     }
-    nack_timer_.schedule_if_idle(cfg.nack_timeout);
+    nack_timer_.schedule_if_idle(kNackTimeout);
   }
 
   ++rx_since_ack_;
@@ -746,7 +746,7 @@ void Connection::after_new_data_frame(sim::Cpu& cpu) {
   if (ack_now) {
     send_explicit_ack(cpu);
   } else {
-    ack_timer_.schedule_if_idle(cfg.ack_timeout);
+    ack_timer_.schedule_if_idle(kAckTimeout);
   }
 }
 
@@ -785,9 +785,9 @@ const std::vector<std::uint64_t>& Connection::collect_due_nacks(bool force_all) 
     if (due.size() >= WireHeader::kMaxNacks) break;
     const bool fresh_due = !gap->nacked &&
                            (gap->frames_since >= cfg.nack_frame_threshold ||
-                            now - gap->first_seen >= cfg.nack_timeout);
+                            now - gap->first_seen >= kNackTimeout);
     const bool renack_due =
-        gap->nacked && now - gap->nacked_at >= cfg.renack_timeout;
+        gap->nacked && now - gap->nacked_at >= kRenackTimeout;
     if (force_all || fresh_due || renack_due) {
       due.push_back(m);
       gap->nacked = true;
@@ -844,10 +844,9 @@ void Connection::send_explicit_ack(sim::Cpu& cpu, bool force_nacks) {
 
 void Connection::solicit_ack_at_idle() {
   if (!wants_idle_ack()) return;
-  const sim::Time delay = engine_.config().solicited_ack_delay;
   if (!ack_timer_.pending() ||
-      ack_timer_.deadline() > engine_.sim().now() + delay) {
-    ack_timer_.schedule(delay);
+      ack_timer_.deadline() > engine_.sim().now() + kSolicitedAckDelay) {
+    ack_timer_.schedule(kSolicitedAckDelay);
   }
   ack_on_idle_ = false;  // re-armed by the next completion
 }
@@ -859,7 +858,7 @@ void Connection::on_ack_timeout(sim::Cpu& cpu) {
 void Connection::on_nack_timeout(sim::Cpu& cpu) {
   if (!gaps_.empty()) {
     send_explicit_ack(cpu);
-    nack_timer_.schedule(engine_.config().nack_timeout);
+    nack_timer_.schedule(kNackTimeout);
   }
 }
 

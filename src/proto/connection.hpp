@@ -179,9 +179,6 @@ class Connection {
   std::size_t frames_in_flight() const {
     return static_cast<std::size_t>(snd_tx_next_ - snd_una_);
   }
-  std::size_t reorder_buffer_depth() const {
-    return ooo_buffer_.size() + rcvd_above_.size();
-  }
   /// Submitted-but-uncompleted operations (writes awaiting acks plus reads
   /// awaiting response data) — sampled by the outstanding-ops time series.
   std::size_t outstanding_ops() const {

@@ -96,10 +96,10 @@ void Engine::thread_loop() {
   std::vector<RxItem> batch = std::move(batch_spare_);
   batch.clear();
   bool more = true;
-  while (more && batch.size() < cfg_.thread_batch_frames) {
+  while (more && batch.size() < kThreadBatchFrames) {
     more = false;
     for (auto* nic : rails_) {
-      if (batch.size() >= cfg_.thread_batch_frames) break;
+      if (batch.size() >= kThreadBatchFrames) break;
       net::FramePtr f = nic->rx_pop();
       if (!f) continue;
       more = true;
@@ -268,9 +268,9 @@ Connection* Engine::connect(int peer) {
     if (it == pending_connects_.end()) return;
     counters_.add(kCtrSynRetries);
     send_syn();
-    it->second.retry->schedule(cfg_.connect_retry_timeout);
+    it->second.retry->schedule(kConnectRetryTimeout);
   });
-  pc.retry->schedule(cfg_.connect_retry_timeout);
+  pc.retry->schedule(kConnectRetryTimeout);
   pending_connects_.emplace(conn->local_id(), std::move(pc));
   send_syn();
   return conn;

@@ -158,7 +158,6 @@ class Engine {
     std::unique_ptr<sim::Timer> retry;
   };
 
-  void irq_handler();
   void signal_thread();
   void thread_loop();
   struct RxItem {

@@ -131,7 +131,8 @@ enum OpFlags : std::uint16_t {
 /// Bits 8..15 of op_flags carry an 8-bit notification tag, so independent
 /// subsystems (DSM mailboxes, collectives) can demultiplex their completion
 /// notifications without stealing each other's events. Tag 0 is the default
-/// channel; the low flag byte is unaffected.
+/// channel; the low flag byte is unaffected. The subsystems' tags are one
+/// table, in core/api.hpp (kTagDsm, kTagColl, ...).
 inline constexpr std::uint16_t kOpFlagTagShift = 8;
 
 constexpr std::uint16_t op_tag_flags(std::uint8_t tag) {

@@ -9,7 +9,6 @@ namespace {
 
 const stats::CounterId kCtrEpochs = stats::CounterRegistry::intern("rma_epochs");
 const stats::CounterId kCtrPuts = stats::CounterRegistry::intern("rma_puts");
-const stats::CounterId kCtrGets = stats::CounterRegistry::intern("rma_gets");
 const stats::CounterId kCtrBytesPut =
     stats::CounterRegistry::intern("rma_bytes_put");
 const stats::CounterId kCtrNotifiesSent =
@@ -37,13 +36,6 @@ Window::Window(Endpoint& ep, WindowConfig cfg, ConnProvider conns)
       nq_(ep, cfg.tag, counters_, kCtrNotifiesMatched, kCtrNotifiesQueued) {
   assert(cfg_.tag >= 0 && cfg_.tag <= 255 && "rma: tag must fit 8 bits");
   if (!conn_of_) conns_.resize(ep_.cluster().num_nodes());
-  if (cfg_.notify_tokens) {
-    // Per-source token slots + the local scratch the token value is written
-    // from. Symmetric as long as every node constructs its windows in the
-    // same order (the same convention every symmetric layout here relies on).
-    tok_base_ = ep_.alloc(std::size_t{8} * ep_.cluster().num_nodes());
-    tok_src_ = ep_.alloc(8);
-  }
 }
 
 Connection& Window::conn(int peer) {
@@ -100,16 +92,7 @@ OpHandle Window::put(int peer, std::uint64_t remote_va, std::uint64_t local_va,
   counters_.add(kCtrPuts);
   counters_.add(kCtrBytesPut, bytes);
   return issue(peer, remote_va, local_va, bytes,
-               cfg_.batched ? kOpFlagBatched : kOpFlagNone, /*is_read=*/false);
-}
-
-OpHandle Window::get(int peer, std::uint64_t local_va, std::uint64_t remote_va,
-                     std::uint32_t bytes) {
-  if (!epoch_open_) throw std::logic_error("rma: get outside an open epoch");
-  check_range(remote_va, bytes);
-  counters_.add(kCtrGets);
-  return issue(peer, remote_va, local_va, bytes,
-               cfg_.batched ? kOpFlagBatched : kOpFlagNone, /*is_read=*/true);
+               cfg_.batched ? kOpFlagBatched : kOpFlagNone);
 }
 
 OpHandle Window::put_notify(int peer, std::uint64_t remote_va,
@@ -123,33 +106,7 @@ OpHandle Window::put_notify(int peer, std::uint64_t remote_va,
   check_range(remote_va, bytes);
   counters_.add(kCtrNotifiesSent);
   counters_.add(kCtrBytesPut, bytes);
-  return issue(peer, remote_va, local_va, bytes, notify_flags(fenced),
-               /*is_read=*/false);
-}
-
-OpHandle Window::get_notify(int peer, std::uint64_t local_va,
-                            std::uint64_t remote_va, std::uint32_t bytes) {
-  if (tok_base_ == 0) {
-    throw std::logic_error("rma: get_notify requires WindowConfig::notify_tokens");
-  }
-  check_range(remote_va, bytes);
-  counters_.add(kCtrGets);
-  OpHandle h = issue(peer, remote_va, local_va, bytes,
-                     cfg_.batched ? kOpFlagBatched : kOpFlagNone,
-                     /*is_read=*/true);
-  // Token write, backward-fenced behind the read REQUEST on the same
-  // connection: the target matches the notification only after its side of
-  // the read has been served. Always fenced — that ordering is the point.
-  *ep_.memory().as<std::uint64_t>(tok_src_) = ++tok_gen_;
-  counters_.add(kCtrNotifiesSent);
-  issue(peer, token_va(ep_.node_id()), tok_src_, 8,
-        notify_flags(/*fenced=*/true), /*is_read=*/false);
-  return h;
-}
-
-std::uint64_t Window::token_va(int src) const {
-  assert(tok_base_ != 0 && "rma: window has no token block");
-  return tok_base_ + std::uint64_t{8} * static_cast<std::uint64_t>(src);
+  return issue(peer, remote_va, local_va, bytes, notify_flags(fenced));
 }
 
 NotifyEvent Window::wait_notify(int src, std::uint64_t va) {
@@ -180,7 +137,7 @@ void Window::flush() {
 
 OpHandle Window::issue(int peer, std::uint64_t remote_va,
                        std::uint64_t local_va, std::uint32_t bytes,
-                       std::uint16_t flags, bool is_read) {
+                       std::uint16_t flags) {
   Connection& c = conn(peer);
   trace::TraceRecorder* tr = ep_.cluster().tracer();
   OpHandle h;
@@ -201,8 +158,7 @@ OpHandle Window::issue(int peer, std::uint64_t remote_va,
     tr->record(start, trace::EventType::kRmaSubmit, node, -1, -1,
                static_cast<std::uint64_t>(peer), bytes, ctx, parent);
     trace::SpanScope scope(ctx);
-    h = is_read ? c.rdma_read(local_va, remote_va, bytes, flags)
-                : c.rdma_write(remote_va, local_va, bytes, flags);
+    h = c.rdma_write(remote_va, local_va, bytes, flags);
     h.on_complete([cluster, ctx, parent, start, node, peer, bytes]() {
       if (auto* t = cluster->tracer()) {
         t->record_span(start, cluster->sim().now() - start,
@@ -211,8 +167,7 @@ OpHandle Window::issue(int peer, std::uint64_t remote_va,
       }
     });
   } else {
-    h = is_read ? c.rdma_read(local_va, remote_va, bytes, flags)
-                : c.rdma_write(remote_va, local_va, bytes, flags);
+    h = c.rdma_write(remote_va, local_va, bytes, flags);
   }
   track(h);
   return h;

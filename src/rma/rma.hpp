@@ -22,10 +22,10 @@
 //                  // when cfg.batched    // behind the epoch's plain puts
 //
 // Epoch rules (misuse throws std::logic_error):
-//  * put()/get() require an open epoch; open() twice / close() without an
-//    open epoch are errors.
-//  * put_notify()/get_notify() work inside OR outside an epoch — a notified
-//    access carries its own synchronization.
+//  * put() requires an open epoch; open() twice / close() without an open
+//    epoch are errors.
+//  * put_notify() works inside OR outside an epoch — a notified access
+//    carries its own synchronization.
 //  * close() ends the epoch and, when cfg.batched, issues the submission-
 //    ring doorbell (one syscall releases the whole epoch). It does NOT wait.
 //  * flush() = local + remote completion of every tracked op: in this
@@ -68,9 +68,6 @@ struct WindowConfig {
   /// Epoch ops park in the submission rings (kOpFlagBatched); close() rings
   /// the doorbell. Off: urgent/fenced ops submit eagerly as usual.
   bool batched = false;
-  /// Allocate a per-source token block (8 bytes/node, symmetric — construct
-  /// windows in the same order on every node). Required for get_notify.
-  bool notify_tokens = false;
 };
 
 /// One registered symmetric region plus its access-epoch state, completion
@@ -97,9 +94,6 @@ class Window {
   /// Plain write: local [local_va, ..+bytes) -> peer [remote_va, ...).
   OpHandle put(int peer, std::uint64_t remote_va, std::uint64_t local_va,
                std::uint32_t bytes);
-  /// Plain read: peer [remote_va, ..+bytes) -> local [local_va, ...).
-  OpHandle get(int peer, std::uint64_t local_va, std::uint64_t remote_va,
-               std::uint32_t bytes);
 
   // --- notified access (inside or outside an epoch) ---
   /// Write + notification: the payload lands at the target and one
@@ -109,12 +103,6 @@ class Window {
                       std::uint64_t local_va, std::uint32_t bytes);
   OpHandle put_notify(int peer, std::uint64_t remote_va,
                       std::uint64_t local_va, std::uint32_t bytes, bool fenced);
-  /// Read + notification AT THE TARGET: after the read has been served, a
-  /// fenced 8-byte token lands in the target's token slot for this rank
-  /// (token_va(rank)), telling the passive side its region was read.
-  /// Requires cfg.notify_tokens. Returns the read's handle.
-  OpHandle get_notify(int peer, std::uint64_t local_va,
-                      std::uint64_t remote_va, std::uint32_t bytes);
 
   /// Receive side: block for / probe for a matching notified access.
   /// src = kAnySrc and va = kAnyVa widen the match (see notify_queue.hpp).
@@ -130,24 +118,20 @@ class Window {
   /// the last flush. Implies the doorbell for batched ops.
   void flush();
 
-  /// Target-side address get_notify tokens from `src` land at (symmetric).
-  std::uint64_t token_va(int src) const;
-
   Endpoint& endpoint() { return ep_; }
   const WindowConfig& config() const { return cfg_; }
   /// Per-window counters: rma_epochs, rma_puts, rma_notifies_sent,
   /// rma_notifies_matched, rma_notifies_queued, rma_flushes,
   /// rma_flush_stalls, ...
   const stats::Counters& counters() const { return counters_; }
-  std::size_t inflight() const { return inflight_.size(); }
 
  private:
   Connection& conn(int peer);
   void check_range(std::uint64_t remote_va, std::uint32_t bytes) const;
   std::uint16_t notify_flags(bool fenced) const;
-  /// Submit one wire op under a fresh kRmaOp span and track its handle.
+  /// Submit one write under a fresh kRmaOp span and track its handle.
   OpHandle issue(int peer, std::uint64_t remote_va, std::uint64_t local_va,
-                 std::uint32_t bytes, std::uint16_t flags, bool is_read);
+                 std::uint32_t bytes, std::uint16_t flags);
   void track(const OpHandle& h);
 
   Endpoint& ep_;
@@ -158,9 +142,6 @@ class Window {
   NotifyQueue nq_;
   bool epoch_open_ = false;
   std::vector<OpHandle> inflight_;
-  std::uint64_t tok_base_ = 0;  // per-source token slots (notify_tokens)
-  std::uint64_t tok_src_ = 0;   // local scratch the token value rides from
-  std::uint64_t tok_gen_ = 0;
 };
 
 }  // namespace multiedge::rma

@@ -38,7 +38,6 @@ class Table {
   void print(std::ostream& os) const;
 
   const std::vector<std::string>& headers() const { return headers_; }
-  std::size_t row_count() const { return rows_.size(); }
 
  private:
   std::vector<std::string> headers_;

@@ -167,7 +167,6 @@ std::uint32_t Broker::credit_cost(const SvcOp& op) const {
 }
 
 std::uint32_t Broker::effective_credit_limit(int node) const {
-  if (!cfg_.rail_aware) return credits_per_conn_;
   const sim::Time now = cluster_.sim().now();
   double worst = 0.0;
   for (int r = 0; r < cluster_.config().topology.rails; ++r) {
@@ -279,17 +278,17 @@ SvcOpPtr Broker::submit(Tenant& t, SvcOpPtr op) {
   // Admission control: reject instead of queueing beyond the bounds. The
   // rejection carries a retry-after hint sized to the backlog that bounced
   // the op: each queued op costs at least one dispatcher visit, and an idle
-  // dispatcher ticks every dispatch_poll, so depth x poll approximates the
+  // dispatcher ticks every kDispatchPoll, so depth x poll approximates the
   // time for the queue to drain back under its bound.
   if (t.queued_ >= cfg_.tenant_queue_limit) {
     op->state = SvcOp::State::kRejected;
-    op->retry_after = cfg_.dispatch_poll * static_cast<sim::Time>(t.queued_);
+    op->retry_after = kDispatchPoll * static_cast<sim::Time>(t.queued_);
     t.counters_.add(kCtrRejectedTenant);
     return op;
   }
   if (pool.queued >= cfg_.peer_queue_limit) {
     op->state = SvcOp::State::kRejected;
-    op->retry_after = cfg_.dispatch_poll * static_cast<sim::Time>(pool.queued);
+    op->retry_after = kDispatchPoll * static_cast<sim::Time>(pool.queued);
     t.counters_.add(kCtrRejectedPeer);
     return op;
   }
@@ -333,7 +332,7 @@ void Broker::dispatch_loop(Endpoint& ep) {
     }
     if (!did) {
       sim::Process::current()->poll(
-          cfg_.dispatch_poll, [&] { return pass_pending(ep.node_id(), ns); });
+          kDispatchPoll, [&] { return pass_pending(ep.node_id(), ns); });
     }
   }
 }
@@ -344,14 +343,13 @@ bool Broker::pass_pending(int node, const NodeState& ns) const {
     if (!pool.rr.empty()) return true;
   }
   // dispatch_pass counts kCtrRailThrottled on every pass, even an empty one.
-  return cfg_.rail_aware &&
-         effective_credit_limit(node) < credits_per_conn_;
+  return effective_credit_limit(node) < credits_per_conn_;
 }
 
 bool Broker::dispatch_pass(Endpoint& ep, NodeState& ns) {
   bool any = false;
   const std::uint32_t limit = effective_credit_limit(ep.node_id());
-  if (cfg_.rail_aware && limit < credits_per_conn_) {
+  if (limit < credits_per_conn_) {
     ns.counters.add(kCtrRailThrottled);
   }
   for (int peer = 0; peer < static_cast<int>(ns.pools.size()); ++peer) {
@@ -367,7 +365,7 @@ bool Broker::dispatch_pass(Endpoint& ep, NodeState& ns) {
       // long-run throughput shares converge to the weight ratio. Weight 1
       // (the default) is plain DRR, byte for byte.
       const std::uint64_t quantum =
-          static_cast<std::uint64_t>(cfg_.drr_quantum_bytes) *
+          std::uint64_t{kDrrQuantumBytes} *
           tq->tenant->weight_;
       tq->deficit += quantum;
       ns.counters.add(kCtrDrrRounds);

@@ -31,7 +31,7 @@
 //
 //  * Deficit-round-robin fair queueing — per (peer, tenant) backlog queues
 //    served by a per-node dispatcher fiber in byte-metered DRR
-//    (`drr_quantum_bytes` per visit), so one hog tenant cannot starve the
+//    (`kDrrQuantumBytes` per visit), so one hog tenant cannot starve the
 //    others beyond its share. Uncontended ops bypass the dispatcher: when a
 //    peer has no backlog and credits are free, submit() dispatches inline on
 //    the tenant's own fiber — at low load the broker adds no latency.
@@ -63,6 +63,12 @@
 
 namespace multiedge::svc {
 
+/// DRR byte quantum added to a tenant queue's deficit per service visit
+/// (multiplied by the tenant's weight — Tenant::set_weight).
+inline constexpr std::uint32_t kDrrQuantumBytes = 4096;
+/// Dispatcher idle-poll granularity.
+inline constexpr sim::Time kDispatchPoll = sim::ns(500);
+
 struct BrokerConfig {
   /// Real proto connections per (node, peer) pair. The whole point of the
   /// broker is that this stays small while the tenant count grows.
@@ -75,14 +81,6 @@ struct BrokerConfig {
   std::uint32_t peer_queue_limit = 64;
   /// Admission bound: queued ops per tenant across all peers.
   std::uint32_t tenant_queue_limit = 16;
-  /// DRR byte quantum added to a tenant queue's deficit per service visit
-  /// (multiplied by the tenant's weight — Tenant::set_weight).
-  std::uint32_t drr_quantum_bytes = 4096;
-  /// Scale pooled-connection credits down while the node's worst egress
-  /// rail is sick (see trace::RailHealth::Snapshot::score).
-  bool rail_aware = true;
-  /// Dispatcher idle-poll granularity.
-  sim::Time dispatch_poll = sim::ns(500);
 };
 
 class Broker;
@@ -146,7 +144,7 @@ class Tenant {
   void close();
 
   /// DRR service weight: this tenant's queues earn `weight x
-  /// drr_quantum_bytes` per dispatcher visit. Default 1 — every byte of
+  /// kDrrQuantumBytes` per dispatcher visit. Default 1 — every byte of
   /// behavior (and every fingerprint) is identical until a weight is set.
   void set_weight(std::uint32_t w);
   std::uint32_t weight() const { return weight_; }
@@ -245,7 +243,8 @@ class Broker {
   void dispatch(NodeState& ns, Slot& slot, const SvcOpPtr& op);
   Slot& slot_for(Endpoint& ep, NodeState& ns, int peer, int tenant_id);
   std::uint32_t credit_cost(const SvcOp& op) const;
-  /// Per-connection credit limit, shrunk by rail health when rail_aware.
+  /// Per-connection credit limit, scaled down while the node's worst egress
+  /// rail is sick (see trace::RailHealth::Snapshot::score).
   std::uint32_t effective_credit_limit(int node) const;
   void on_tenant_closed();
 

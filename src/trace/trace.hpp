@@ -133,6 +133,9 @@ struct Event {
   EventType type = EventType::kNicTx;
 };
 
+/// Event capacity of the flight recorder's ring (TraceConfig::flight_recorder).
+inline constexpr std::size_t kFlightRingCapacity = std::size_t{1} << 12;
+
 struct TraceConfig {
   bool enabled = false;
   /// Ring capacity in events; oldest events are overwritten on overflow.
@@ -141,11 +144,11 @@ struct TraceConfig {
   /// queue depth, outstanding ops). 0 disables sampling.
   sim::Time sample_interval = 10'000'000;  // 10 us
   /// Flight recorder: always-on black-box mode. When set (and full tracing
-  /// is off), the cluster allocates a SMALL ring with the same hooks but no
-  /// periodic samplers; on an invariant violation / peer failure the last-N
-  /// events are dumped to a postmortem file (Cluster::write_postmortem).
+  /// is off), the cluster allocates a SMALL ring (kFlightRingCapacity
+  /// events) with the same hooks but no periodic samplers; on an invariant
+  /// violation / peer failure the last-N events are dumped to a postmortem
+  /// file (Cluster::write_postmortem).
   bool flight_recorder = false;
-  std::size_t flight_ring_capacity = 1 << 12;
   /// Postmortem dump destination. Empty: $MULTIEDGE_POSTMORTEM_DIR/
   /// multiedge-postmortem-<n>.json, or ./multiedge-postmortem-<n>.json.
   std::string postmortem_path;

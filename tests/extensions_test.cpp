@@ -153,7 +153,7 @@ TEST(SolicitedAck, CompletionFasterThanDelayedAckTimer) {
     wait_time = ep.cluster().sim().now() - t0;
   });
   cluster.run();
-  EXPECT_LT(wait_time, cfg.protocol.ack_timeout);
+  EXPECT_LT(wait_time, proto::kAckTimeout);
   EXPECT_GT(wait_time, 0);
 }
 

@@ -2,12 +2,14 @@
 // record checksum coverage (bit flips, key/value boundary, sequence),
 // differential correctness of the partitioned store against a host-side
 // reference map across node counts and topologies, the one-sided GET
-// torn-read retry protocol and its checksum check, replication under
+// torn-read retry protocol and its checksum check, the 8-bit response-tag
+// range of client slots, replication under
 // Gilbert-Elliott burst loss, and failover (backup promotion) across a
 // scheduled rail outage — all with the protocol invariant checker armed.
 #include <map>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -436,9 +438,54 @@ TEST(KvTornReadTest, ChecksumRejectsCorruptionBehindAnEvenVersion) {
   // corrupted GET was rejected, and the repaired GET validated first time.
   const stats::Counters agg = sys.aggregate_counters();
   EXPECT_EQ(agg.get("kv_get_torn"),
-            static_cast<std::uint64_t>(cfg.max_attempts));
+            static_cast<std::uint64_t>(kv::kMaxAttempts));
   EXPECT_EQ(agg.get("kv_get_retries"),
-            static_cast<std::uint64_t>(cfg.max_attempts - 1));
+            static_cast<std::uint64_t>(kv::kMaxAttempts - 1));
+}
+
+// ---------------------------------------------------------------------------
+// Response-tag range: one 8-bit notification tag per client slot
+// ---------------------------------------------------------------------------
+
+TEST(KvResponseTagTest, ClientSlotsPastTagTwoFiftyFiveAreRejected) {
+  Cluster cluster(config_1l_1g(2));
+  kv::KvConfig cfg;
+  // Slot 240 would answer on tag 256, which wraps to the DSM's tag 0 on the
+  // wire while its client polls for 256: every PUT would time out.
+  cfg.clients_per_node = 256 - kTagKvResponseBase + 1;
+  EXPECT_THROW({ kv::System sys(cluster, cfg); }, std::invalid_argument);
+}
+
+TEST(KvResponseTagTest, TopClientSlotRoundTripsOnTagTwoFiftyFive) {
+  CheckedCluster cluster(config_1l_1g(2));
+  kv::KvConfig cfg;
+  cfg.replication = 1;
+  cfg.clients_per_node = 256 - kTagKvResponseBase;
+  kv::System sys(cluster, cfg);
+
+  // A key whose primary is node 0, so node 1's PUT is an RPC whose response
+  // comes back on the client slot's tag.
+  std::string key;
+  for (int i = 0;; ++i) {
+    key = "tag-k" + std::to_string(i);
+    const int p = sys.ring().partition_of(kv::fnv1a64(key));
+    if (sys.ring().replicas(p)[0] == 0) break;
+  }
+  // Slots go out in spawn order; only the last one (tag 255) does work.
+  for (int c = 0; c < cfg.clients_per_node; ++c) {
+    const bool top = c == cfg.clients_per_node - 1;
+    sys.spawn_client(1, "cli", [&key, top](kv::Client& cl) {
+      if (!top) return;
+      ASSERT_EQ(cl.put(key, "v"), kv::Status::kOk);
+      std::string got;
+      ASSERT_EQ(cl.get(key, &got), kv::Status::kOk);
+      EXPECT_EQ(got, "v");
+    });
+  }
+  cluster.run();
+  const stats::Counters agg = sys.aggregate_counters();
+  EXPECT_EQ(agg.get("kv_rpc_sent"), 1u);
+  EXPECT_EQ(agg.get("kv_rpc_timeouts"), 0u);
 }
 
 // ---------------------------------------------------------------------------

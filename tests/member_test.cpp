@@ -294,7 +294,7 @@ TEST(MemberPassive, ProbesSuppressedUnderApplicationTraffic) {
   const stats::Counters agg = svc.aggregate_counters();
   EXPECT_GT(agg.get("member_probes_suppressed"), 0u);
   // With every pair exchanging frames every 200us (well inside the
-  // suppress_window), the detector rides the application's traffic: probe
+  // kSuppressWindow), the detector rides the application's traffic: probe
   // rounds overwhelmingly resolve without a dedicated ping.
   EXPECT_GT(agg.get("member_probes_suppressed"), agg.get("member_pings_sent"));
   EXPECT_EQ(agg.get("member_dead_marks"), 0u);

@@ -129,11 +129,11 @@ TEST(ProtocolConfig, AckAndRetransmitTimersAreOrdered) {
   EXPECT_LT(cfg.ack_threshold, cfg.window_frames);
   // Solicited acks are a shortened ack timer, and both ack timers must fire
   // well before the sender's coarse retransmission timeout.
-  EXPECT_LT(cfg.solicited_ack_delay, cfg.ack_timeout);
-  EXPECT_LT(cfg.ack_timeout, cfg.retransmit_timeout);
+  EXPECT_LT(kSolicitedAckDelay, kAckTimeout);
+  EXPECT_LT(kAckTimeout, cfg.retransmit_timeout);
   // NACK escalation: first report, then re-report, then the RTO backstop.
-  EXPECT_LE(cfg.nack_timeout, cfg.renack_timeout);
-  EXPECT_LT(cfg.renack_timeout, cfg.retransmit_timeout);
+  EXPECT_LE(kNackTimeout, kRenackTimeout);
+  EXPECT_LT(kRenackTimeout, cfg.retransmit_timeout);
 }
 
 }  // namespace

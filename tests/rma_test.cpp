@@ -1,5 +1,5 @@
 // src/rma tests: epoch misuse errors, notify matching by source/address,
-// read-only notify peeks, get_notify read tokens, batched-epoch doorbell
+// read-only notify peeks, batched-epoch doorbell
 // publication, exactly-once notification delivery under Gilbert-Elliott
 // burst loss plus a transient rail outage (invariant checker armed), and the
 // differential proofs that a Window is wire- and time-identical to the
@@ -50,25 +50,19 @@ TEST(RmaEpochTest, MisuseThrows) {
 
   cluster.spawn(0, "epochs", [&](Endpoint& ep) {
     rma::Window win(ep, {.base = dst, .bytes = 256, .tag = 4});
-    // put/get/close before any epoch opened.
+    // put/close before any epoch opened.
     EXPECT_THROW(win.put(1, dst, src, 64), std::logic_error);
-    EXPECT_THROW(win.get(1, src, dst, 64), std::logic_error);
     EXPECT_THROW(win.close(), std::logic_error);
 
     win.open();
     EXPECT_THROW(win.open(), std::logic_error);  // double open
     // Range checks (window is [dst, dst+256)).
     EXPECT_THROW(win.put(1, dst + 224, src, 64), std::logic_error);
-    EXPECT_THROW(win.get(1, src, dst + 256, 8), std::logic_error);
     win.put(1, dst, src, 64);  // in-range access is fine
     win.flush();
     win.close();
     EXPECT_THROW(win.close(), std::logic_error);      // double close
     EXPECT_THROW(win.put(1, dst, src, 64), std::logic_error);  // epoch over
-
-    // get_notify needs the per-source token block.
-    rma::Window plain(ep, {.tag = 5});
-    EXPECT_THROW(plain.get_notify(1, src, dst, 8), std::logic_error);
 
     // A notified access works outside any epoch — it carries its own sync.
     win.put_notify(1, dst, src, 8).wait();
@@ -187,35 +181,6 @@ TEST(RmaNotifyTest, PendingPeekAgreesWithTestAndConsumesNothing) {
     }
     EXPECT_EQ(nq.stashed(), 0u);
     EXPECT_FALSE(win.notify_pending());
-  });
-  cluster.run();
-}
-
-// ---------------------------------------------------------------------------
-// get_notify: the passive side learns its region was read
-// ---------------------------------------------------------------------------
-
-TEST(RmaNotifyTest, GetNotifyDeliversTokenAfterReadServed) {
-  CheckedCluster cluster(config_1l_1g(2));
-  // Keep the per-node layouts symmetric: the token block is fiber-allocated
-  // by the Window, so both nodes pre-allocate identical data regions first.
-  const std::uint64_t region0 = cluster.memory(0).alloc(128);
-  const std::uint64_t region1 = cluster.memory(1).alloc(128);
-  ASSERT_EQ(region0, region1);
-  *cluster.memory(0).as<std::uint64_t>(region0) = 0xfeedbeef;
-
-  cluster.spawn(0, "passive", [&](Endpoint& ep) {
-    rma::Window win(ep, {.tag = 11, .notify_tokens = true});
-    const rma::NotifyEvent ev = win.wait_notify(/*src=*/1, win.token_va(1));
-    EXPECT_EQ(ev.src, 1);
-    EXPECT_EQ(ev.bytes, 8u);
-    // The fenced token arrived, so this side of the read has been served.
-    EXPECT_EQ(*ep.memory().as<std::uint64_t>(win.token_va(1)), 1u);
-  });
-  cluster.spawn(1, "reader", [&](Endpoint& ep) {
-    rma::Window win(ep, {.tag = 11, .notify_tokens = true});
-    win.get_notify(0, region1 + 64, region0, 8).wait();
-    EXPECT_EQ(*ep.memory().as<std::uint64_t>(region1 + 64), 0xfeedbeefu);
   });
   cluster.run();
 }

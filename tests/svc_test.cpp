@@ -363,9 +363,9 @@ TEST(SvcBrokerTest, RejectionCarriesRetryAfterHint) {
           // The hint is the bounced queue's depth in dispatcher ticks —
           // at least one full tick, and bounded by the larger admission
           // limit (the queue can never be deeper than the bound it hit).
-          EXPECT_GE(op->retry_after, bcfg.dispatch_poll);
+          EXPECT_GE(op->retry_after, svc::kDispatchPoll);
           EXPECT_LE(op->retry_after,
-                    bcfg.dispatch_poll *
+                    svc::kDispatchPoll *
                         static_cast<sim::Time>(bcfg.peer_queue_limit));
         } else {
           ++accepted;
