@@ -70,15 +70,8 @@ bench::Row run_workload(const Workload& w) {
   Cluster cluster(ccfg);
 
   // Symmetric layout: one 8-byte flag slot + one 8-byte send scratch per node.
-  const std::uint64_t flag = cluster.memory(0).alloc(8);
-  const std::uint64_t scratch = cluster.memory(0).alloc(8);
-  for (int i = 1; i < n; ++i) {
-    if (cluster.memory(i).alloc(8) != flag ||
-        cluster.memory(i).alloc(8) != scratch) {
-      std::cerr << "asymmetric layout\n";
-      std::exit(1);
-    }
-  }
+  const std::uint64_t flag = cluster.alloc_symmetric(8);
+  const std::uint64_t scratch = cluster.alloc_symmetric(8);
 
   sim::Time t0 = 0, t1 = 0;
   for (int i = 0; i < n; ++i) {

@@ -30,6 +30,9 @@ STRUCTS=(
   src/net/nic.hpp:NicConfig
   src/core/api.hpp:ClusterConfig
   src/apps/app.hpp:AppParams
+  src/net/channel.hpp:FaultModel
+  src/net/channel.hpp:GilbertElliott
+  src/core/microbench.hpp:MicroParams
 )
 
 # Struct::field (or Struct::* for every field) and a one-line reason. Fields

@@ -130,7 +130,6 @@ AppRunResult run_app(const HarnessOptions& opts, const std::string& app_name,
   r.parallel_ms = sim::to_ms(cap.t1 - cap.t0);
   r.checksum = app->checksum(sys);
 
-  const double elapsed = sim::to_ms(cap.t1 - cap.t0);
   for (int i = 0; i < nodes; ++i) {
     const dsm::DsmNodeStats& s1 = sys.node(i).stats();
     const dsm::DsmNodeStats& s0 = cap.dsm0[i];
@@ -142,7 +141,6 @@ AppRunResult run_app(const HarnessOptions& opts, const std::string& app_name,
     b.dsm_overhead_ms = sim::to_ms(s1.overhead - s0.overhead);
     b.protocol_cpu = cluster.protocol_cpu_utilization(i);
     r.per_node.push_back(b);
-    (void)elapsed;
   }
 
   stats::Counters conns1;

@@ -58,25 +58,11 @@ CollDomain::CollDomain(Cluster& cluster, CollConfig cfg)
       align64(4ull * num_nodes_) + align64(4ull * num_nodes_ * num_nodes_);
   const std::size_t staging_bytes = 4 * cfg_.max_data_bytes + counts_bytes;
 
-  // Allocate the same regions in the same order on every node; the bump
-  // allocator then yields identical VAs (the symmetry every put/signal
-  // address computation relies on).
-  for (int i = 0; i < num_nodes_; ++i) {
-    proto::MemorySpace& mem = cluster_.memory(i);
-    const std::uint64_t slots = mem.alloc(slots_bytes, 64);
-    const std::uint64_t sig = mem.alloc(8, 64);
-    const std::uint64_t staging = mem.alloc(staging_bytes, 64);
-    if (i == 0) {
-      slots_va_ = slots;
-      sig_src_va_ = sig;
-      staging_va_ = staging;
-    } else if (slots != slots_va_ || sig != sig_src_va_ ||
-               staging != staging_va_) {
-      throw std::runtime_error(
-          "CollDomain: asymmetric allocation (nodes must allocate in the "
-          "same order before constructing the domain)");
-    }
-  }
+  // The same VAs on every node: the symmetry every put/signal address
+  // computation relies on.
+  slots_va_ = cluster_.alloc_symmetric(slots_bytes);
+  sig_src_va_ = cluster_.alloc_symmetric(8);
+  staging_va_ = cluster_.alloc_symmetric(staging_bytes);
 }
 
 std::uint64_t CollDomain::counts_matrix_va() const {

@@ -535,6 +535,19 @@ void Cluster::run() {
   }
 }
 
+std::uint64_t Cluster::alloc_symmetric(std::size_t bytes, std::size_t align) {
+  const std::uint64_t va = memory(0).alloc(bytes, align);
+  for (int i = 1; i < num_nodes(); ++i) {
+    if (memory(i).alloc(bytes, align) != va) {
+      throw std::runtime_error(
+          "Cluster::alloc_symmetric: asymmetric allocation on node " +
+          std::to_string(i) +
+          " (nodes must allocate the same regions in the same order)");
+    }
+  }
+  return va;
+}
+
 void Cluster::connect_all_mesh() {
   const int n = num_nodes();
   std::vector<std::unique_ptr<sim::Process>> procs;

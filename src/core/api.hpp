@@ -323,8 +323,16 @@ class Cluster {
   /// drained with fibers still blocked).
   void run();
 
+  /// Allocate `bytes` on every node and return the VA, which is the same on
+  /// all of them: the symmetric layout every one-sided mailbox, window and
+  /// collective addresses peers through. Throws std::runtime_error when some
+  /// node's allocator disagrees (nodes must allocate the same regions in the
+  /// same order).
+  std::uint64_t alloc_symmetric(std::size_t bytes, std::size_t align = 64);
+
   /// Establish the full connection mesh (every node connects to every other
-  /// node) before measurement. Convenience used by benches and the DSM.
+  /// node) before measurement, so connection setup stays out of the timed
+  /// region.
   void connect_all_mesh();
 
   /// Start a protocol CPU-utilization measurement window on all nodes.

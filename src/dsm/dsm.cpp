@@ -12,25 +12,14 @@ namespace multiedge::dsm {
 // ---------------------------------------------------------------------------
 
 DsmSystem::DsmSystem(Cluster& cluster, DsmConfig config)
-    : cluster_(cluster), cfg_(config) {
+    : cluster_(cluster),
+      cfg_(config),
+      // Identical layout on every node: the mailbox rings and their staging
+      // ring, then the shared region.
+      mailboxes_(cluster, config.mailbox_bytes, kTagDsm),
+      shared_base_(cluster.alloc_symmetric(config.shared_bytes, kPageBytes)),
+      shared_brk_(shared_base_) {
   const int n = cluster_.num_nodes();
-  // Identical layout on every node: mailbox rings (one per sender), one
-  // staging buffer, then the shared region.
-  for (int i = 0; i < n; ++i) {
-    Endpoint& ep = cluster_.endpoint(i);
-    const std::uint64_t mb = ep.alloc(cfg_.mailbox_bytes * n, 64);
-    const std::uint64_t st = ep.alloc(cfg_.mailbox_bytes, 64);
-    const std::uint64_t sh = ep.alloc(cfg_.shared_bytes, kPageBytes);
-    if (i == 0) {
-      mailbox_base_ = mb;
-      staging_base_ = st;
-      shared_base_ = sh;
-    } else {
-      assert(mb == mailbox_base_ && st == staging_base_ && sh == shared_base_ &&
-             "shared layout must be identical on all nodes");
-    }
-  }
-  shared_brk_ = shared_base_;
   // The collective domain allocates its own symmetric scratch, after the
   // DSM regions so the layout stays identical on every node.
   if (cfg_.enable_coll) {
@@ -112,30 +101,17 @@ Dsm::Dsm(DsmSystem& system, Endpoint& ep, int rank)
       // notify events anyway) and unfenced by default — send_msg pins the
       // fence per message, exactly as the raw rdma_write idiom did.
       msg_win_(ep,
-               rma::WindowConfig{
-                   .base = system.mailbox_base_,
-                   .bytes = static_cast<std::uint64_t>(system.cfg_.mailbox_bytes) *
-                            static_cast<std::uint64_t>(system.num_nodes()),
-                   .tag = kTagDsm,
-                   .urgent = false,
-                   .fenced = false},
+               rma::WindowConfig{.base = system.mailboxes_.rings_va(),
+                                 .bytes = system.mailboxes_.rings_bytes(),
+                                 .tag = system.mailboxes_.tag(),
+                                 .urgent = false,
+                                 .fenced = false},
                [this](int node) -> Connection& { return conn_to(node); }) {
   pages_.resize(system_.cfg_.shared_bytes / kPageBytes);
   for (std::uint32_t p = 0; p < pages_.size(); ++p) {
     if (home_of(p) != rank_) continue;
     pages_[p].home = true;
     pages_[p].state = PageState::kReadOnly;
-  }
-  staging_writer_ =
-      MailboxWriter(system_.staging_base_, system_.cfg_.mailbox_bytes);
-  const int n = system_.num_nodes();
-  mailbox_writers_.resize(n);
-  for (int d = 0; d < n; ++d) {
-    // My ring at destination d is indexed by my rank.
-    mailbox_writers_[d] = MailboxWriter(
-        system_.mailbox_base_ + static_cast<std::uint64_t>(rank_) *
-                                    system_.cfg_.mailbox_bytes,
-        system_.cfg_.mailbox_bytes);
   }
 }
 
@@ -388,14 +364,13 @@ void Dsm::send_msg(int dst, Message m, bool fence) {
     return;
   }
   const std::vector<std::byte> bytes = m.encode();
-  assert(bytes.size() <= system_.cfg_.mailbox_bytes);
   // The staging area is a ring: the worker and service fibers can both be
   // inside send_msg at once (rdma_write blocks for its CPU charge before it
   // snapshots the source), so each message stages at a fresh offset.
-  const std::uint64_t src_va = staging_writer_.place(bytes.size());
-  ep_.memory().write(src_va, bytes);
-  const std::uint64_t dst_va = mailbox_writers_[dst].place(bytes.size());
-  msg_win_.put_notify(dst, dst_va, src_va,
+  const rma::Channel::Slot slot =
+      system_.mailboxes_.place(rank_, dst, bytes.size());
+  ep_.memory().write(slot.staging_va, bytes);
+  msg_win_.put_notify(dst, slot.remote_va, slot.staging_va,
                       static_cast<std::uint32_t>(bytes.size()), fence);
 }
 

@@ -34,6 +34,7 @@
 #include "core/api.hpp"
 #include "dsm/config.hpp"
 #include "dsm/msg.hpp"
+#include "rma/channel.hpp"
 #include "rma/rma.hpp"
 #include "sim/wait_queue.hpp"
 
@@ -209,8 +210,6 @@ class Dsm {
   std::vector<std::uint32_t> since_barrier_pages_;  // all flushes since barrier
 
   std::map<int, Connection> conns_;
-  std::vector<MailboxWriter> mailbox_writers_;  // indexed by destination
-  MailboxWriter staging_writer_;                // local outbound staging ring
   rma::Window msg_win_;  // kTagDsm window over the mailbox rings: every control
                          // message is a notified put, the service loop a
                          // test_notify + notify-event wait
@@ -258,13 +257,11 @@ class DsmSystem {
 
   Cluster& cluster_;
   DsmConfig cfg_;
-  std::uint64_t mailbox_base_ = 0;
-  std::uint64_t staging_base_ = 0;
+  rma::Channel mailboxes_;  // kTagDsm, one mailbox_bytes ring per node pair
   std::uint64_t shared_base_ = 0;
   std::uint64_t shared_brk_ = 0;
   std::unique_ptr<coll::CollDomain> coll_domain_;  // enable_coll only
   std::vector<std::unique_ptr<Dsm>> nodes_;
-  std::vector<std::unique_ptr<sim::Process>> service_procs_;
 };
 
 }  // namespace multiedge::dsm

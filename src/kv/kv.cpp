@@ -246,9 +246,8 @@ const char* status_str(Status s) {
 // KvDomain
 // ---------------------------------------------------------------------------
 
-KvDomain::KvDomain(Cluster& cluster, const KvConfig& cfg, const Ring& ring)
+KvDomain::KvDomain(Cluster& cluster, const KvConfig& cfg)
     : cfg_(&cfg), num_nodes_(cluster.num_nodes()) {
-  (void)ring;
   bucket_entry_bytes_ = 8 + 8 * cfg.chain_slots;
   record_stride_ = static_cast<std::uint32_t>(
       align64(sizeof(RecordHeader) + kMaxKeyBytes + cfg.max_value_bytes));
@@ -266,39 +265,18 @@ KvDomain::KvDomain(Cluster& cluster, const KvConfig& cfg, const Ring& ring)
   const std::uint64_t N = num_nodes_;
   const std::uint64_t C = cfg.clients_per_node;
 
-  struct Region {
-    std::uint64_t* va;
-    std::uint64_t bytes;
-  };
-  const Region regions[] = {
-      {&buckets_va_, P * B * bucket_entry_bytes_},
-      {&slab_va_, P * S * record_stride_},
-      {&seq_table_va_, P * N * C * 8},
-      {&req_va_, N * C * req_stride_},
-      {&resp_va_, C * N * resp_stride_},
-      {&repl_va_, N * req_stride_},
-      {&ack_va_, N * 8},
-      {&ack_src_va_, N * 8},
-      {&resp_build_va_, resp_stride_},
-      {&repl_build_va_, req_stride_},
-      {&req_build_va_, C * req_stride_},
-      {&get_buf_va_, C * kGetBufSets * get_buf_stride_},
-  };
-  // Same regions, same order, on every node: the bump allocator then yields
-  // identical VAs everywhere (the symmetry the one-sided paths rely on).
-  for (int node = 0; node < num_nodes_; ++node) {
-    proto::MemorySpace& mem = cluster.memory(node);
-    for (const Region& r : regions) {
-      const std::uint64_t va = mem.alloc(r.bytes, 64);
-      if (node == 0) {
-        *r.va = va;
-      } else if (va != *r.va) {
-        throw std::runtime_error(
-            "KvDomain: asymmetric allocation (nodes must allocate in the "
-            "same order before constructing the kv system)");
-      }
-    }
+  buckets_va_ = cluster.alloc_symmetric(P * B * bucket_entry_bytes_);
+  slab_va_ = cluster.alloc_symmetric(P * S * record_stride_);
+  seq_table_va_ = cluster.alloc_symmetric(P * N * C * 8);
+  for (int c = 0; c < cfg.clients_per_node; ++c) {
+    requests_.emplace_back(cluster, req_stride_, kTagKvRequest);
+    responses_.emplace_back(cluster, resp_stride_,
+                            static_cast<std::uint8_t>(kTagKvResponseBase + c));
   }
+  replication_ = rma::Channel(cluster, req_stride_, kTagKvReplication);
+  ack_va_ = cluster.alloc_symmetric(N * 8);
+  ack_src_va_ = cluster.alloc_symmetric(N * 8);
+  get_buf_va_ = cluster.alloc_symmetric(C * kGetBufSets * get_buf_stride_);
 }
 
 // ---------------------------------------------------------------------------
@@ -328,7 +306,7 @@ Server::Server(System& sys, int node)
       // this op's own completion), ring-batched exactly when server bursting
       // is on — closing the fan-out epoch is then the burst doorbell.
       repl_win_(sys.cluster().endpoint(node),
-                rma::WindowConfig{.tag = kTagKvReplication,
+                rma::WindowConfig{.tag = sys.domain().replication().tag(),
                                   .quiet = true,
                                   .batched = sys.config().server_burst > 1},
                 [this](int peer) -> Connection& {
@@ -489,7 +467,7 @@ Status Server::apply(Endpoint& ep, std::uint32_t op, int partition,
   const std::uint64_t entry_va =
       dom.bucket_entry_va(partition, bucket_of(fnv1a64(key), cfg));
   std::uint64_t* e = mem.as<std::uint64_t>(entry_va);
-  const int idx = find_in_bucket(partition, entry_va, key);
+  const int idx = find_in_bucket(entry_va, key);
 
   if (op == kOpDel) {
     if (idx < 0) return Status::kNotFound;
@@ -565,7 +543,7 @@ Status Server::lookup_local(Endpoint& ep, int partition, std::string_view key,
   proto::MemorySpace& mem = ep.memory();
   const std::uint64_t entry_va =
       dom.bucket_entry_va(partition, bucket_of(fnv1a64(key), sys_.config()));
-  const int idx = find_in_bucket(partition, entry_va, key);
+  const int idx = find_in_bucket(entry_va, key);
   ep.compute(sim::ns(100));
   if (idx < 0) return Status::kNotFound;
   const std::uint64_t sva = mem.as<std::uint64_t>(entry_va)[1 + idx];
@@ -592,25 +570,25 @@ void Server::replicate(Endpoint& ep, std::uint32_t op, int partition,
   if (targets.empty()) return;
 
   const std::uint32_t gen = ++repl_gen_;
-  const std::uint64_t build = dom.repl_build_va();
-  const std::uint32_t bytes = encode_request(
-      mem, build,
-      ReqHeader{.seq = seq,
-                .op = op,
-                .partition = static_cast<std::uint32_t>(partition),
-                .client_node = static_cast<std::uint16_t>(client_node),
-                .cslot = static_cast<std::uint16_t>(cslot),
-                .repl_gen = gen},
-      key, value);
+  const ReqHeader h{.seq = seq,
+                    .op = op,
+                    .partition = static_cast<std::uint32_t>(partition),
+                    .client_node = static_cast<std::uint16_t>(client_node),
+                    .cslot = static_cast<std::uint16_t>(cslot),
+                    .repl_gen = gen};
 
   // The fan-out is one access epoch on the replication window. With server
   // bursting the window is batched: the notified puts park in the submission
   // rings and close() is the doorbell that pushes the whole replication
   // round out — mandatory before blocking on acks (a parked write would
   // never start).
+  rma::Channel& mailbox = sys_.domain().replication();
   repl_win_.open();
   for (int t : targets) {
-    repl_win_.put_notify(t, dom.repl_slot_va(node_), build, bytes);
+    const rma::Channel::Slot slot = mailbox.place(node_, t, dom.req_stride());
+    const std::uint32_t bytes =
+        encode_request(mem, slot.staging_va, h, key, value);
+    repl_win_.put_notify(t, slot.remote_va, slot.staging_va, bytes);
   }
   repl_win_.close();
   counters_.add(kCtrReplSent, targets.size());
@@ -716,9 +694,12 @@ void Server::respond(Endpoint& ep, int client_node, int cslot,
                      std::uint64_t seq, Status st, std::string_view value) {
   assert(client_node != node_ && "local clients use execute_local");
   const KvConfig& cfg = sys_.config();
-  const KvDomain& dom = sys_.domain();
+  KvDomain& dom = sys_.domain();
   proto::MemorySpace& mem = ep.memory();
-  const std::uint64_t build = dom.resp_build_va();
+  rma::Channel& mailbox = dom.responses(cslot);
+  const rma::Channel::Slot slot =
+      mailbox.place(node_, client_node, dom.resp_stride());
+  const std::uint64_t build = slot.staging_va;
   auto* rh = mem.as<RespHeader>(build);
   rh->seq = seq;
   rh->status = static_cast<std::uint32_t>(st);
@@ -732,22 +713,21 @@ void Server::respond(Endpoint& ep, int client_node, int cslot,
   // ack — so under selective signaling it may ride unsignaled like bulk.
   std::uint16_t flags =
       kOpFlagNotify | kOpFlagUrgent | kOpFlagBackwardFence |
-      kOpFlagQuietNotify |
-      op_tag_flags(static_cast<std::uint8_t>(kTagKvResponseBase + cslot));
+      kOpFlagQuietNotify | op_tag_flags(mailbox.tag());
   // Under a serve-loop burst the responses of the whole burst share one
   // doorbell (serve() flushes after the drain); the response data is copied
-  // into frames at submit, so reusing resp_build_va per response stays safe.
+  // into frames at submit, so reusing the staging slot per response stays
+  // safe.
   if (cfg.server_burst > 1) flags |= kOpFlagBatched;
   sys_.conn_to(ep, client_node)
-      .rdma_write(dom.resp_slot_va(cslot, node_), build,
+      .rdma_write(slot.remote_va, build,
                   static_cast<std::uint32_t>(sizeof(RespHeader) + value.size()),
                   flags);
   counters_.add(kCtrResponses);
 }
 
-int Server::find_in_bucket(int partition, std::uint64_t bucket_entry,
+int Server::find_in_bucket(std::uint64_t bucket_entry,
                            std::string_view key) const {
-  (void)partition;
   const proto::MemorySpace& mem = sys_.cluster().memory(node_);
   const std::uint64_t* e = mem.as<std::uint64_t>(bucket_entry);
   for (std::uint64_t i = 0; i < e[0]; ++i) {
@@ -878,11 +858,12 @@ Status Client::shed(const ClientOpRef& r) {
 Status Client::rpc(std::uint32_t op, std::string_view key,
                    std::string_view value) {
   const KvConfig& cfg = sys_.config();
-  const KvDomain& dom = sys_.domain();
+  KvDomain& dom = sys_.domain();
   proto::MemorySpace& mem = ep_.memory();
   const int p = sys_.ring().partition_of(fnv1a64(key));
   const std::uint64_t seq = ++seq_;  // retries of this op reuse the seq
-  const int resp_tag = kTagKvResponseBase + cslot_;
+  rma::Channel& requests = dom.requests(cslot_);
+  const int resp_tag = dom.responses(cslot_).tag();
 
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     if (attempt) counters_.add(kCtrRpcRetries);
@@ -900,9 +881,10 @@ Status Client::rpc(std::uint32_t op, std::string_view key,
       return st;
     }
 
-    const std::uint64_t build = dom.req_build_va(cslot_);
+    const rma::Channel::Slot slot =
+        requests.place(node_, primary, dom.req_stride());
     const std::uint32_t bytes = encode_request(
-        mem, build,
+        mem, slot.staging_va,
         ReqHeader{.seq = seq,
                   .op = op,
                   .partition = static_cast<std::uint32_t>(p),
@@ -917,10 +899,10 @@ Status Client::rpc(std::uint32_t op, std::string_view key,
     // batching the request is urgent — submitted and transmitted eagerly.
     const bool batch = ep_.engine().config().batch_submission;
     const std::uint16_t req_flags = static_cast<std::uint16_t>(
-        kOpFlagNotify | kOpFlagBackwardFence | op_tag_flags(kTagKvRequest) |
+        kOpFlagNotify | kOpFlagBackwardFence | op_tag_flags(requests.tag()) |
         (batch ? kOpFlagBatched : kOpFlagUrgent));
-    const ClientOpRef req = issue_write(
-        primary, dom.req_slot_va(node_, cslot_), build, bytes, req_flags);
+    const ClientOpRef req = issue_write(primary, slot.remote_va,
+                                        slot.staging_va, bytes, req_flags);
     if (req.rejected()) {
       // Broker admission control shed the request before it touched the
       // wire: fail fast so the caller backs off instead of piling retries
@@ -1128,7 +1110,7 @@ System::System(Cluster& cluster, KvConfig cfg, member::Service* membership)
       cfg_(check_client_slots(cfg)),
       ring_(cluster.num_nodes(), cfg.partitions, cfg.replication, cfg.vnodes,
             cfg.seed),
-      domain_(cluster, cfg_, ring_) {
+      domain_(cluster, cfg_) {
   if (membership) {
     member_ = membership;
   } else {

@@ -14,7 +14,7 @@
 //    retries. No server CPU is involved anywhere on this path.
 //
 //  * PUT/DELETE — tagged urgent-notify RPCs to the primary. The client
-//    writes the request into its per-(node, slot) mailbox on the primary
+//    writes the request into its slot's rma::Channel mailbox on the primary
 //    (kOpFlagNotify | kOpFlagUrgent | kOpFlagBackwardFence, kTagKvRequest);
 //    the primary applies the mutation under the record version protocol,
 //    replicates it through a notified-access rma::Window (one access epoch
@@ -22,7 +22,7 @@
 //    the burst doorbell), waits for all replication acks — each ack a
 //    notified put of the generation word on the ack window — and only then
 //    writes the response into the
-//    client's per-server response slot. Requests carry a per-client sequence
+//    client slot's response Channel. Requests carry a per-client sequence
 //    number; a (partition, client) last-seq table — maintained on every
 //    replica — makes retried and duplicated requests idempotent, so a write
 //    is applied exactly once even when a client re-sends it to a promoted
@@ -56,6 +56,7 @@
 #include "core/api.hpp"
 #include "kv/ring.hpp"
 #include "member/member.hpp"
+#include "rma/channel.hpp"
 #include "rma/rma.hpp"
 #include "sim/wait_queue.hpp"
 #include "stats/counters.hpp"
@@ -147,11 +148,11 @@ struct KvConfig {
 class System;
 
 /// Symmetric memory layout of the store. Every node allocates the same
-/// regions in the same order (same invariant as coll::CollDomain), so a VA
-/// computed here addresses the same object on every node.
+/// regions in the same order (Cluster::alloc_symmetric), so a VA computed
+/// here addresses the same object on every node.
 class KvDomain {
  public:
-  KvDomain(Cluster& cluster, const KvConfig& cfg, const Ring& ring);
+  KvDomain(Cluster& cluster, const KvConfig& cfg);
 
   // Derived strides (64-aligned where a region is bulk-copied).
   std::uint32_t bucket_entry_bytes() const { return bucket_entry_bytes_; }
@@ -177,33 +178,21 @@ class KvDomain {
                 cfg_->clients_per_node + cslot) * 8;
   }
 
-  // --- RPC mailboxes ---
-  /// Request slot of client (client_node, cslot), hosted on every server.
-  std::uint64_t req_slot_va(int client_node, int cslot) const {
-    return req_va_ + (static_cast<std::uint64_t>(client_node) *
-                      cfg_->clients_per_node + cslot) * req_stride_;
-  }
-  /// Response slot for local client `cslot`, written by `server_node`.
-  std::uint64_t resp_slot_va(int cslot, int server_node) const {
-    return resp_va_ + (static_cast<std::uint64_t>(cslot) * num_nodes_ +
-                       server_node) * resp_stride_;
-  }
-  /// Replication mailbox written by primary `src_node` (one in flight each).
-  std::uint64_t repl_slot_va(int src_node) const {
-    return repl_va_ + static_cast<std::uint64_t>(src_node) * req_stride_;
-  }
+  // --- RPC mailboxes: one-message rma::Channel rings (place() with
+  // reserve == the stride always lands at the ring start) ---
+  /// Requests of client slot `cslot` to any server, on kTagKvRequest.
+  rma::Channel& requests(int cslot) { return requests_[cslot]; }
+  /// Responses to client slot `cslot`, on kTagKvResponseBase + cslot.
+  rma::Channel& responses(int cslot) { return responses_[cslot]; }
+  /// Replication from a primary to each backup, on kTagKvReplication.
+  rma::Channel& replication() { return replication_; }
   /// Replication-ack word written by backup `backup_node`.
   std::uint64_t ack_slot_va(int backup_node) const {
     return ack_va_ + static_cast<std::uint64_t>(backup_node) * 8;
   }
 
-  // --- per-node scratch (sources of outbound writes) ---
+  // --- per-node scratch (source of the ack writes) ---
   std::uint64_t ack_src_va() const { return ack_src_va_; }
-  std::uint64_t resp_build_va() const { return resp_build_va_; }
-  std::uint64_t repl_build_va() const { return repl_build_va_; }
-  std::uint64_t req_build_va(int cslot) const {
-    return req_build_va_ + static_cast<std::uint64_t>(cslot) * req_stride_;
-  }
   /// Rotating one-sided GET landing buffers: bucket-entry image followed by
   /// K record-slot images. Rotation keeps a timed-out read's late completion
   /// from scribbling over the buffers of the current attempt.
@@ -225,14 +214,11 @@ class KvDomain {
   std::uint64_t buckets_va_ = 0;
   std::uint64_t slab_va_ = 0;
   std::uint64_t seq_table_va_ = 0;
-  std::uint64_t req_va_ = 0;
-  std::uint64_t resp_va_ = 0;
-  std::uint64_t repl_va_ = 0;
+  std::vector<rma::Channel> requests_;   // by client slot
+  std::vector<rma::Channel> responses_;  // by client slot
+  rma::Channel replication_;
   std::uint64_t ack_va_ = 0;
   std::uint64_t ack_src_va_ = 0;
-  std::uint64_t resp_build_va_ = 0;
-  std::uint64_t repl_build_va_ = 0;
-  std::uint64_t req_build_va_ = 0;
   std::uint64_t get_buf_va_ = 0;
 };
 
@@ -310,7 +296,7 @@ class Server {
   void respond(Endpoint& ep, int client_node, int cslot, std::uint64_t seq,
                Status st, std::string_view value);
 
-  int find_in_bucket(int partition, std::uint64_t bucket_entry,
+  int find_in_bucket(std::uint64_t bucket_entry,
                      std::string_view key) const;  // index into chain, -1
   std::uint32_t alloc_slot(int partition);  // returns slot or UINT32_MAX
 
@@ -436,6 +422,7 @@ class System {
   Cluster& cluster() { return cluster_; }
   const KvConfig& config() const { return cfg_; }
   const Ring& ring() const { return ring_; }
+  KvDomain& domain() { return domain_; }
   const KvDomain& domain() const { return domain_; }
   Server& server(int node) { return *nodes_[node]->server; }
   /// This node's membership view (the failure "detector" the data paths

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <numeric>
 #include <sstream>
-#include <stdexcept>
 
 #include "proto/wire.hpp"
 #include "sim/process.hpp"
@@ -83,6 +82,10 @@ struct UpdateEntry {
 };
 static_assert(sizeof(UpdateEntry) == 16);
 
+/// One inbox slot: a header plus a full update list, 64-byte aligned.
+constexpr std::uint32_t kMsgStride = static_cast<std::uint32_t>(align64(
+    sizeof(MsgHeader) + std::uint64_t{kMaxUpdates} * sizeof(UpdateEntry)));
+
 /// Sleep without occupying the app core (same rationale as the KV layer:
 /// a blocked fiber burns no CPU; a compute() poll loop would starve the
 /// node's real work).
@@ -127,34 +130,13 @@ sim::Time detection_bound(const MemberConfig& cfg, int n) {
 // ---------------------------------------------------------------------------
 
 Service::Service(Cluster& cluster, MemberConfig cfg)
-    : cluster_(cluster), cfg_(cfg), num_nodes_(cluster.num_nodes()) {
-  gossip_budget_ = kRetransmitFactor * (ceil_log2(num_nodes_) + 1);
-  msg_stride_ = static_cast<std::uint32_t>(align64(
-      sizeof(MsgHeader) +
-      std::uint64_t{kMaxUpdates} * sizeof(UpdateEntry)));
-
-  const std::uint64_t N = num_nodes_;
-  // Same regions, same order, on every node (the symmetric-VA invariant all
-  // MultiEdge mailbox schemes rely on).
-  for (int i = 0; i < num_nodes_; ++i) {
-    proto::MemorySpace& mem = cluster_.memory(i);
-    const std::uint64_t inbox =
-        mem.alloc(N * kInboxSlots * msg_stride_, 64);
-    const std::uint64_t build = mem.alloc(msg_stride_, 64);
-    const std::uint64_t hb = mem.alloc(N * 8, 64);
-    const std::uint64_t hb_src = mem.alloc(8, 64);
-    if (i == 0) {
-      inbox_va_ = inbox;
-      build_va_ = build;
-      hb_va_ = hb;
-      hb_src_va_ = hb_src;
-    } else if (inbox != inbox_va_ || build != build_va_ || hb != hb_va_ ||
-               hb_src != hb_src_va_) {
-      throw std::runtime_error(
-          "member: asymmetric allocation (nodes must allocate in the same "
-          "order before constructing the service)");
-    }
-  }
+    : cluster_(cluster),
+      cfg_(cfg),
+      num_nodes_(cluster.num_nodes()),
+      gossip_budget_(kRetransmitFactor * (ceil_log2(num_nodes_) + 1)),
+      inbox_(cluster, kInboxSlots * kMsgStride, kTagMember),
+      hb_va_(cluster.alloc_symmetric(num_nodes_ * 8)),
+      hb_src_va_(cluster.alloc_symmetric(8)) {
 
   nodes_.reserve(num_nodes_);
   for (int i = 0; i < num_nodes_; ++i) {
@@ -162,7 +144,6 @@ Service::Service(Cluster& cluster, MemberConfig cfg)
         i, num_nodes_, cfg_.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
     ctx->conns.assign(num_nodes_, nullptr);
     ctx->connect_started.assign(num_nodes_, 0);
-    ctx->next_inbox_slot.assign(num_nodes_, 0);
     ctx->suspect_since.assign(num_nodes_, 0);
     if (cfg_.mesh) {
       ctx->mesh_last_val.assign(num_nodes_, 0);
@@ -254,14 +235,15 @@ void Service::send_msg(NodeCtx& ctx, Endpoint& ep, int dst, std::uint8_t type,
     return;
   }
   const int self = ctx.view.self();
+  const rma::Channel::Slot slot = inbox_.place(self, dst, kMsgStride);
   proto::MemorySpace& mem = ep.memory();
-  auto* h = mem.as<MsgHeader>(build_va_);
+  auto* h = mem.as<MsgHeader>(slot.staging_va);
   h->type = type;
   h->src = static_cast<std::uint16_t>(self);
   h->target = static_cast<std::uint16_t>(target);
   h->origin = static_cast<std::uint16_t>(origin);
   h->seq = seq;
-  auto* entries = mem.as<UpdateEntry>(build_va_ + sizeof(MsgHeader));
+  auto* entries = mem.as<UpdateEntry>(slot.staging_va + sizeof(MsgHeader));
   // Entry 0 is always the sender's own Alive(incarnation) — every message
   // doubles as a heartbeat and as the refutation carrier after an
   // incarnation bump.
@@ -295,17 +277,14 @@ void Service::send_msg(NodeCtx& ctx, Endpoint& ep, int dst, std::uint8_t type,
   }
   h->num_updates = static_cast<std::uint8_t>(m);
 
-  int& cursor = ctx.next_inbox_slot[dst];
-  const int slot = cursor;
-  cursor = (cursor + 1) % kInboxSlots;
   const auto bytes = static_cast<std::uint32_t>(sizeof(MsgHeader) +
                                                 m * sizeof(UpdateEntry));
   // BackwardFence keeps one sender's messages applying in issue order, so
   // the receiver's per-source ring is consumed FIFO.
   Connection(&ep, pc).rdma_write(
-      inbox_slot_va(self, slot), build_va_, bytes,
+      slot.remote_va, slot.staging_va, bytes,
       kOpFlagNotify | kOpFlagUrgent | kOpFlagBackwardFence |
-          op_tag_flags(kTagMember));
+          op_tag_flags(inbox_.tag()));
   ctx.counters.add(kCtrMsgsSent);
 }
 
@@ -482,8 +461,7 @@ void Service::eager_disseminate(NodeCtx& ctx, Endpoint& ep) {
   }
 }
 
-bool Service::passively_fresh(NodeCtx& ctx, Endpoint& ep, int peer) const {
-  (void)ctx;
+bool Service::passively_fresh(Endpoint& ep, int peer) const {
   const sim::Time lr = ep.engine().last_rx_from(peer);
   return lr > 0 && cluster_.sim().now() - lr <= kSuppressWindow;
 }
@@ -507,7 +485,7 @@ void Service::start_probe(NodeCtx& ctx, Endpoint& ep) {
   if (ctx.probe.target >= 0) return;  // previous round still awaiting acks
   const int target = next_probe_target(ctx);
   if (target < 0) return;
-  if (passively_fresh(ctx, ep, target)) {
+  if (passively_fresh(ep, target)) {
     // The peer's own frames arrived within the window: provably alive, no
     // dedicated probe needed. This is what keeps a busy cluster's probe
     // traffic near zero.
@@ -553,7 +531,7 @@ void Service::advance_probe(NodeCtx& ctx, Endpoint& ep) {
     return;
   }
   const int target = ctx.probe.target;
-  if (passively_fresh(ctx, ep, target)) {
+  if (passively_fresh(ep, target)) {
     record_probe_span(cluster_.tracer(), cluster_.sim().now(),
                       ctx.view.self(), ctx.probe.started, ctx.probe.ctx,
                       target, /*acked=*/true);
@@ -628,7 +606,7 @@ void Service::fiber(Endpoint& ep) {
           static_cast<std::uint64_t>(std::max<sim::Time>(1, cfg_.period))));
   while (!stop_) {
     Notification n;
-    while (ep.poll_notification(&n, kTagMember)) handle_msg(ctx, ep, n);
+    while (ep.poll_notification(&n, inbox_.tag())) handle_msg(ctx, ep, n);
     advance_probe(ctx, ep);
     if (cluster_.sim().now() >= next_round) {
       next_round = cluster_.sim().now() + cfg_.period;

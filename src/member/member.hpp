@@ -25,9 +25,10 @@
 //    sticky for the session, preserving the KV layer's sticky-down +
 //    backup-promotion semantics (rejoin/resync stays future work).
 //
-// Messages are 8-byte-aligned records written into per-(source, slot) inbox
-// rings on the receiver (urgent + notify + backward-fenced writes, tagged
-// kTagMember), exactly the mailbox idiom the KV RPCs use. A legacy
+// Messages are 8-byte-aligned records written into per-source inbox rings
+// on the receiver, laid out by an rma::Channel (urgent + notify +
+// backward-fenced writes, tagged kTagMember), the same mailbox the DSM and
+// the KV RPCs use (DESIGN.md §17 "Channels"). A legacy
 // `mesh` mode reproduces the old all-pairs heartbeat detector so benches can
 // measure SWIM against it on identical plumbing.
 #pragma once
@@ -38,6 +39,7 @@
 #include <vector>
 
 #include "core/api.hpp"
+#include "rma/channel.hpp"
 #include "sim/random.hpp"
 #include "stats/counters.hpp"
 #include "trace/trace.hpp"
@@ -169,7 +171,7 @@ class Service {
   // --- state machine ---
   void start_probe(NodeCtx& ctx, Endpoint& ep);
   void advance_probe(NodeCtx& ctx, Endpoint& ep);
-  bool passively_fresh(NodeCtx& ctx, Endpoint& ep, int peer) const;
+  bool passively_fresh(Endpoint& ep, int peer) const;
   void apply_update(NodeCtx& ctx, int node, PeerState st, std::uint64_t inc);
   void eager_disseminate(NodeCtx& ctx, Endpoint& ep);
   void transition(NodeCtx& ctx, int peer, PeerState st);
@@ -184,17 +186,10 @@ class Service {
   int gossip_budget_;  // kRetransmitFactor * (ceil_log2(n) + 1)
 
   // Symmetric memory layout (same VAs on every node).
-  std::uint32_t msg_stride_ = 0;
-  std::uint64_t inbox_va_ = 0;   // [src][slot] message rings
-  std::uint64_t build_va_ = 0;   // per-node outbound build buffer
+  rma::Channel inbox_;  // kTagMember, kInboxSlots messages per node pair
   std::uint64_t hb_va_ = 0;      // mesh mode: per-peer heartbeat words
   std::uint64_t hb_src_va_ = 0;  // mesh mode: local heartbeat scratch
 
-  std::uint64_t inbox_slot_va(int src, int slot) const {
-    return inbox_va_ +
-           (static_cast<std::uint64_t>(src) * kInboxSlots + slot) *
-               msg_stride_;
-  }
   std::uint64_t hb_slot_va(int src) const {
     return hb_va_ + static_cast<std::uint64_t>(src) * 8;
   }
@@ -222,7 +217,6 @@ class Service {
     Endpoint* ep = nullptr;  // set by fiber(); carrier for eager gossip
     std::vector<proto::Connection*> conns;  // lazily initiated, by peer
     std::vector<sim::Time> connect_started;  // first connect() attempt, by peer
-    std::vector<int> next_inbox_slot;       // outbound ring cursor, by peer
     std::vector<int> probe_order;           // shuffled round-robin schedule
     std::size_t probe_pos = 0;
     Probe probe;

@@ -562,7 +562,7 @@ void Connection::process_ack(std::uint64_t ack, sim::Cpu& cpu) {
   }
   snd_una_ = ack;  // obsolete retx entries are skipped in try_transmit()
   if (snd_tx_next_ < snd_una_) snd_tx_next_ = snd_una_;
-  complete_acked_ops(cpu);
+  complete_acked_ops();
   if (frames_in_flight() == 0 && retx_queue_.empty()) {
     retransmit_timer_.cancel();
   } else {
@@ -571,8 +571,7 @@ void Connection::process_ack(std::uint64_t ack, sim::Cpu& cpu) {
   try_transmit(cpu);
 }
 
-void Connection::complete_acked_ops(sim::Cpu& cpu) {
-  (void)cpu;
+void Connection::complete_acked_ops() {
   while (!write_ops_.empty() && write_ops_.front()->last_seq < snd_una_) {
     SendOpPtr op = std::move(write_ops_.front());
     write_ops_.pop_front();
@@ -655,7 +654,7 @@ void Connection::handle_data_frame(net::FramePtr frame, const DecodedFrame& df,
                               : rcvd_above_.contains(seq);
   }
   if (duplicate) {
-    on_duplicate(seq, cpu);
+    on_duplicate(cpu);
     return;
   }
 
@@ -761,8 +760,7 @@ void Connection::note_gap_progress() {
   }
 }
 
-void Connection::on_duplicate(std::uint64_t seq, sim::Cpu& cpu) {
-  (void)seq;
+void Connection::on_duplicate(sim::Cpu& cpu) {
   counters_.add(kCtrDuplicatesDiscarded);
   // A duplicate means the sender is retransmitting: our ACKs (or its data)
   // were lost. Re-ack immediately. Gap reporting stays on its normal

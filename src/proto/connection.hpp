@@ -279,7 +279,7 @@ class Connection {
   std::size_t pick_link();
   bool transmit_on_some_link(const net::MutFramePtr& frame, std::uint64_t seq,
                              sim::Cpu& cpu, bool retx = false);
-  void complete_acked_ops(sim::Cpu& cpu);
+  void complete_acked_ops();
 
   void note_gap_progress();
   const std::vector<std::uint64_t>& collect_due_nacks(bool force_all);
@@ -291,7 +291,7 @@ class Connection {
   void maybe_complete(RecvOp& op, sim::Cpu& cpu);
   void unblock_ops(sim::Cpu& cpu);
   void after_new_data_frame(sim::Cpu& cpu);
-  void on_duplicate(std::uint64_t seq, sim::Cpu& cpu);
+  void on_duplicate(sim::Cpu& cpu);
 
   Engine& engine_;
   std::uint32_t local_id_;

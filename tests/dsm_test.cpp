@@ -1,7 +1,9 @@
 // DSM correctness: page fetch, multiple-writer diffs, lock mutual exclusion,
-// barrier semantics, and notice propagation — on each cluster configuration.
+// barrier semantics, and notice propagation — on each cluster configuration —
+// plus the symmetric-layout check.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -20,6 +22,15 @@ TEST(Dsm, SystemLaysOutSharedRegionIdentically) {
   const std::uint64_t b = sys.shared_alloc(100);
   EXPECT_GE(b, a + 100);
   EXPECT_GE(a, sys.shared_base());
+}
+
+// One node allocated before the DSM did, so its layout cannot match the
+// others'. The default config keeps the collective domain off, so the throw
+// comes from the DSM's own regions.
+TEST(Dsm, AsymmetricLayoutThrows) {
+  Cluster cluster(config_1l_1g(2));
+  cluster.memory(1).alloc(64);
+  EXPECT_THROW(DsmSystem(cluster, DsmConfig{}), std::runtime_error);
 }
 
 TEST(Dsm, HomeWriteIsVisibleToRemoteReader) {

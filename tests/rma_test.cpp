@@ -6,9 +6,15 @@
 // hand-rolled idioms it replaced: the coll put+signal profile (urgent fenced
 // notify) and the DSM write-notice profile (non-urgent notify, per-call
 // fence), plus the KV replication-ack bookkeeping identities the bespoke ack
-// path used to guarantee.
+// path used to guarantee. Channel tests: ring placement (slot-modulo, wrap,
+// independent cursors) and one differential per mailbox moved onto a
+// Channel (DSM, membership, KV RPCs) against a copy of its old layout.
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -19,6 +25,7 @@
 
 #include "core/api.hpp"
 #include "kv/kv.hpp"
+#include "rma/channel.hpp"
 #include "rma/rma.hpp"
 #include "sim/process.hpp"
 #include "stats/counters.hpp"
@@ -310,13 +317,13 @@ void expect_identical(const RunResult& raw, const RunResult& win) {
     for (const auto& [name, value] : a) {
       const auto it = b.find(name);
       EXPECT_TRUE(it != b.end() && it->second == value)
-          << "node " << n << " counter " << name << ": raw idiom " << value
-          << ", window " << (it == b.end() ? 0 : it->second);
+          << "node " << n << " counter " << name << ": hand-rolled " << value
+          << ", rebased " << (it == b.end() ? 0 : it->second);
     }
     EXPECT_EQ(a.size(), b.size()) << "node " << n << " counter sets differ";
   }
   EXPECT_EQ(raw.end_time, win.end_time)
-      << "the window run took a different amount of simulated time";
+      << "the rebased run took a different amount of simulated time";
 }
 
 RunResult harvest(Cluster& cluster, int nodes) {
@@ -527,6 +534,410 @@ TEST(RmaDifferentialTest, KvReplicationAckBookkeepingHolds) {
   EXPECT_EQ(agg.get("kv_repl_dups"), 0u);
   EXPECT_EQ(agg.get("kv_rejected"), 0u);
   EXPECT_EQ(agg.get("kv_peers_marked_down"), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Channel: ring placement
+// ---------------------------------------------------------------------------
+
+// A fixed reserve is slot-modulo addressing: message k from a source lands
+// in slot k % kSlots of that source's ring and stages in slot k % kSlots of
+// the sender's staging ring.
+TEST(RmaChannelTest, FixedReserveIsSlotModulo) {
+  constexpr std::uint64_t kSlot = 192;
+  constexpr int kSlots = 8;
+  Cluster cluster(config_1l_1g(3));
+  rma::Channel ch(cluster, kSlots * kSlot, kTagMember);
+  EXPECT_EQ(ch.rings_bytes(), 3 * kSlots * kSlot);
+  EXPECT_EQ(ch.tag(), kTagMember);
+  const std::uint64_t ring = ch.rings_va() + 2 * kSlots * kSlot;  // node 2's
+  std::uint64_t staging = 0;
+  for (int k = 0; k < 3 * kSlots; ++k) {
+    const rma::Channel::Slot s = ch.place(/*self=*/2, /*dst=*/0, kSlot);
+    if (k == 0) staging = s.staging_va;
+    EXPECT_EQ(s.remote_va, ring + (k % kSlots) * kSlot) << "message " << k;
+    EXPECT_EQ(s.staging_va, staging + (k % kSlots) * kSlot) << "message " << k;
+  }
+  EXPECT_GE(staging, ch.rings_va() + ch.rings_bytes());
+}
+
+// Variable-length messages never split across the ring end: one that would
+// cross it restarts at offset 0; one that exactly fills the rest fits.
+TEST(RmaChannelTest, MessageThatWouldCrossTheEndRestartsAtZero) {
+  Cluster cluster(config_1l_1g(2));
+  rma::Channel ch(cluster, 100, kTagDsm);
+  const std::uint64_t ring = ch.rings_va() + 100;  // node 1's ring
+  EXPECT_EQ(ch.place(1, 0, 40).remote_va, ring);
+  EXPECT_EQ(ch.place(1, 0, 40).remote_va, ring + 40);
+  EXPECT_EQ(ch.place(1, 0, 30).remote_va, ring);  // 80 + 30 > 100
+  EXPECT_EQ(ch.place(1, 0, 70).remote_va, ring + 30);
+  EXPECT_EQ(ch.place(1, 0, 1).remote_va, ring);
+  EXPECT_THROW(ch.place(1, 0, 101), std::length_error);
+}
+
+// Each ordered (src, dst) pair has its own cursor; each node has one staging
+// cursor shared by all its destinations.
+TEST(RmaChannelTest, CursorsAreIndependentPerPairAndPerStagingRing) {
+  constexpr std::uint64_t kRing = 256;
+  Cluster cluster(config_1l_1g(3));
+  rma::Channel ch(cluster, kRing, kTagDsm);
+  const rma::Channel::Slot a = ch.place(0, 1, 64);
+  const rma::Channel::Slot b = ch.place(0, 2, 64);
+  const rma::Channel::Slot c = ch.place(1, 2, 64);
+  const rma::Channel::Slot d = ch.place(0, 1, 64);
+  // Node 0's ring at node 1 and at node 2: the same VA, fresh cursors.
+  EXPECT_EQ(a.remote_va, ch.rings_va());
+  EXPECT_EQ(b.remote_va, ch.rings_va());
+  EXPECT_EQ(c.remote_va, ch.rings_va() + kRing);
+  EXPECT_EQ(d.remote_va, ch.rings_va() + 64);
+  // Node 0's staging cursor advanced across destinations; node 1's is its own.
+  EXPECT_EQ(b.staging_va, a.staging_va + 64);
+  EXPECT_EQ(c.staging_va, a.staging_va);
+  EXPECT_EQ(d.staging_va, a.staging_va + 128);
+}
+
+// ---------------------------------------------------------------------------
+// Differential: each mailbox moved onto a Channel is wire-identical to a copy
+// of the hand-rolled layout it replaced
+// ---------------------------------------------------------------------------
+
+/// Where one message goes, by layout under test: (self, dst, reserve).
+using Placer = std::function<rma::Channel::Slot(int, int, std::size_t)>;
+
+Placer channel_placer(Cluster& cluster, std::size_t ring_bytes,
+                      std::uint8_t tag) {
+  auto ch = std::make_shared<rma::Channel>(cluster, ring_bytes, tag);
+  return [ch](int self, int dst, std::size_t reserve) {
+    return ch->place(self, dst, reserve);
+  };
+}
+
+/// Lazily connected per-fiber connection cache.
+class Conns {
+ public:
+  explicit Conns(Endpoint& ep) : ep_(ep) {}
+  Connection& to(int peer) {
+    auto it = conns_.find(peer);
+    if (it == conns_.end()) it = conns_.emplace(peer, ep_.connect(peer)).first;
+    return it->second;
+  }
+
+ private:
+  Endpoint& ep_;
+  std::map<int, Connection> conns_;
+};
+
+/// Destination of message i from `self`: round-robin over the peers.
+int mailbox_peer(int self, int i, int n) {
+  return (self + 1 + i % (n - 1)) % n;
+}
+
+struct MailboxRun {
+  RunResult result;
+  std::vector<rma::Channel::Slot> slots;  // every placement, in issue order
+};
+
+/// Every node's `sender` pushes `per_node` messages to mailbox_peer(self,
+/// i), each placed by the layout under test; every node's receiver consumes
+/// its arrivals on `tag`.
+MailboxRun run_mailbox(
+    int n, int per_node, std::uint8_t tag,
+    const std::function<Placer(Cluster&)>& layout,
+    const std::function<void(Endpoint&, const Placer&)>& sender) {
+  MailboxRun run;
+  CheckedCluster cluster(config_2l_1g(n));
+  const Placer place = layout(cluster);
+  const Placer logged = [&](int self, int dst, std::size_t reserve) {
+    run.slots.push_back(place(self, dst, reserve));
+    return run.slots.back();
+  };
+  std::vector<int> arrivals(n, 0);
+  for (int node = 0; node < n; ++node) {
+    for (int i = 0; i < per_node; ++i) ++arrivals[mailbox_peer(node, i, n)];
+  }
+  for (int node = 0; node < n; ++node) {
+    cluster.spawn(node, "sender",
+                  [&](Endpoint& ep) { sender(ep, logged); });
+    cluster.spawn(node, "receiver", [&, node](Endpoint& ep) {
+      for (int i = 0; i < arrivals[node]; ++i) ep.wait_notification(tag);
+    });
+  }
+  cluster.run();
+  run.result = harvest(cluster, n);
+  return run;
+}
+
+// The DSM's old mailboxes: one MailboxWriter cursor per destination over the
+// sender's ring, one over the node's staging ring. Variable-length messages
+// on small rings wrap many times; the channel must place every one at the
+// same VAs, and the notified writes (non-urgent kTagDsm window, fence on
+// every fourth) must match counter for counter.
+TEST(RmaChannelDifferentialTest, DsmMailboxIsWireIdentical) {
+  constexpr int kN = 3;
+  constexpr int kMsgs = 40;
+  constexpr std::size_t kRing = 512;
+
+  struct MailboxWriter {  // the DSM's hand-rolled cursor, verbatim
+    std::uint64_t base = 0;
+    std::size_t cap = 0;
+    std::uint64_t tail = 0;
+    std::uint64_t place(std::size_t len) {
+      if (tail + len > cap) tail = 0;
+      const std::uint64_t va = base + tail;
+      tail += len;
+      return va;
+    }
+  };
+  const auto hand_rolled = [](Cluster& cluster) -> Placer {
+    std::uint64_t rings = 0, staging = 0;
+    for (int i = 0; i < kN; ++i) {
+      const std::uint64_t mb = cluster.memory(i).alloc(kRing * kN, 64);
+      const std::uint64_t st = cluster.memory(i).alloc(kRing, 64);
+      if (i == 0) rings = mb, staging = st;
+    }
+    auto to = std::make_shared<std::vector<MailboxWriter>>();
+    auto stage = std::make_shared<std::vector<MailboxWriter>>();
+    for (int self = 0; self < kN; ++self) {
+      stage->push_back({staging, kRing});
+      for (int dst = 0; dst < kN; ++dst) {
+        to->push_back({rings + self * kRing, kRing});
+      }
+    }
+    return [to, stage](int self, int dst, std::size_t len) {
+      const std::uint64_t remote = (*to)[self * kN + dst].place(len);
+      return rma::Channel::Slot{remote, (*stage)[self].place(len)};
+    };
+  };
+  const auto send = [](Endpoint& ep, const Placer& place) {
+    rma::Window w(ep, {.tag = kTagDsm, .urgent = false, .fenced = false});
+    for (int i = 0; i < kMsgs; ++i) {
+      const int dst = mailbox_peer(ep.node_id(), i, kN);
+      const auto len = static_cast<std::uint32_t>(24 + 8 * ((i * 5) % 23));
+      const rma::Channel::Slot s = place(ep.node_id(), dst, len);
+      std::memset(ep.memory().as<std::byte>(s.staging_va), i, len);
+      w.put_notify(dst, s.remote_va, s.staging_va, len, /*fenced=*/i % 4 == 3);
+    }
+  };
+
+  const MailboxRun ref = run_mailbox(kN, kMsgs, kTagDsm, hand_rolled, send);
+  const MailboxRun ch = run_mailbox(
+      kN, kMsgs, kTagDsm,
+      [](Cluster& c) { return channel_placer(c, kRing, kTagDsm); }, send);
+  ASSERT_EQ(ref.slots.size(), ch.slots.size());
+  for (std::size_t k = 0; k < ref.slots.size(); ++k) {
+    EXPECT_EQ(ref.slots[k].remote_va, ch.slots[k].remote_va) << "message " << k;
+    EXPECT_EQ(ref.slots[k].staging_va, ch.slots[k].staging_va)
+        << "message " << k;
+  }
+  expect_identical(ref.result, ch.result);
+}
+
+// The membership service's old inboxes: kInboxSlots fixed-stride slots per
+// source (inbox_slot_va(src, cursor), cursor per peer) and one build buffer.
+// The channel stages in a ring instead of the one buffer, so only the
+// remote slots must agree; the urgent, fenced kTagMember writes must match
+// counter for counter.
+TEST(RmaChannelDifferentialTest, MemberInboxIsWireIdentical) {
+  constexpr int kN = 4;
+  constexpr int kMsgs = 30;
+  constexpr int kSlots = 8;
+  constexpr std::uint64_t kStride = 192;  // align64(16 + 8 * 16)
+
+  const auto hand_rolled = [](Cluster& cluster) -> Placer {
+    std::uint64_t inbox = 0, build = 0;
+    for (int i = 0; i < kN; ++i) {
+      const std::uint64_t in =
+          cluster.memory(i).alloc(kN * kSlots * kStride, 64);
+      const std::uint64_t b = cluster.memory(i).alloc(kStride, 64);
+      if (i == 0) inbox = in, build = b;
+    }
+    auto cursor = std::make_shared<std::vector<int>>(kN * kN, 0);
+    return [=](int self, int dst, std::size_t) {
+      int& c = (*cursor)[self * kN + dst];
+      const std::uint64_t slot =
+          inbox + (static_cast<std::uint64_t>(self) * kSlots + c) * kStride;
+      c = (c + 1) % kSlots;
+      return rma::Channel::Slot{slot, build};
+    };
+  };
+  const auto send = [](Endpoint& ep, const Placer& place) {
+    Conns conns(ep);
+    for (int i = 0; i < kMsgs; ++i) {
+      const int dst = mailbox_peer(ep.node_id(), i, kN);
+      const auto len = static_cast<std::uint32_t>(16 + 16 * (1 + i % 8));
+      const rma::Channel::Slot s = place(ep.node_id(), dst, kStride);
+      std::memset(ep.memory().as<std::byte>(s.staging_va), i, len);
+      conns.to(dst).rdma_write(s.remote_va, s.staging_va, len,
+                               kOpFlagNotify | kOpFlagUrgent |
+                                   kOpFlagBackwardFence |
+                                   op_tag_flags(kTagMember));
+    }
+  };
+
+  const MailboxRun ref = run_mailbox(kN, kMsgs, kTagMember, hand_rolled, send);
+  const MailboxRun ch = run_mailbox(
+      kN, kMsgs, kTagMember,
+      [](Cluster& c) {
+        return channel_placer(c, kSlots * kStride, kTagMember);
+      },
+      send);
+  ASSERT_EQ(ref.slots.size(), ch.slots.size());
+  for (std::size_t k = 0; k < ref.slots.size(); ++k) {
+    EXPECT_EQ(ref.slots[k].remote_va, ch.slots[k].remote_va) << "message " << k;
+  }
+  expect_identical(ref.result, ch.result);
+}
+
+// The KV store's old RPC mailboxes: a request slot per (client node, slot)
+// on every server, a response slot per (slot, server) on every client, one
+// replication slot per primary, and three build buffers. The channels move
+// every mailbox, so the wire alone is compared: kClients fibers per node
+// send requests round-robin to the other nodes and wait for each response;
+// a server replicates every request to all other nodes, then responds.
+TEST(RmaChannelDifferentialTest, KvRpcMailboxesAreWireIdentical) {
+  static constexpr int kN = 3;
+  static constexpr int kClients = 2;
+  static constexpr int kOps = 8;
+  static constexpr std::uint64_t kReqStride = 256;
+  static constexpr std::uint64_t kRespStride = 128;
+
+  using Slot = rma::Channel::Slot;
+  struct Mailboxes {
+    std::function<Slot(int cslot, int self, int server)> request;
+    std::function<Slot(int cslot, int self, int client)> response;
+    std::function<Slot(int self, int backup)> replication;
+  };
+  struct Req {
+    std::uint32_t client, cslot, seq, len;
+  };
+
+  const auto hand_rolled = [](Cluster& cluster) {
+    const std::uint64_t bytes[] = {kN * kClients * kReqStride,
+                                   kClients * kN * kRespStride,
+                                   kN * kReqStride,
+                                   kRespStride,
+                                   kReqStride,
+                                   kClients * kReqStride};
+    std::uint64_t va[std::size(bytes)] = {};
+    for (int i = 0; i < kN; ++i) {
+      for (std::size_t r = 0; r < std::size(bytes); ++r) {
+        const std::uint64_t v = cluster.memory(i).alloc(bytes[r], 64);
+        if (i == 0) va[r] = v;
+      }
+    }
+    const auto [req, resp, repl, resp_build, repl_build, req_build] = va;
+    return Mailboxes{
+        [=](int cslot, int self, int) {
+          return Slot{req + (self * kClients + cslot) * kReqStride,
+                      req_build + cslot * kReqStride};
+        },
+        [=](int cslot, int self, int) {
+          return Slot{resp + (cslot * kN + self) * kRespStride, resp_build};
+        },
+        [=](int self, int) {
+          return Slot{repl + self * kReqStride, repl_build};
+        }};
+  };
+  const auto channels = [](Cluster& cluster) {
+    auto req = std::make_shared<std::vector<rma::Channel>>();
+    auto resp = std::make_shared<std::vector<rma::Channel>>();
+    for (int c = 0; c < kClients; ++c) {
+      req->emplace_back(cluster, kReqStride, kTagKvRequest);
+      resp->emplace_back(cluster, kRespStride,
+                         static_cast<std::uint8_t>(kTagKvResponseBase + c));
+    }
+    auto repl =
+        std::make_shared<rma::Channel>(cluster, kReqStride, kTagKvReplication);
+    return Mailboxes{
+        [req](int cslot, int self, int server) {
+          return (*req)[cslot].place(self, server, kReqStride);
+        },
+        [resp](int cslot, int self, int client) {
+          return (*resp)[cslot].place(self, client, kRespStride);
+        },
+        [repl](int self, int backup) {
+          return repl->place(self, backup, kReqStride);
+        }};
+  };
+
+  const auto run = [](const std::function<Mailboxes(Cluster&)>& layout) {
+    CheckedCluster cluster(config_2l_1g(kN));
+    const Mailboxes m = layout(cluster);
+    const auto server_of = [](int client, int cslot, int op) {
+      return (client + 1 + (op + cslot) % (kN - 1)) % kN;
+    };
+    std::vector<int> requests(kN, 0);
+    for (int c = 0; c < kN; ++c) {
+      for (int s = 0; s < kClients; ++s) {
+        for (int op = 0; op < kOps; ++op) ++requests[server_of(c, s, op)];
+      }
+    }
+    const auto stage = [](Endpoint& ep, const Slot& s, const auto& value) {
+      std::memcpy(ep.memory().as<std::byte>(s.staging_va), &value,
+                  sizeof value);
+    };
+    for (int node = 0; node < kN; ++node) {
+      cluster.spawn(node, "server", [&, node](Endpoint& ep) {
+        Conns conns(ep);
+        for (int k = 0; k < requests[node]; ++k) {
+          const Notification n = ep.wait_notification(kTagKvRequest);
+          Req r;  // copied out before anything yields
+          std::memcpy(&r, ep.memory().as<std::byte>(n.va), sizeof r);
+          for (int b = 0; b < kN; ++b) {
+            if (b == node) continue;
+            const Slot s = m.replication(node, b);
+            stage(ep, s, r);
+            conns.to(b).rdma_write(
+                s.remote_va, s.staging_va, r.len,
+                kOpFlagNotify | kOpFlagUrgent | kOpFlagQuietNotify |
+                    kOpFlagBackwardFence | op_tag_flags(kTagKvReplication));
+          }
+          const Slot s = m.response(static_cast<int>(r.cslot), node,
+                                    static_cast<int>(r.client));
+          stage(ep, s, r.seq);
+          conns.to(static_cast<int>(r.client))
+              .rdma_write(s.remote_va, s.staging_va, 16 + r.len / 4,
+                          kOpFlagNotify | kOpFlagUrgent | kOpFlagQuietNotify |
+                              kOpFlagBackwardFence |
+                              op_tag_flags(static_cast<std::uint8_t>(
+                                  kTagKvResponseBase + r.cslot)));
+        }
+      });
+      const int replicas = kN * kClients * kOps - requests[node];
+      cluster.spawn(node, "backup", [replicas](Endpoint& ep) {
+        for (int k = 0; k < replicas; ++k) {
+          ep.wait_notification(kTagKvReplication);
+        }
+      });
+      for (int c = 0; c < kClients; ++c) {
+        cluster.spawn(node, "client", [&, node, c](Endpoint& ep) {
+          Conns conns(ep);
+          const auto resp_tag =
+              static_cast<std::uint8_t>(kTagKvResponseBase + c);
+          for (int op = 0; op < kOps; ++op) {
+            const int server = server_of(node, c, op);
+            const Req r{static_cast<std::uint32_t>(node),
+                        static_cast<std::uint32_t>(c),
+                        static_cast<std::uint32_t>(op),
+                        static_cast<std::uint32_t>(32 + 16 * ((op + c) % 12))};
+            const Slot s = m.request(c, node, server);
+            stage(ep, s, r);
+            conns.to(server).rdma_write(
+                s.remote_va, s.staging_va, r.len,
+                kOpFlagNotify | kOpFlagUrgent | kOpFlagBackwardFence |
+                    op_tag_flags(kTagKvRequest));
+            const Notification n = ep.wait_notification(resp_tag);
+            std::uint32_t seq = 0;
+            std::memcpy(&seq, ep.memory().as<std::byte>(n.va), sizeof seq);
+            EXPECT_EQ(seq, r.seq);
+          }
+        });
+      }
+    }
+    cluster.run();
+    return harvest(cluster, kN);
+  };
+  expect_identical(run(hand_rolled), run(channels));
 }
 
 }  // namespace
