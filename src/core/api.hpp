@@ -119,6 +119,10 @@ class OpHandle {
 
   bool valid() const { return op_ != nullptr; }
 
+  /// Touched when the operation completes (nullptr for an invalid handle):
+  /// the wake source of an idle poll on test().
+  sim::Signal* done_signal() const { return op_ ? &op_->done : nullptr; }
+
  private:
   proto::SendOpPtr op_;
   Endpoint* ep_ = nullptr;  // for the flush-on-wait doorbell (may be null)
@@ -244,6 +248,11 @@ class Endpoint {
   }
   bool has_notification_match(int tag, int src, std::uint64_t va) const {
     return engine_.has_notification_match(tag, src, va);
+  }
+  /// Touched whenever a notification carrying `tag` is queued: what an idle
+  /// poll on the peeks above watches (sim::Wake).
+  sim::Signal& notification_signal(int tag) {
+    return engine_.notification_signal(tag);
   }
 
   /// Flush every dirty submission ring on this node (batch_submission):

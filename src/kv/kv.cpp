@@ -170,8 +170,8 @@ bool wait_ref(Endpoint& ep, const ClientOpRef& r, sim::Time timeout) {
   const sim::Time deadline = sim.now() + timeout;
   while (!r.test()) {
     if (sim.now() >= deadline) return false;
-    sim::Process::current()->poll(
-        kClientPoll, [&] { return r.test() || sim.now() >= deadline; });
+    sim::Process::current()->poll(kClientPoll, [&] { return r.test(); },
+                                  {{r.done_signal()}, deadline});
   }
   return true;
 }
@@ -361,13 +361,18 @@ void Server::serve(Endpoint& ep) {
     if (!did) {
       // Idle until a pass would do something: a free lock with waiters
       // (the try_lock/unlock pair wakes one) or a pending notification.
-      sim::Process::current()->poll(kServerPoll, [&] {
-        return sys_.stopped() ||
-               (!lock_.held() &&
-                (lock_.has_waiters() || ack_win_.notify_pending() ||
-                 repl_win_.notify_pending() ||
-                 ep.has_notification(kTagKvRequest)));
-      });
+      sim::Process::current()->poll(
+          kServerPoll,
+          [&] {
+            return sys_.stopped() ||
+                   (!lock_.held() &&
+                    (lock_.has_waiters() || ack_win_.notify_pending() ||
+                     repl_win_.notify_pending() ||
+                     ep.has_notification(kTagKvRequest)));
+          },
+          {{&sys_.stop_signal(), &lock_.signal(), &ack_win_.notify_signal(),
+            &repl_win_.notify_signal(),
+            &ep.notification_signal(kTagKvRequest)}});
     }
   }
 }
@@ -631,10 +636,15 @@ void Server::replicate(Endpoint& ep, std::uint32_t op, int partition,
     if (all) {
       return;
     }
-    sim::Process::current()->poll(kServerPoll, [&] {
-      return repl_win_.notify_pending() || ack_win_.notify_pending() ||
-             ack_progress();
-    });
+    // An ack word lands with its kTagKvAck notification.
+    sim::Process::current()->poll(
+        kServerPoll,
+        [&] {
+          return repl_win_.notify_pending() || ack_win_.notify_pending() ||
+                 ack_progress();
+        },
+        {{&repl_win_.notify_signal(), &ack_win_.notify_signal(),
+          &det.down_signal()}});
   }
 }
 
@@ -935,9 +945,9 @@ Status Client::rpc(std::uint32_t op, std::string_view key,
         break;
       }
       if (!got) {
-        sim::Process::current()->poll(kClientPoll, [&] {
-          return sim.now() >= deadline || ep_.has_notification(resp_tag);
-        });
+        sim::Process::current()->poll(
+            kClientPoll, [&] { return ep_.has_notification(resp_tag); },
+            {{&ep_.notification_signal(resp_tag)}, deadline});
       }
     }
     if (got && !wrong_primary) return st;
@@ -1063,9 +1073,14 @@ int Client::acquire_get_buf() {
   if (set < 0) {
     // Every set has a timed-out read still outstanding; the protocol is
     // reliable, so one of them will complete. Each idle step is a stall.
+    std::array<sim::Signal*, KvDomain::kGetBufSets> on;
+    for (int s = 0; s < KvDomain::kGetBufSets; ++s) {
+      on[s] = get_pending_[s].done_signal();
+    }
     counters_.add(kCtrGetBufStalls,
                   sim::Process::current()->poll(
-                      kClientPoll, [&] { return free_set() >= 0; }));
+                      kClientPoll, [&] { return free_set() >= 0; },
+                      sim::Wake{on}));
     set = free_set();
   }
   return set;

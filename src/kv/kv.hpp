@@ -228,7 +228,10 @@ class KvDomain {
 class FiberLock {
  public:
   void lock() {
-    while (held_) q_.wait();
+    while (held_) {
+      changed_.touch();  // has_waiters() turns true
+      q_.wait();
+    }
     held_ = true;
   }
   bool try_lock() {
@@ -239,15 +242,20 @@ class FiberLock {
   void unlock() {
     held_ = false;
     q_.notify_one();
+    changed_.touch();
   }
   bool held() const { return held_; }
   /// Fibers queued in lock(). A try_lock()/unlock() pair on a free lock
   /// wakes one of them, so a poll predicate must treat them as work.
   bool has_waiters() const { return !q_.empty(); }
+  /// Touched on release and on enqueue: the wake source of an idle poll on
+  /// held() / has_waiters().
+  sim::Signal& signal() { return changed_; }
 
  private:
   bool held_ = false;
   sim::WaitQueue q_;
+  sim::Signal changed_;
 };
 
 /// Per-node server: owns the node's slab allocator, applies mutations under
@@ -269,6 +277,8 @@ class Server {
 
   stats::Counters& counters() { return counters_; }
   const stats::Counters& counters() const { return counters_; }
+  /// The node lock the serve loop and co-located clients share.
+  FiberLock& node_lock() { return lock_; }
 
  private:
   friend class Client;
@@ -322,6 +332,8 @@ struct ClientOpRef {
   bool rejected() const { return s != nullptr && s->rejected(); }
   /// Broker retry-after hint accompanying a rejection (0 otherwise).
   sim::Time retry_after() const { return s ? s->retry_after : 0; }
+  /// Touched when test() may have turned true (nullptr if !valid()).
+  sim::Signal* done_signal() const { return s ? &s->done : h.done_signal(); }
 };
 
 /// Per-fiber client handle, created by System::spawn_client.
@@ -439,10 +451,13 @@ class System {
 
   void stop() {
     stop_ = true;
+    stop_signal_.touch();
     if (owned_member_) owned_member_->stop();
     if (broker_) broker_->stop();
   }
   bool stopped() const { return stop_; }
+  /// Touched by stop() (sim::Wake).
+  sim::Signal& stop_signal() { return stop_signal_; }
 
   /// All KV-level counters (servers, clients) merged.
   stats::Counters aggregate_counters() const;
@@ -471,6 +486,7 @@ class System {
   std::unique_ptr<svc::Broker> broker_;  // conn_mode == kBroker only
   std::vector<std::unique_ptr<NodeCtx>> nodes_;
   bool stop_ = false;
+  sim::Signal stop_signal_;
   int clients_active_ = 0;
   bool any_client_spawned_ = false;
 };

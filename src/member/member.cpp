@@ -354,6 +354,7 @@ void Service::transition(NodeCtx& ctx, int peer, PeerState st) {
   if (st == PeerState::kDead && !v.down_[peer]) {
     v.down_[peer] = true;
     ++v.num_down_;
+    v.down_signal_.touch();
   }
   const sim::Time now = cluster_.sim().now();
   for (const auto& fn : on_transition_) fn(v.self(), peer, st, now);

@@ -113,6 +113,8 @@ class View {
   const std::vector<bool>& down_map() const { return down_; }
   int num_down() const { return num_down_; }
   int self() const { return self_; }
+  /// Touched when a peer is marked down (sim::Wake).
+  sim::Signal& down_signal() const { return down_signal_; }
 
  private:
   friend class Service;
@@ -121,6 +123,7 @@ class View {
   std::vector<std::uint64_t> incarnation_;
   std::vector<bool> down_;
   int num_down_ = 0;
+  mutable sim::Signal down_signal_;
 };
 
 /// Cluster-wide membership service: allocates the symmetric inbox domain and

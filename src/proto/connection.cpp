@@ -586,6 +586,7 @@ void Connection::complete_acked_ops() {
                      op->ctx, op->parent_span);
     }
     op->waiters.notify_all();
+    op->done.touch();
     if (op->on_complete) op->on_complete();
   }
   // The (new) front op may be partially acknowledged: update its progress.
@@ -1033,6 +1034,7 @@ void Connection::maybe_complete(RecvOp& op, sim::Cpu& cpu) {
                        rop->ctx, rop->parent_span);
       }
       rop->waiters.notify_all();
+      rop->done.touch();
       if (rop->on_complete) rop->on_complete();
     }
   } else if (op.flags & kOpFlagNotify) {

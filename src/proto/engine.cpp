@@ -361,6 +361,7 @@ void Engine::deliver_notification(Notification n, sim::Cpu& cpu, bool urgent) {
   counters_.add(kCtrNotificationsDelivered);
   notifications_.push_back(n);
   notify_events_.notify_all();
+  notification_signal(n.tag).touch();
 }
 
 void Engine::flush_notifications(sim::Cpu& cpu) {
@@ -373,8 +374,11 @@ void Engine::flush_notifications(sim::Cpu& cpu) {
   counters_.add(kCtrNotifyBatches);
   counters_.add(kCtrNotificationsDelivered, pending_notify_.size());
   for (const Notification& n : pending_notify_) notifications_.push_back(n);
-  pending_notify_.clear();
   notify_events_.notify_all();
+  for (const Notification& n : pending_notify_) {
+    notification_signal(n.tag).touch();
+  }
+  pending_notify_.clear();
 }
 
 bool Engine::has_dirty_rings() const {

@@ -9,6 +9,7 @@
 // (`proto_cpu`), matching the paper's one-CPU-for-protocol setup.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -24,6 +25,7 @@
 #include "proto/wire.hpp"
 #include "sim/cpu.hpp"
 #include "sim/random.hpp"
+#include "sim/signal.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
 #include "sim/wait_queue.hpp"
@@ -87,6 +89,11 @@ class Engine {
   bool pop_notification_match(int tag, int src, std::uint64_t va,
                               Notification* out);
   sim::WaitQueue& notify_events() { return notify_events_; }
+  /// Touched whenever a notification carrying `tag` is queued: the wake
+  /// source of idle polls on has_notification(tag) (sim::Wake).
+  sim::Signal& notification_signal(int tag) {
+    return notify_signals_[static_cast<std::uint8_t>(tag)];
+  }
 
   // --- infrastructure used by Connection ---
   sim::Simulator& sim() { return sim_; }
@@ -202,6 +209,7 @@ class Engine {
   // empty otherwise).
   std::vector<Notification> pending_notify_;
   sim::WaitQueue notify_events_;
+  std::array<sim::Signal, 256> notify_signals_;  // by tag (a wire byte)
   std::vector<sim::Time> last_rx_;  // per peer node, grown on demand
 
   std::vector<Connection*> backlog_;

@@ -8,10 +8,12 @@
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <type_traits>
 
 #include "sim/fiber.hpp"
+#include "sim/signal.hpp"
 #include "sim/simulator.hpp"
 
 namespace multiedge::sim {
@@ -27,6 +29,7 @@ class Process {
 
   Process(const Process&) = delete;
   Process& operator=(const Process&) = delete;
+  ~Process();
 
   /// Schedule the first run at the current simulated time.
   void start();
@@ -51,11 +54,32 @@ class Process {
   /// throw std::logic_error out of Simulator::step(); the poll stays armed.
   template <typename Ready>
   std::uint64_t poll(Time every, Ready&& ready) {
-    using R = std::remove_reference_t<Ready>;
-    void* obj = const_cast<void*>(static_cast<const void*>(&ready));
-    return poll_steps(every, obj, [](void* r) -> bool {
-      return (*static_cast<R*>(r))();
-    });
+    return poll_steps(every, erase(ready), nullptr, nullptr);
+  }
+
+  /// Parking idle poll: the same steps, counts and (time, seq) order as
+  /// poll(every, ready) with `ready() || now() >= wake.deadline()`, but
+  /// while ready() is false the poller parks and its steps are phantoms
+  /// (counted in events_executed(), never run). It is woken at its next
+  /// grid instant when one of `wake.on()` is touched, when any event runs
+  /// on one of its grid instants, or at the deadline. ready() is evaluated
+  /// once more on entry, to decide whether to park.
+  ///
+  /// Contract on top of poll()'s: every write that can turn ready() true
+  /// touches one of the signals. Simulator::set_check_wakeups checks it.
+  template <typename Ready>
+  std::uint64_t poll(Time every, Ready&& ready, const Wake& wake) {
+    return poll_steps(every, erase(ready), &wake, nullptr);
+  }
+
+  /// As above, but parks only while may_park() holds (checked where it
+  /// would park). For a predicate whose evaluation must recur every step
+  /// in some states: the broker's folds EWMA state on a lossy rail.
+  template <typename Ready, typename MayPark>
+  std::uint64_t poll(Time every, Ready&& ready, const Wake& wake,
+                     MayPark&& may_park) {
+    const Erased mp = erase(may_park);
+    return poll_steps(every, erase(ready), &wake, &mp);
   }
 
   /// --- Calls valid only from outside the fiber. ---
@@ -91,13 +115,46 @@ class Process {
 
  private:
   friend class Simulator;  // runs poll steps off its poll lanes
+  friend class Signal;     // touches its parked watchers
+
+  /// A type-erased `bool()` callable living on the fiber's stack.
+  struct Erased {
+    void* obj = nullptr;
+    bool (*eval)(void*) = nullptr;
+    bool operator()() const { return eval(obj); }
+  };
+  template <typename F>
+  static Erased erase(F& f) {
+    using R = std::remove_reference_t<F>;
+    return {const_cast<void*>(static_cast<const void*>(&f)),
+            [](void* r) -> bool { return (*static_cast<R*>(r))(); }};
+  }
 
   void run_slice();
   /// Throws std::logic_error unless this process's fiber is executing.
   void require_running(const char* what) const;
-  std::uint64_t poll_steps(Time every, void* ready, bool (*eval)(void*));
+  std::uint64_t poll_steps(Time every, Erased ready, const Wake* wake,
+                           const Erased* may_park);
   void arm_poll();
   void poll_step(std::uint64_t gen);
+  /// Evaluate the predicate as a step does: outside any fiber, throwing
+  /// std::logic_error if it scheduled an event.
+  bool evaluate();
+  /// After a failed step: park when allowed, else arm the next step.
+  void rearm();
+  bool may_park() const;
+  void watch(std::span<Signal* const> on);
+  void unwatch();
+  void park_now();
+  /// One of the signals this process's poll() watches was touched.
+  void touch() { sim_.touched(this); }
+
+  // --- parking state of a poll() with a Wake (DESIGN §11) ---
+  enum class Park : std::uint8_t {
+    kNone,    // not parked: running, or its next step is in a lane
+    kParked,  // next step at anchor_t_ is a phantom
+    kWoken,   // its step is on the simulator's wake heap
+  };
 
   Simulator& sim_;
   std::string name_;
@@ -107,10 +164,26 @@ class Process {
 
   // The active poll(): its predicate (type-erased, lives on the fiber's
   // stack), step interval and step count.
-  void* poll_ready_ = nullptr;
-  bool (*poll_eval_)(void*) = nullptr;
+  Erased poll_ready_;
   Time poll_every_ = 0;
   std::uint64_t poll_count_ = 0;
+
+  // The active poll()'s wake sources (null: it never parks).
+  const Wake* wake_ = nullptr;
+  const Erased* may_park_ = nullptr;
+  Time deadline_ = kTimeInfinity;
+  Signal::Watch watches_[Wake::kMaxSignals];
+  std::size_t nwatches_ = 0;
+  Park park_ = Park::kNone;
+  bool touched_ = false;       // a watched signal was touched since parking
+  bool would_park_ = false;    // check_wakeups: the last step would park
+  Time anchor_t_ = 0;          // parked: its next (phantom) step
+  std::uint64_t anchor_seq_ = 0;
+  Time deadline_step_ = kTimeInfinity;  // first grid instant >= deadline
+  std::uint64_t poll_id_ = 0;           // one per poll() call
+  std::uint64_t deadline_queued_ = 0;   // poll_id_ with a deadline entry
+  bool indexed_ = false;      // in its simulator phase bucket
+  std::size_t park_pos_ = 0;  // index in that bucket
 
   inline static Process* current_ = nullptr;
 };

@@ -1,7 +1,9 @@
 #include "svc/svc.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <span>
 #include <stdexcept>
 
 #include "proto/wire.hpp"
@@ -150,6 +152,7 @@ void Broker::stop() {
         for (const SvcOpPtr& op : tq.q) {
           op->state = SvcOp::State::kRejected;
           ns->counters.add(kCtrStopRejected);
+          op->done.touch();
         }
         tq.q.clear();
         tq.active = false;
@@ -157,6 +160,7 @@ void Broker::stop() {
       pool.rr.clear();
       pool.queued = 0;
     }
+    ns->work.touch();  // the dispatcher exits on stop_
   }
 }
 
@@ -164,6 +168,13 @@ std::uint32_t Broker::credit_cost(const SvcOp& op) const {
   constexpr std::uint32_t kFrame =
       static_cast<std::uint32_t>(proto::WireHeader::kMaxData);
   return std::max<std::uint32_t>(1, (op.bytes + kFrame - 1) / kFrame);
+}
+
+bool Broker::rails_clean(int node) const {
+  for (int r = 0; r < cluster_.config().topology.rails; ++r) {
+    if (!cluster_.rail_health(node, r).clean()) return false;
+  }
+  return true;
 }
 
 std::uint32_t Broker::effective_credit_limit(int node) const {
@@ -223,14 +234,18 @@ void Broker::dispatch(NodeState& ns, Slot& slot, const SvcOpPtr& op) {
   }
   op->handle = h;
   op->state = SvcOp::State::kDispatched;
-  if (op->flags & kOpFlagBatched) ns.flush_pending = true;
+  if (op->flags & kOpFlagBatched) {
+    ns.flush_pending = true;
+    ns.work.touch();
+  }
   // Completion hook (protocol context): release the credits and record the
   // svc span covering submit -> transport completion. No submissions happen
   // here — the dispatcher/tenant fibers pick freed credits up on their next
   // pass. Everything is captured BY VALUE (the hook lives inside the proto
   // SendOp, which the SvcOp's handle keeps alive — capturing the SvcOpPtr
-  // here would create a shared_ptr cycle). `slot` and the tenant have stable
-  // addresses for the broker's lifetime.
+  // here would create a shared_ptr cycle; the SvcOp is held weakly, only to
+  // touch its waiters). `slot` and the tenant have stable addresses for the
+  // broker's lifetime.
   Cluster* cluster = &cluster_;
   const int node = op->tenant->node();
   const int tenant_id = op->tenant->id();
@@ -241,9 +256,11 @@ void Broker::dispatch(NodeState& ns, Slot& slot, const SvcOpPtr& op) {
   const sim::Time submitted_at = op->submitted_at;
   const trace::SpanContext ctx = op->ctx;
   const std::uint64_t parent_span = op->parent_span;
+  const std::weak_ptr<SvcOp> weak = op;
   h.on_complete([cluster, node, tenant_id, slot_p, frames, bytes, kind,
-                 submitted_at, ctx, parent_span]() {
+                 submitted_at, ctx, parent_span, weak]() {
     slot_p->credits_used -= std::min(slot_p->credits_used, frames);
+    if (const SvcOpPtr o = weak.lock()) o->done.touch();
     trace::TraceRecorder* tr = cluster->tracer();
     if (tr != nullptr && ctx.active()) {
       const sim::Time now = cluster->sim().now();
@@ -316,6 +333,7 @@ SvcOpPtr Broker::submit(Tenant& t, SvcOpPtr op) {
     tq.active = true;
     tq.deficit = 0;
     pool.rr.push_back(&tq);
+    ns.work.touch();
   }
   ++pool.queued;
   ++t.queued_;
@@ -331,8 +349,21 @@ void Broker::dispatch_loop(Endpoint& ep) {
       ep.flush();  // one doorbell covers the whole batched pass
     }
     if (!did) {
+      // Parks while the node's rails are clean: on a lossy rail the
+      // predicate's score() folds EWMA state, which must happen every step.
+      const int node = ep.node_id();
+      std::array<sim::Signal*, sim::Wake::kMaxSignals> on{&ns.work};
+      const int rails = cluster_.config().topology.rails;
+      if (rails + 1 > static_cast<int>(on.size())) {
+        throw std::logic_error("svc: too many rails for one sim::Wake");
+      }
+      for (int r = 0; r < rails; ++r) {
+        on[1 + r] = &cluster_.rail_health(node, r).changed();
+      }
       sim::Process::current()->poll(
-          kDispatchPoll, [&] { return pass_pending(ep.node_id(), ns); });
+          kDispatchPoll, [&] { return pass_pending(node, ns); },
+          sim::Wake{std::span(on.data(), 1 + rails)},
+          [&] { return rails_clean(node); });
     }
   }
 }
@@ -449,8 +480,8 @@ bool wait_svc_op(Cluster& cluster, const SvcOpPtr& op, sim::Time timeout,
   const sim::Time deadline = sim.now() + timeout;
   while (!op->test()) {
     if (sim.now() >= deadline) return false;
-    sim::Process::current()->poll(
-        poll, [&] { return op->test() || sim.now() >= deadline; });
+    sim::Process::current()->poll(poll, [&] { return op->test(); },
+                                  {{&op->done}, deadline});
   }
   return true;
 }

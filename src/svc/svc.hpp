@@ -114,6 +114,10 @@ struct SvcOp {
   /// rejections — the broker is going away, retrying is pointless.
   sim::Time retry_after = 0;
 
+  /// Touched when test() turns true: on a rejection after submit() returned,
+  /// and on completion (sim::Wake).
+  sim::Signal done;
+
   /// Terminal-state query: rejected, or dispatched and complete.
   bool test() const {
     return state == State::kRejected ||
@@ -228,6 +232,9 @@ class Broker {
     sim::WaitQueue conn_wait;
     stats::Counters counters;        // broker-level (dispatcher) counters
     bool flush_pending = false;      // batched ops dispatched, doorbell owed
+    /// Touched on what pass_pending() reads but the rail health: a DRR
+    /// rotation push, flush_pending, stop.
+    sim::Signal work;
   };
 
   SvcOpPtr submit(Tenant& t, SvcOpPtr op);
@@ -246,6 +253,9 @@ class Broker {
   /// Per-connection credit limit, scaled down while the node's worst egress
   /// rail is sick (see trace::RailHealth::Snapshot::score).
   std::uint32_t effective_credit_limit(int node) const;
+  /// Every egress rail of `node` is clean (trace::RailHealth::clean): the
+  /// dispatcher's idle predicate then reads no EWMA state.
+  bool rails_clean(int node) const;
   void on_tenant_closed();
 
   Cluster& cluster_;

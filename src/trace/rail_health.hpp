@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <string>
 
+#include "sim/signal.hpp"
 #include "sim/time.hpp"
 
 namespace multiedge::trace {
@@ -46,28 +47,33 @@ class RailHealth {
     ++drops_;
     if (burst) ++burst_drops_;
     loss_rate_ += 1.0;
+    changed_.touch();
   }
   void on_corrupt(sim::Time now) {
     fold(now);
     ++corrupts_;
     loss_rate_ += 1.0;  // an FCS-bad frame is lost to the protocol
+    changed_.touch();
   }
   void on_burst_transition(sim::Time now, bool now_bad) {
     fold(now);
     ++burst_transitions_;
     in_burst_ = now_bad;
+    changed_.touch();
   }
   void on_outage_change(sim::Time now, bool now_out) {
     fold(now);
     if (now_out != in_outage_) {
       ++outage_flaps_;
       in_outage_ = now_out;
+      changed_.touch();
     }
   }
   void on_retransmit(sim::Time now) {
     fold(now);
     ++retransmits_;
     retransmit_rate_ += 1.0;
+    changed_.touch();
   }
   /// Queue depth is sampled (not event-fed): callers pass the NIC's current
   /// tx ring occupancy whenever they have it in hand.
@@ -107,16 +113,22 @@ class RailHealth {
   };
   Snapshot snapshot(sim::Time now) const;
 
-  /// Bit-identical to snapshot(now).score(). A rail with no outage, no burst
-  /// state and zero loss and retransmit EWMAs scores exactly 0, so that case
-  /// returns without folding: the broker asks on every idle poll step.
+  /// Bit-identical to snapshot(now).score(). A clean rail scores exactly
+  /// 0, so that case returns without folding: the broker asks on every
+  /// idle poll step.
   double score(sim::Time now) const {
-    if (!in_outage_ && !in_burst_ && loss_rate_ == 0.0 &&
-        retransmit_rate_ == 0.0) {
-      return 0.0;
-    }
+    if (clean()) return 0.0;
     return snapshot(now).score();
   }
+  /// No outage, no burst state, and zero loss and retransmit EWMAs. Only
+  /// a feed that folds loss, a burst or an outage in can end it; those
+  /// feeds touch changed().
+  bool clean() const {
+    return !in_outage_ && !in_burst_ && loss_rate_ == 0.0 &&
+           retransmit_rate_ == 0.0;
+  }
+  /// Touched by every feed that can make score() nonzero (sim::Wake).
+  sim::Signal& changed() { return changed_; }
 
   /// One JSON object (single line) for cluster-health / postmortem dumps.
   static std::string to_json(const Snapshot& s);
@@ -143,6 +155,7 @@ class RailHealth {
   mutable double tx_queue_ewma_ = 0;
   mutable double rx_queue_ewma_ = 0;
   mutable sim::Time last_fold_ = 0;
+  sim::Signal changed_;
 };
 
 }  // namespace multiedge::trace

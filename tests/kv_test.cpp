@@ -76,6 +76,45 @@ TEST(KvFiberLockTest, HeldAndWaitersTrackLockTryLockUnlock) {
                                            "contender acquired"}));
 }
 
+// The serve loop's idle predicate counts a free lock with queued waiters as
+// work: its try_lock/unlock pair then hands the lock on (wakes a waiter).
+// That state lasts only within the instant of an unlock, so the test puts an
+// unlock on one of the serve loop's 1 us steps and looks at the queue after
+// the step but before the woken fibers run.
+TEST(KvFiberLockTest, ServeLoopStepHandsOnAFreeLockWithWaiters) {
+  Cluster cluster(config_1l_1g(2));
+  kv::KvConfig cfg;
+  cfg.clients_per_node = 3;
+  kv::System sys(cluster, cfg);
+  kv::FiberLock& lock = sys.server(0).node_lock();
+  const sim::Time g = sim::us(10);  // a step of node 0's idle serve loop
+  bool queue_at_g = true;
+  std::vector<std::string> order;
+  sys.spawn_client(0, "holder", [&](kv::Client&) {
+    sim::Process::current()->delay(sim::ns(500));
+    lock.lock();
+    sim::Process::current()->delay(g - sim::ns(500));  // lands ahead of it
+    lock.unlock();  // wakes the first waiter; the second stays queued
+  });
+  for (const char* name : {"w1", "w2"}) {
+    sys.spawn_client(0, name, [&, name](kv::Client&) {
+      sim::Process::current()->delay(sim::us(1) + sim::ns(300));
+      lock.lock();
+      order.push_back(name);
+      lock.unlock();
+    });
+  }
+  // Scheduled after the serve loop armed its step at g, before the unlock's
+  // wakeups: it runs between that step and the woken fibers.
+  cluster.sim().at(g - sim::ns(500), [&] {
+    cluster.sim().at(g, [&] { queue_at_g = lock.has_waiters(); });
+  });
+  cluster.run();
+  EXPECT_FALSE(queue_at_g);  // the step took w2 off the queue
+  EXPECT_EQ(order, (std::vector<std::string>{"w1", "w2"}));
+  EXPECT_FALSE(lock.held());
+}
+
 // ---------------------------------------------------------------------------
 // Ring
 // ---------------------------------------------------------------------------
@@ -717,6 +756,96 @@ TEST(KvCapacityTest, NoSpaceDeleteAndSlotReuse) {
 
   EXPECT_GT(sys.aggregate_counters().get("kv_no_space"), 0u);
   EXPECT_GT(sys.aggregate_counters().get("kv_deletes_applied"), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Parked pollers: host cost of an idle-heavy brokered mix
+// ---------------------------------------------------------------------------
+
+struct MixRun {
+  std::uint64_t events = 0;     // Simulator::events_executed()
+  std::uint64_t callbacks = 0;  // Simulator::callbacks_run()
+  std::uint64_t frames = 0;     // frames every uplink put on the wire
+  std::map<std::string, stats::Counters::Value> kv;
+  sim::Time end = 0;
+};
+
+// Four nodes on 2L-1G, four brokered clients each, an open-loop PUT/GET
+// mix with think times: the shape of perfbench's kv-write, small. `lossy`
+// drops 1 % of frames, so rails get loss history and the dispatchers stop
+// parking.
+MixRun run_brokered_mix(bool check_wakeups, bool lossy = false) {
+  ClusterConfig ccfg = config_2l_1g(4);
+  if (lossy) ccfg.topology.link.drop_prob = 0.01;
+  CheckedCluster cluster(ccfg);
+  cluster.sim().set_check_wakeups(check_wakeups);
+  kv::KvConfig cfg;
+  cfg.clients_per_node = 4;
+  cfg.conn_mode = kv::ConnMode::kBroker;
+  kv::System sys(cluster, cfg);
+  for (int node = 0; node < 4; ++node) {
+    for (int c = 0; c < cfg.clients_per_node; ++c) {
+      const int id = node * cfg.clients_per_node + c;
+      sys.spawn_client(node, "cli", [id](kv::Client& cl) {
+        std::mt19937 rng(77 + id);
+        std::exponential_distribution<double> think(1.0 / 60.0);  // us
+        std::string got;
+        for (int i = 0; i < 24; ++i) {
+          cl.pause(sim::us_d(think(rng)));
+          const std::string key = "k" + std::to_string(rng() % 32);
+          const kv::Status st =
+              rng() % 2 ? cl.put(key, std::string(64, 'a' + id % 26))
+                        : cl.get(key, &got);
+          ASSERT_TRUE(st == kv::Status::kOk || st == kv::Status::kNotFound)
+              << kv::status_str(st);
+        }
+      });
+    }
+  }
+  cluster.run();
+  MixRun run;
+  run.events = cluster.sim().events_executed();
+  run.callbacks = cluster.sim().callbacks_run();
+  for (int n = 0; n < 4; ++n) {
+    for (int r = 0; r < cluster.network().rails(); ++r) {
+      run.frames += cluster.network().uplink(n, r).stats().frames_sent;
+    }
+  }
+  run.kv = sys.aggregate_counters().all();
+  run.end = cluster.sim().now();
+  return run;
+}
+
+// Idle pollers park, so the simulator runs a handful of callbacks per wire
+// frame instead of one per idle step (about 90 per frame before parking),
+// while every count and counter stays that of the eager loop (the oracle
+// run steps every poller every period).
+TEST(KvParkedPollerTest, BrokeredMixRunsAtMostTwentyCallbacksPerFrame) {
+  const MixRun parked = run_brokered_mix(false);
+  const MixRun eager = run_brokered_mix(true);
+  EXPECT_EQ(parked.events, eager.events);
+  EXPECT_EQ(parked.frames, eager.frames);
+  EXPECT_EQ(parked.kv, eager.kv);
+  EXPECT_EQ(parked.end, eager.end);
+  EXPECT_EQ(eager.callbacks, eager.events);
+  ASSERT_GT(parked.frames, 0u);
+  EXPECT_LE(parked.callbacks, 20 * parked.frames)
+      << static_cast<double>(parked.callbacks) / parked.frames
+      << " callbacks per frame";
+  EXPECT_GE(eager.events, 50 * eager.frames);  // the idle steps are there
+}
+
+// With loss the broker's predicate folds rail-health EWMA state on every
+// step, so its dispatcher polls eagerly from the first loss feed on; the
+// run must still match the eager one exactly.
+TEST(KvParkedPollerTest, LossyBrokeredMixMatchesTheEagerRun) {
+  const MixRun parked = run_brokered_mix(false, /*lossy=*/true);
+  const MixRun eager = run_brokered_mix(true, /*lossy=*/true);
+  EXPECT_EQ(parked.events, eager.events);
+  EXPECT_EQ(parked.frames, eager.frames);
+  EXPECT_EQ(parked.kv, eager.kv);
+  EXPECT_EQ(parked.end, eager.end);
+  EXPECT_LT(parked.callbacks, parked.events);
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "core/api.hpp"
+#include "sim/random.hpp"
+#include "sim/signal.hpp"
 #include "sim/wait_queue.hpp"
 
 namespace multiedge::sim {
@@ -337,6 +339,251 @@ TEST(ProcessPoll, MixedPeriodsMatchReferenceLoops) {
 }
 
 // ---------------------------------------------------------------------------
+// poll() with a Wake: parked pollers against the reference loop
+// ---------------------------------------------------------------------------
+
+enum class Wait { kReference, kParked, kOracle };
+
+// One scripted run: pollers on 500 ns and 1 us whose start instants share
+// phases, each idling on a flag (with or without a deadline) several times;
+// against heap events that set, clear or only touch flags. Events land on
+// grid instants or between them, and either come from the initial schedule
+// (their seqs precede every poll step at their instant) or are scheduled
+// from other events at run time (their seqs follow the steps armed before
+// them). In kReference the pollers run `do delay(every); while (!ready() &&
+// now() < deadline);`; in kParked they park; kOracle runs the parked code
+// with Simulator::set_check_wakeups.
+struct WakeScript {
+  struct Poll {
+    int flag;
+    Time deadline_in;  // kTimeInfinity: none
+    Time pause;        // delay before the next poll (0: poll again at once)
+  };
+  struct Poller {
+    Time every;
+    Time start;
+    std::vector<Poll> polls;
+  };
+  struct Event {
+    Time at;
+    int action;  // 0 set + touch, 1 clear, 2 touch only, 3 set, clear, touch
+    int flag;
+    Time child_at;  // schedules one more such event then (0: none)
+    int child_action;
+    int child_flag;
+  };
+  std::vector<Poller> pollers;
+  std::vector<Event> events;
+  int flags = 0;
+};
+
+WakeScript make_wake_script(std::uint64_t seed) {
+  Rng rng(seed);
+  WakeScript w;
+  w.flags = 3;
+  const Time quarter = ns(250);
+  auto below = [&](Time bound) {
+    return static_cast<Time>(rng.next_below(static_cast<std::uint64_t>(bound)));
+  };
+  // On a grid instant two times in three; otherwise anywhere.
+  auto instant = [&](Time span) {
+    const Time q = quarter * below(span / quarter);
+    return rng.chance(0.67) ? q : q + 1 + below(quarter - 1);
+  };
+  const int pollers = 4 + static_cast<int>(rng.next_below(3));
+  for (int i = 0; i < pollers; ++i) {
+    WakeScript::Poller p;
+    p.every = rng.chance(0.5) ? ns(500) : us(1);
+    p.start = quarter * static_cast<Time>(rng.next_below(4));
+    const int polls = 4 + static_cast<int>(rng.next_below(4));
+    for (int k = 0; k < polls; ++k) {
+      WakeScript::Poll poll;
+      poll.flag = static_cast<int>(rng.next_below(w.flags));
+      poll.deadline_in = rng.chance(0.3)
+                             ? kTimeInfinity
+                             : static_cast<Time>(rng.next_below(us(6)));
+      poll.pause = rng.chance(0.4) ? 0 : quarter * static_cast<Time>(
+                                                       rng.next_below(6));
+      p.polls.push_back(poll);
+    }
+    w.pollers.push_back(p);
+  }
+  const int events = 40 + static_cast<int>(rng.next_below(30));
+  for (int i = 0; i < events; ++i) {
+    WakeScript::Event e{};
+    e.at = instant(us(30));
+    e.action = static_cast<int>(rng.next_below(4));
+    e.flag = static_cast<int>(rng.next_below(w.flags));
+    if (rng.chance(0.5)) {
+      e.child_at = e.at + instant(us(3));
+      e.child_action = static_cast<int>(rng.next_below(4));
+      e.child_flag = static_cast<int>(rng.next_below(w.flags));
+    }
+    w.events.push_back(e);
+  }
+  // Late enough for every poll without a deadline to see its flag set.
+  for (int f = 0; f < w.flags; ++f) {
+    for (int k = 0; k < 12; ++k) {
+      w.events.push_back({us(40) + us(7) * k, 0, f, 0, 0, 0});
+    }
+  }
+  return w;
+}
+
+struct WakeRun {
+  std::vector<std::string> log;
+  std::uint64_t executed = 0;
+  std::uint64_t scheduled = 0;
+  std::uint64_t callbacks = 0;
+};
+
+WakeRun run_wake_script(const WakeScript& w, Wait mode) {
+  Simulator sim;
+  if (mode == Wait::kOracle) sim.set_check_wakeups(true);
+  WakeRun run;
+  auto log = [&](const std::string& what) {
+    run.log.push_back(std::to_string(sim.now()) + " " + what);
+  };
+  std::vector<char> flag(static_cast<std::size_t>(w.flags), 0);
+  std::vector<Signal> signal(static_cast<std::size_t>(w.flags));
+  std::function<void(int, int, int, Time, int, int)> act;
+  act = [&](int id, int action, int f, Time child_at, int child_action,
+            int child_flag) {
+    log("ev" + std::to_string(id) + " a" + std::to_string(action) + " f" +
+        std::to_string(f));
+    if (action == 0 || action == 3) flag[f] = 1;
+    if (action == 1 || action == 3) flag[f] = 0;
+    if (action != 1) signal[f].touch();
+    if (child_at != 0) {
+      sim.at(child_at, [&act, id, child_action, child_flag] {
+        act(1000 + id, child_action, child_flag, 0, 0, 0);
+      });
+    }
+  };
+  for (std::size_t i = 0; i < w.events.size(); ++i) {
+    const WakeScript::Event e = w.events[i];
+    sim.at(e.at, [&act, e, i] {
+      act(static_cast<int>(i), e.action, e.flag, e.child_at, e.child_action,
+          e.child_flag);
+    });
+  }
+  std::vector<std::unique_ptr<Process>> ps;
+  for (std::size_t i = 0; i < w.pollers.size(); ++i) {
+    const WakeScript::Poller& pl = w.pollers[i];
+    const std::string name = "p" + std::to_string(i);
+    ps.push_back(std::make_unique<Process>(sim, name, [&, pl, name] {
+      Process* self = Process::current();
+      if (pl.start > 0) self->delay(pl.start);
+      for (const WakeScript::Poll& poll : pl.polls) {
+        const Time deadline = poll.deadline_in == kTimeInfinity
+                                  ? kTimeInfinity
+                                  : sim.now() + poll.deadline_in;
+        const int f = poll.flag;
+        auto ready = [&] { return flag[f] != 0; };
+        std::uint64_t steps = 0;
+        if (mode == Wait::kReference) {
+          do {
+            self->delay(pl.every);
+            ++steps;
+          } while (!ready() && sim.now() < deadline);
+        } else {
+          steps = self->poll(pl.every, ready, Wake{{&signal[f]}, deadline});
+        }
+        log(name + " f" + std::to_string(f) + " steps " +
+            std::to_string(steps) + (ready() ? " ready" : " timeout"));
+        flag[f] = 0;  // consume it (a write that makes ready() false)
+        if (poll.pause > 0) self->delay(poll.pause);
+      }
+    }));
+  }
+  for (auto& p : ps) p->start();
+  sim.run();
+  for (const auto& p : ps) EXPECT_TRUE(p->done()) << p->name();
+  run.executed = sim.events_executed();
+  run.scheduled = sim.events_scheduled();
+  run.callbacks = sim.callbacks_run();
+  return run;
+}
+
+TEST(ProcessPoll, ParkedMatchesReferenceLoopOnRandomScripts) {
+  std::uint64_t skipped = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE(seed);
+    const WakeScript w = make_wake_script(seed);
+    const WakeRun ref = run_wake_script(w, Wait::kReference);
+    const WakeRun parked = run_wake_script(w, Wait::kParked);
+    const WakeRun oracle = run_wake_script(w, Wait::kOracle);
+    EXPECT_EQ(parked.log, ref.log);
+    EXPECT_EQ(parked.executed, ref.executed);
+    EXPECT_EQ(parked.scheduled, ref.scheduled);
+    EXPECT_EQ(oracle.log, ref.log);
+    EXPECT_EQ(oracle.executed, ref.executed);
+    EXPECT_EQ(oracle.callbacks, oracle.executed);  // the oracle skips nothing
+    EXPECT_LT(parked.callbacks, parked.executed);
+    skipped += parked.executed - parked.callbacks;
+  }
+  EXPECT_GT(skipped, 1000u);
+}
+
+TEST(ProcessPoll, OracleRejectsAMissingTouch) {
+  for (bool check : {false, true}) {
+    SCOPED_TRACE(check);
+    Simulator sim;
+    sim.set_check_wakeups(check);
+    Signal sig;
+    bool flag = false;
+    std::uint64_t steps = 0;
+    Process p(sim, "p", [&] {
+      steps = Process::current()->poll(ns(500), [&] { return flag; },
+                                       Wake{{&sig}, us(10)});
+    });
+    p.start();
+    sim.at(ns(1200), [&] { flag = true; });  // forgets sig.touch()
+    if (check) {
+      EXPECT_THROW(sim.run(), std::logic_error);
+      EXPECT_EQ(sim.now(), ns(1500));
+      // The poll stays armed; with the touch made good it resumes.
+      sig.touch();
+      sim.run();
+      EXPECT_TRUE(p.done());
+      EXPECT_EQ(steps, 4u);
+    } else {
+      // Parked, the poller sleeps through the write until its deadline.
+      sim.run();
+      EXPECT_TRUE(p.done());
+      EXPECT_EQ(steps, 20u);
+    }
+  }
+}
+
+TEST(ProcessPoll, ParkedStepsCountAsEvents) {
+  Simulator sim;
+  Signal sig;
+  bool flag = false;
+  std::uint64_t steps = 0;
+  Process p(sim, "p", [&] {
+    steps = Process::current()->poll(us(1), [&] { return flag; }, {{&sig}});
+  });
+  p.start();
+  sim.at(ns(7500), [&] {
+    flag = true;
+    sig.touch();
+  });
+  sim.run_until(us(5));
+  // start + five phantom steps; one step pending, as in the eager loop.
+  EXPECT_EQ(sim.events_executed(), 6u);
+  EXPECT_EQ(sim.callbacks_run(), 1u);
+  EXPECT_EQ(sim.pending(), 2u);
+  sim.run();
+  EXPECT_TRUE(p.done());
+  EXPECT_EQ(steps, 8u);
+  EXPECT_EQ(sim.now(), us(8));
+  EXPECT_EQ(sim.events_executed(), 10u);  // start, 8 steps, the write
+  EXPECT_EQ(sim.events_scheduled(), 10u);
+  EXPECT_EQ(sim.callbacks_run(), 3u);     // start, the write, the last step
+}
+
+// ---------------------------------------------------------------------------
 // Cluster::run(): returns once every spawned process is done
 // ---------------------------------------------------------------------------
 
@@ -388,6 +635,27 @@ TEST(ClusterRun, BlockedFiberIsADeadlock) {
   stuck->wake();
   cluster.run();
   EXPECT_TRUE(resumed);
+}
+
+// The eager loop would step forever here; a parked poller with no deadline
+// and nothing else pending can never be woken, so run() reports a deadlock.
+TEST(ClusterRun, ParkedPollerWithNothingPendingIsADeadlock) {
+  Cluster cluster(config_1l_1g(2));
+  Signal sig;
+  bool flag = false;
+  std::uint64_t steps = 0;
+  cluster.spawn(0, "parked", [&](Endpoint&) {
+    steps = Process::current()->poll(us(1), [&] { return flag; }, {{&sig}});
+  });
+  EXPECT_THROW(cluster.run(), std::runtime_error);
+  const Time stuck_at = cluster.sim().now();
+  EXPECT_EQ(cluster.sim().pending(), 1u);  // the parked step
+  // Touched, it resumes at its next grid instant: its first step.
+  flag = true;
+  sig.touch();
+  cluster.run();
+  EXPECT_EQ(steps, 1u);
+  EXPECT_EQ(cluster.sim().now(), stuck_at + us(1));
 }
 
 TEST(WaitQueue, NotifyOneWakesFifo) {
