@@ -51,9 +51,14 @@ fi
 # The plain build treats the project's own warnings as errors. restrict
 # stays a warning: GCC 12 reports a false positive inside libstdc++'s
 # std::string operator+.
-WERROR_ARGS=()
+FLAG_ARGS=()
 if [ -z "$SAN" ]; then
-  WERROR_ARGS+=("-DCMAKE_CXX_FLAGS=-Werror -Wno-error=restrict")
+  FLAG_ARGS+=("-DCMAKE_CXX_FLAGS=-Werror -Wno-error=restrict")
+else
+  # Sanitizer builds also check every assert() in src/ and libstdc++'s own
+  # bounds checks: the default RelWithDebInfo flags carry -DNDEBUG, which
+  # would compile them all out.
+  FLAG_ARGS+=("-DCMAKE_CXX_FLAGS_RELWITHDEBINFO=-O2 -g -UNDEBUG -D_GLIBCXX_ASSERTIONS")
 fi
 
 # Every config-struct field must be set by some code, or be a named constant
@@ -62,7 +67,7 @@ echo "== config audit"
 scripts/config_audit.sh
 
 echo "== configure ($BUILD_DIR, sanitize='${SAN:-none}')"
-cmake -B "$BUILD_DIR" -S . "${GEN_ARGS[@]}" "${WERROR_ARGS[@]}" \
+cmake -B "$BUILD_DIR" -S . "${GEN_ARGS[@]}" "${FLAG_ARGS[@]}" \
   -DMULTIEDGE_SANITIZE="$SAN"
 
 echo "== build"

@@ -535,17 +535,35 @@ void Cluster::run() {
   }
 }
 
-std::uint64_t Cluster::alloc_symmetric(std::size_t bytes, std::size_t align) {
-  const std::uint64_t va = memory(0).alloc(bytes, align);
-  for (int i = 1; i < num_nodes(); ++i) {
-    if (memory(i).alloc(bytes, align) != va) {
+namespace {
+
+/// Carve `bytes` out of every node's space with `carve` (MemorySpace::alloc
+/// or reserve); throws unless every node returns the same VA.
+std::uint64_t carve_symmetric(
+    Cluster& cluster,
+    std::uint64_t (proto::MemorySpace::*carve)(std::size_t, std::size_t),
+    std::size_t bytes, std::size_t align) {
+  const std::uint64_t va = (cluster.memory(0).*carve)(bytes, align);
+  for (int i = 1; i < cluster.num_nodes(); ++i) {
+    if ((cluster.memory(i).*carve)(bytes, align) != va) {
       throw std::runtime_error(
-          "Cluster::alloc_symmetric: asymmetric allocation on node " +
+          "Cluster: asymmetric symmetric-region allocation on node " +
           std::to_string(i) +
           " (nodes must allocate the same regions in the same order)");
     }
   }
   return va;
+}
+
+}  // namespace
+
+std::uint64_t Cluster::alloc_symmetric(std::size_t bytes, std::size_t align) {
+  return carve_symmetric(*this, &proto::MemorySpace::alloc, bytes, align);
+}
+
+std::uint64_t Cluster::reserve_symmetric(std::size_t bytes,
+                                         std::size_t align) {
+  return carve_symmetric(*this, &proto::MemorySpace::reserve, bytes, align);
 }
 
 void Cluster::connect_all_mesh() {

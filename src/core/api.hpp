@@ -339,6 +339,11 @@ class Cluster {
   /// same order).
   std::uint64_t alloc_symmetric(std::size_t bytes, std::size_t align = 64);
 
+  /// As alloc_symmetric, but reserves the region without committing it
+  /// (proto::MemorySpace::reserve): its pages fault in on first touch. For
+  /// regions a run may use only a little of, such as mailbox rings.
+  std::uint64_t reserve_symmetric(std::size_t bytes, std::size_t align = 64);
+
   /// Establish the full connection mesh (every node connects to every other
   /// node) before measurement, so connection setup stays out of the timed
   /// region.

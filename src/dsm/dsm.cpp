@@ -1,9 +1,12 @@
 #include "dsm/dsm.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdint>
 #include <cstring>
 #include <optional>
+#include <stdexcept>
 
 namespace multiedge::dsm {
 
@@ -15,9 +18,10 @@ DsmSystem::DsmSystem(Cluster& cluster, DsmConfig config)
     : cluster_(cluster),
       cfg_(config),
       // Identical layout on every node: the mailbox rings and their staging
-      // ring, then the shared region.
+      // ring, then the shared region. The region is only reserved here;
+      // shared_alloc() commits what the app hands out.
       mailboxes_(cluster, config.mailbox_bytes, kTagDsm),
-      shared_base_(cluster.alloc_symmetric(config.shared_bytes, kPageBytes)),
+      shared_base_(cluster.reserve_symmetric(config.shared_bytes, kPageBytes)),
       shared_brk_(shared_base_) {
   const int n = cluster_.num_nodes();
   // The collective domain allocates its own symmetric scratch, after the
@@ -40,10 +44,18 @@ DsmSystem::DsmSystem(Cluster& cluster, DsmConfig config)
 DsmSystem::~DsmSystem() = default;
 
 std::uint64_t DsmSystem::shared_alloc(std::size_t bytes, std::size_t align) {
-  std::uint64_t va = (shared_brk_ + align - 1) / align * align;
-  assert(va + bytes <= shared_base_ + cfg_.shared_bytes &&
-         "shared region exhausted — raise DsmConfig::shared_bytes");
+  const std::uint64_t va = (shared_brk_ + align - 1) / align * align;
+  const std::uint64_t end = shared_base_ + cfg_.shared_bytes;
+  if (va > end || bytes > end - va) {
+    throw std::length_error(
+        "DsmSystem::shared_alloc: shared region exhausted (raise "
+        "DsmConfig::shared_bytes)");
+  }
   shared_brk_ = va + bytes;
+  // Fault the range in on every node now, so the app's first touches (and
+  // the page fetches that land in remote copies) take no page faults inside
+  // the measured run.
+  for (int i = 0; i < num_nodes(); ++i) cluster_.memory(i).commit(va, bytes);
   return va;
 }
 
@@ -216,11 +228,44 @@ void Dsm::write_fault(std::uint32_t page) {
                              sim::kNanosecond);
   stats_.overhead += twin_cost;
   ep_.app_cpu().consume(twin_cost);
-  p.twin = std::make_unique<std::byte[]>(kPageBytes);
+  p.twin = std::make_unique_for_overwrite<std::byte[]>(kPageBytes);
   ep_.memory().read(va_of(page), {p.twin.get(), kPageBytes});
   p.state = PageState::kDirty;
   stats_.twins_created += 1;
   dirty_pages_.push_back(page);
+}
+
+std::vector<DiffRun> diff_runs(const std::byte* cur, const std::byte* twin) {
+  std::vector<DiffRun> runs;
+  std::size_t run_start = SIZE_MAX;
+  std::size_t last_dirty = 0;
+  for (std::size_t w = 0; w < kPageBytes; w += 8) {
+    std::uint64_t c;
+    std::uint64_t t;
+    std::memcpy(&c, cur + w, 8);
+    std::memcpy(&t, twin + w, 8);
+    const std::uint64_t x = c ^ t;
+    if (x == 0) continue;
+    // Byte k of the word sits at bits [8k, 8k + 8) on a little-endian host.
+    // Two dirty bytes of one word are at most 7 apart, so only a word's
+    // first dirty byte can open a new run.
+    const bool le = std::endian::native == std::endian::little;
+    const std::size_t first =
+        w + static_cast<std::size_t>(le ? std::countr_zero(x)
+                                        : std::countl_zero(x)) / 8;
+    const std::size_t last =
+        w + 7 - static_cast<std::size_t>(le ? std::countl_zero(x)
+                                            : std::countr_zero(x)) / 8;
+    if (run_start == SIZE_MAX) {
+      run_start = first;
+    } else if (first - last_dirty > 32) {
+      runs.emplace_back(run_start, last_dirty);
+      run_start = first;
+    }
+    last_dirty = last;
+  }
+  if (run_start != SIZE_MAX) runs.emplace_back(run_start, last_dirty);
+  return runs;
 }
 
 NoticeSection Dsm::flush_dirty(int fence_peer) {
@@ -247,29 +292,9 @@ NoticeSection Dsm::flush_dirty(int fence_peer) {
     stats_.overhead += diff_cost;
     ep_.app_cpu().consume(diff_cost);
 
-    // Byte-granularity diff against the twin (word-granularity diffs would
-    // corrupt neighbouring writers' sub-word data — e.g. Radix's 4-byte
-    // keys), merging runs separated by < 32 clean bytes.
     const std::uint64_t base = va_of(page);
-    const std::byte* cur = ep_.memory().view(base, kPageBytes).data();
-    const std::byte* twin = p.twin.get();
-    std::vector<std::pair<std::size_t, std::size_t>> runs;  // [from, to]
-    std::size_t run_start = SIZE_MAX;
-    std::size_t last_dirty = 0;
-    for (std::size_t w = 0; w < kPageBytes; w += 8) {
-      if (std::memcmp(cur + w, twin + w, 8) == 0) continue;
-      for (std::size_t b = w; b < w + 8; ++b) {
-        if (cur[b] == twin[b]) continue;
-        if (run_start == SIZE_MAX) {
-          run_start = b;
-        } else if (b - last_dirty > 32) {
-          runs.emplace_back(run_start, last_dirty);
-          run_start = b;
-        }
-        last_dirty = b;
-      }
-    }
-    if (run_start != SIZE_MAX) runs.emplace_back(run_start, last_dirty);
+    const std::vector<DiffRun> runs =
+        diff_runs(ep_.memory().view(base, kPageBytes).data(), p.twin.get());
     if (runs.size() == 1) {
       const auto [from, to] = runs.front();
       const std::uint64_t va = base + from;

@@ -23,11 +23,13 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "coll/coll.hpp"
@@ -58,6 +60,15 @@ struct DsmNodeStats {
   std::uint64_t invalidations = 0;
   std::uint64_t messages = 0;
 };
+
+/// Bytes [first, last] of a page, both ends differing from the twin.
+using DiffRun = std::pair<std::size_t, std::size_t>;
+
+/// The runs in which page `cur` differs from its `twin` (both kPageBytes),
+/// at byte granularity: word-granularity diffs would corrupt neighbouring
+/// writers' sub-word data, e.g. Radix's 4-byte keys. Runs separated by at
+/// most 32 clean bytes merge into one.
+std::vector<DiffRun> diff_runs(const std::byte* cur, const std::byte* twin);
 
 class DsmSystem;
 
@@ -237,7 +248,8 @@ class DsmSystem {
   DsmSystem& operator=(const DsmSystem&) = delete;
 
   /// Host-side bump allocation in the shared region (identical layout on
-  /// every node). Call before run().
+  /// every node), committed on every node. Call before run(). Throws
+  /// std::length_error when the region is exhausted.
   std::uint64_t shared_alloc(std::size_t bytes, std::size_t align = 64);
 
   Dsm& node(int i) { return *nodes_[i]; }

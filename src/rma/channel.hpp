@@ -9,6 +9,9 @@
 // own path (connection, flags, fence, trace span), so its wire is unchanged.
 // place() never splits a message across the ring end: one that would cross
 // it restarts at offset 0, so a fixed `reserve` is slot-modulo addressing.
+// Both regions are reserved, not committed: a ring is written one slot at a
+// time, so only the slots a run uses ever fault in (host memory only; no
+// simulated time changes).
 #pragma once
 
 #include <cstdint>
@@ -29,14 +32,14 @@ class Channel {
   };
 
   Channel() = default;
-  /// Allocates the rings, then the staging ring, on every node
-  /// (Cluster::alloc_symmetric: throws if the layout is not symmetric).
+  /// Reserves the rings, then the staging ring, on every node
+  /// (Cluster::reserve_symmetric: throws if the layout is not symmetric).
   Channel(Cluster& cluster, std::size_t ring_bytes, std::uint8_t tag)
       : num_nodes_(cluster.num_nodes()),
         ring_bytes_(ring_bytes),
         tag_(tag),
-        rings_va_(cluster.alloc_symmetric(ring_bytes * num_nodes_)),
-        staging_va_(cluster.alloc_symmetric(ring_bytes)),
+        rings_va_(cluster.reserve_symmetric(ring_bytes * num_nodes_)),
+        staging_va_(cluster.reserve_symmetric(ring_bytes)),
         tails_(static_cast<std::size_t>(num_nodes_) * num_nodes_, 0),
         staging_tails_(num_nodes_, 0) {}
 

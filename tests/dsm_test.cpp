@@ -1,14 +1,20 @@
 // DSM correctness: page fetch, multiple-writer diffs, lock mutual exclusion,
 // barrier semantics, and notice propagation — on each cluster configuration —
-// plus the symmetric-layout check.
+// plus the symmetric-layout check, the shared region's bounds and commit
+// footprint, and the page diff against a byte-loop reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <random>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
 
 #include "dsm/dsm.hpp"
 #include "dsm/shared_array.hpp"
+#include "resident.hpp"
 
 namespace multiedge::dsm {
 namespace {
@@ -408,6 +414,129 @@ TEST(Dsm, WriteSpanningAPageBoundaryTakesTheGeneralPath) {
   sys.cluster().memory(2).read(second, {reinterpret_cast<std::byte*>(&at_home),
                                         sizeof at_home});
   EXPECT_EQ(at_home, 0x2222u);
+}
+
+// The bound holds in every build type, not only where assert() is live.
+TEST(Dsm, SharedAllocThrowsWhenTheRegionIsExhausted) {
+  Cluster cluster(config_1l_1g(2));
+  DsmConfig cfg;
+  cfg.shared_bytes = 1 << 20;
+  DsmSystem sys(cluster, cfg);
+  EXPECT_EQ(sys.shared_alloc(512 << 10, kPageBytes), sys.shared_base());
+  EXPECT_THROW(sys.shared_alloc(1 << 20), std::length_error);
+  EXPECT_THROW(sys.shared_alloc(SIZE_MAX - 10), std::length_error);
+  EXPECT_THROW(sys.shared_alloc(1, 2 << 20), std::length_error);
+  // A failed call moves nothing: the rest of the region still fits exactly.
+  EXPECT_EQ(sys.shared_alloc(512 << 10, kPageBytes),
+            sys.shared_base() + (512 << 10));
+  EXPECT_THROW(sys.shared_alloc(1), std::length_error);
+}
+
+// The shared region and the mailbox rings are reserved; only what
+// shared_alloc hands out is committed, on every node. At the defaults (a
+// 24 MiB region, 2 MiB per mailbox ring) committing everything up front
+// would cost each of the 4 nodes 42 MiB.
+TEST(Dsm, SetupCommitsOnlyWhatSharedAllocHandsOut) {
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  constexpr int kNodes = 4;
+  Cluster cluster(config_1l_1g(kNodes));
+  const long before = testing_util::resident_kib();
+  ASSERT_GE(before, 0);
+  DsmSystem sys(cluster, DsmConfig{});
+  const std::uint64_t va = sys.shared_alloc(kMiB, kPageBytes);
+  const long grown = testing_util::resident_kib() - before;
+  // 1 MiB per node, plus page tables and the per-node page tables of the
+  // DSM itself; under ASan, shadow for the heap those take.
+  EXPECT_LT(grown, kNodes * 1024L + 2048 + testing_util::kShadowPerGibKib / 32);
+  const std::size_t rest = sys.config().shared_bytes - kMiB;
+  for (int n = 0; n < kNodes; ++n) {
+    proto::MemorySpace& mem = cluster.memory(n);
+    EXPECT_EQ(testing_util::resident_pages(mem.view(va, kMiB).data(), kMiB),
+              kMiB / kPageBytes)
+        << "node " << n;
+    EXPECT_EQ(testing_util::resident_pages(mem.view(va + kMiB, rest).data(),
+                                           rest),
+              0u)
+        << "node " << n;
+    // Reserved bytes read as zero (after the residency check: a read maps
+    // the zero page, which mincore counts).
+    const auto reserved = mem.view(va + kMiB, rest);
+    EXPECT_TRUE(std::all_of(reserved.begin(), reserved.end(),
+                            [](std::byte b) { return b == std::byte{0}; }))
+        << "node " << n;
+  }
+}
+
+// The byte-at-a-time diff flush_dirty ran before the word-wide one.
+std::vector<DiffRun> ReferenceDiffRuns(const std::byte* cur,
+                                       const std::byte* twin) {
+  std::vector<DiffRun> runs;
+  std::size_t run_start = SIZE_MAX;
+  std::size_t last_dirty = 0;
+  for (std::size_t b = 0; b < kPageBytes; ++b) {
+    if (cur[b] == twin[b]) continue;
+    if (run_start == SIZE_MAX) {
+      run_start = b;
+    } else if (b - last_dirty > 32) {
+      runs.emplace_back(run_start, last_dirty);
+      run_start = b;
+    }
+    last_dirty = b;
+  }
+  if (run_start != SIZE_MAX) runs.emplace_back(run_start, last_dirty);
+  return runs;
+}
+
+TEST(DsmDiff, WordWideRunsMatchTheByteLoop) {
+  std::mt19937_64 rng(7);
+  std::vector<std::byte> twin(kPageBytes);
+  std::vector<std::byte> cur(kPageBytes);
+  const auto dirty = [&](std::size_t b) {
+    cur[b] = twin[b] ^ static_cast<std::byte>(1 + rng() % 255);
+  };
+  const auto check = [&](const char* what, int trial) {
+    EXPECT_EQ(diff_runs(cur.data(), twin.data()),
+              ReferenceDiffRuns(cur.data(), twin.data()))
+        << what << " trial " << trial;
+  };
+  const double densities[] = {0.0, 0.001, 0.01, 0.05, 0.3, 1.0};
+  for (int trial = 0; trial < 600; ++trial) {
+    for (std::byte& b : twin) b = static_cast<std::byte>(rng());
+    cur = twin;
+    const double p = densities[trial % 6];
+    std::bernoulli_distribution flip(p);
+    for (std::size_t b = 0; b < kPageBytes; ++b) {
+      if (flip(rng)) dirty(b);
+    }
+    check("random", trial);
+
+    // Two dirty bytes exactly 32 apart merge; 33 apart split. Start at
+    // every offset within a word, on a clean page.
+    for (std::size_t gap : {std::size_t{32}, std::size_t{33}}) {
+      cur = twin;
+      const std::size_t a = rng() % (kPageBytes - gap);
+      dirty(a);
+      dirty(a + gap);
+      check(gap == 32 ? "gap 32" : "gap 33", trial);
+    }
+    // The page's first and last bytes.
+    cur = twin;
+    dirty(0);
+    dirty(kPageBytes - 1);
+    if (trial % 2 == 0) dirty(rng() % kPageBytes);
+    check("ends", trial);
+  }
+  // A gap of 32 and one of 33 in the same page, at fixed word offsets.
+  for (std::size_t off = 0; off < 8; ++off) {
+    cur = twin;
+    dirty(off);
+    dirty(off + 32);
+    dirty(off + 32 + 33);
+    const std::vector<DiffRun> runs = diff_runs(cur.data(), twin.data());
+    EXPECT_EQ(runs, (std::vector<DiffRun>{{off, off + 32},
+                                          {off + 65, off + 65}}))
+        << "offset " << off;
+  }
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 
 #include "core/api.hpp"
 #include "kv/kv.hpp"
+#include "resident.hpp"
 #include "rma/channel.hpp"
 #include "rma/rma.hpp"
 #include "sim/process.hpp"
@@ -594,6 +595,52 @@ TEST(RmaChannelTest, CursorsAreIndependentPerPairAndPerStagingRing) {
   EXPECT_EQ(b.staging_va, a.staging_va + 64);
   EXPECT_EQ(c.staging_va, a.staging_va);
   EXPECT_EQ(d.staging_va, a.staging_va + 128);
+}
+
+// The rings and the staging ring are reserved, not committed: one notified
+// write faults in one page of the destination's ring and one of the
+// sender's staging ring, and the slot reads back.
+TEST(RmaChannelTest, RingPagesFaultInOnlyWhenASlotIsWritten) {
+  constexpr std::size_t kRing = std::size_t{2} << 20;
+  constexpr std::uint32_t kLen = 200;
+  Cluster cluster(config_1l_1g(2));
+  rma::Channel ch(cluster, kRing, kTagDsm);
+  const auto rings_resident = [&](int node) {
+    return testing_util::resident_pages(
+        cluster.memory(node).view(ch.rings_va(), ch.rings_bytes()).data(),
+        ch.rings_bytes());
+  };
+  // The staging ring follows the rings.
+  const auto staging_resident = [&](int node) {
+    return testing_util::resident_pages(
+        cluster.memory(node)
+            .view(ch.rings_va() + ch.rings_bytes(), kRing)
+            .data(),
+        kRing);
+  };
+  for (int node = 0; node < 2; ++node) {
+    EXPECT_EQ(rings_resident(node), 0u) << "node " << node;
+    EXPECT_EQ(staging_resident(node), 0u) << "node " << node;
+  }
+
+  ch.place(0, 1, kLen);  // the second slot, 200 bytes into the ring
+  const rma::Channel::Slot slot = ch.place(0, 1, kLen);
+  cluster.spawn(0, "sender", [&](Endpoint& ep) {
+    std::memset(ep.memory().as<std::byte>(slot.staging_va), 0x3c, kLen);
+    rma::Window w(ep, {.tag = kTagDsm, .urgent = false, .fenced = false});
+    w.put_notify(1, slot.remote_va, slot.staging_va, kLen, false);
+  });
+  cluster.spawn(1, "receiver",
+                [](Endpoint& ep) { ep.wait_notification(kTagDsm); });
+  cluster.run();
+
+  EXPECT_EQ(rings_resident(0), 0u);
+  EXPECT_EQ(rings_resident(1), 1u);
+  EXPECT_EQ(staging_resident(0), 1u);
+  EXPECT_EQ(staging_resident(1), 0u);
+  const auto got = cluster.memory(1).view(slot.remote_va, kLen);
+  EXPECT_EQ(std::vector<std::byte>(got.begin(), got.end()),
+            std::vector<std::byte>(kLen, std::byte{0x3c}));
 }
 
 // ---------------------------------------------------------------------------
