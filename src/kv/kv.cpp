@@ -265,9 +265,14 @@ KvDomain::KvDomain(Cluster& cluster, const KvConfig& cfg)
   const std::uint64_t N = num_nodes_;
   const std::uint64_t C = cfg.clients_per_node;
 
-  buckets_va_ = cluster.alloc_symmetric(P * B * bucket_entry_bytes_);
-  slab_va_ = cluster.alloc_symmetric(P * S * record_stride_);
-  seq_table_va_ = cluster.alloc_symmetric(P * N * C * 8);
+  // Capacity-sized regions are reserved: a page faults in when a mutation
+  // first writes it. A PUT to an existing key overwrites its slot in place
+  // (Server::apply), so only new keys touch fresh slab pages. The per-op
+  // scratch below (ack words, GET landing buffers) is committed, since every
+  // op writes it (DESIGN.md §11 "Node memory").
+  buckets_va_ = cluster.reserve_symmetric(P * B * bucket_entry_bytes_);
+  slab_va_ = cluster.reserve_symmetric(P * S * record_stride_);
+  seq_table_va_ = cluster.reserve_symmetric(P * N * C * 8);
   for (int c = 0; c < cfg.clients_per_node; ++c) {
     requests_.emplace_back(cluster, req_stride_, kTagKvRequest);
     responses_.emplace_back(cluster, resp_stride_,

@@ -147,9 +147,13 @@ struct KvConfig {
 
 class System;
 
-/// Symmetric memory layout of the store. Every node allocates the same
-/// regions in the same order (Cluster::alloc_symmetric), so a VA computed
-/// here addresses the same object on every node.
+/// Symmetric memory layout of the store. Every node carves the same regions
+/// in the same order, so a VA computed here addresses the same object on
+/// every node. The capacity-sized regions (buckets, record slab, seq table)
+/// are reserved (Cluster::reserve_symmetric) and fault in as mutations first
+/// write them; the per-op scratch every op writes (ack words, GET landing
+/// buffers) is committed (Cluster::alloc_symmetric). rma::Channel reserves
+/// the mailbox rings.
 class KvDomain {
  public:
   KvDomain(Cluster& cluster, const KvConfig& cfg);

@@ -28,7 +28,7 @@ void Channel::send(FramePtr frame) {
   stats_.bytes_sent += frame->wire_bytes();
   if (rail_health_) rail_health_->on_frame_sent(sim_.now(), frame->wire_bytes());
 
-  if (on_tx_done_) sim_.at(tx_free_at_, on_tx_done_);
+  if (on_tx_done_) sim_.at(tx_free_at_, [this] { on_tx_done_(); });
 
   // Evolve the Gilbert–Elliott state once per transmitted frame.
   if (faults_.burst.enabled) {

@@ -9,13 +9,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
 #include "net/frame.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "sim/small_fn.hpp"
 #include "sim/time.hpp"
 #include "trace/rail_health.hpp"
 #include "trace/trace.hpp"
@@ -80,7 +80,7 @@ class Channel {
   Channel& operator=(const Channel&) = delete;
 
   void set_sink(FrameSink* sink) { sink_ = sink; }
-  void set_on_tx_done(std::function<void()> cb) { on_tx_done_ = std::move(cb); }
+  void set_on_tx_done(sim::SmallFn cb) { on_tx_done_ = std::move(cb); }
   FaultModel& faults() { return faults_; }
 
   /// Begin transmitting `frame`. Precondition: !busy(). The frame occupies
@@ -117,7 +117,9 @@ class Channel {
   sim::Rng rng_;
   FaultModel faults_;
   FrameSink* sink_ = nullptr;
-  std::function<void()> on_tx_done_;
+  // Each frame schedules a [this] thunk that calls it, so the hot path
+  // never copies the callback.
+  sim::SmallFn on_tx_done_;
   sim::Time tx_free_at_ = 0;
   bool burst_bad_ = false;
   Stats stats_;

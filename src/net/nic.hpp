@@ -11,12 +11,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 
 #include "net/channel.hpp"
 #include "net/frame.hpp"
 #include "sim/simulator.hpp"
+#include "sim/small_fn.hpp"
 #include "sim/timer.hpp"
 #include "sim/time.hpp"
 #include "trace/trace.hpp"
@@ -81,7 +81,7 @@ class Nic : public FrameSink {
   /// Mask/unmask interrupts. Level-triggered: unmasking with events pending
   /// raises an interrupt immediately, so no wakeup is ever lost.
   void set_irq_enabled(bool enabled);
-  void set_irq_handler(std::function<void()> handler) {
+  void set_irq_handler(sim::SmallFn handler) {
     irq_handler_ = std::move(handler);
   }
 
@@ -126,7 +126,7 @@ class Nic : public FrameSink {
   std::uint64_t unreaped_tx_completions_ = 0;
 
   bool irq_enabled_ = true;
-  std::function<void()> irq_handler_;
+  sim::SmallFn irq_handler_;
   std::uint32_t coalesce_count_ = 0;
   bool unmaskable_waiting_ = false;
   sim::Timer coalesce_timer_;

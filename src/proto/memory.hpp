@@ -37,18 +37,20 @@ class MemorySpace {
 
   std::size_t size() const { return size_; }
 
+  // write(), read() and view() take VAs that arrive in frames, so their
+  // bounds hold in every build: they throw std::out_of_range.
   void write(std::uint64_t va, std::span<const std::byte> data) {
-    assert(va + data.size() <= size_ && "remote write out of bounds");
+    check(va, data.size(), "write");
     std::copy(data.begin(), data.end(), mem_.get() + va);
   }
 
   void read(std::uint64_t va, std::span<std::byte> out) const {
-    assert(va + out.size() <= size_ && "remote read out of bounds");
+    check(va, out.size(), "read");
     std::copy(mem_.get() + va, mem_.get() + va + out.size(), out.begin());
   }
 
   std::span<const std::byte> view(std::uint64_t va, std::size_t len) const {
-    assert(va + len <= size_);
+    check(va, len, "view");
     return {mem_.get() + va, len};
   }
 
@@ -110,6 +112,21 @@ class MemorySpace {
   std::uint64_t bytes_allocated() const { return brk_; }
 
  private:
+  // Overflow-safe: va + len may wrap.
+  void check(std::uint64_t va, std::size_t len, const char* what) const {
+    if (len > size_ || va > size_ - len) [[unlikely]] {
+      out_of_bounds(va, len, what);
+    }
+  }
+
+  [[noreturn, gnu::cold, gnu::noinline]] void out_of_bounds(
+      std::uint64_t va, std::size_t len, const char* what) const {
+    throw std::out_of_range("MemorySpace: " + std::string(what) + " of " +
+                            std::to_string(len) + " bytes at " +
+                            std::to_string(va) + " is out of bounds (" +
+                            std::to_string(size_) + " bytes)");
+  }
+
   // A private anonymous mapping rather than calloc: below glibc's dynamic
   // mmap threshold (up to 32 MiB) a calloc can come from a reused heap
   // arena, which it zero-fills page by page, committing the whole block.

@@ -5,10 +5,17 @@
 // torn-read retry protocol and its checksum check, the 8-bit response-tag
 // range of client slots, replication under
 // Gilbert-Elliott burst loss, and failover (backup promotion) across a
-// scheduled rail outage — all with the protocol invariant checker armed.
+// scheduled rail outage — all with the protocol invariant checker armed —
+// and what the store's symmetric regions commit.
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstring>
+#include <functional>
 #include <map>
 #include <random>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,6 +24,7 @@
 
 #include "core/api.hpp"
 #include "kv/kv.hpp"
+#include "resident.hpp"
 #include "sim/process.hpp"
 
 namespace multiedge {
@@ -846,6 +854,197 @@ TEST(KvParkedPollerTest, LossyBrokeredMixMatchesTheEagerRun) {
   EXPECT_EQ(parked.kv, eager.kv);
   EXPECT_EQ(parked.end, eager.end);
   EXPECT_LT(parked.callbacks, parked.events);
+}
+
+// ---------------------------------------------------------------------------
+// Node memory: the store commits only the records it writes
+// ---------------------------------------------------------------------------
+
+// perfbench kv-write's store: 4 nodes on 2L-1G with 128 MiB each, 8
+// brokered clients per node, 4 KiB values, R = 2, 1024 keys.
+constexpr int kMemNodes = 4;
+constexpr int kMemClients = 8;
+constexpr int kMemKeys = 1024;
+constexpr std::size_t kMemValueBytes = 4096;
+
+ClusterConfig kv_write_cluster() {
+  ClusterConfig ccfg = config_2l_1g(kMemNodes);
+  ccfg.memory_bytes_per_node = std::size_t{128} << 20;
+  return ccfg;
+}
+
+kv::KvConfig kv_write_store() {
+  kv::KvConfig cfg;
+  cfg.clients_per_node = kMemClients;
+  cfg.max_value_bytes = kMemValueBytes;
+  cfg.replication = 2;
+  cfg.conn_mode = kv::ConnMode::kBroker;
+  return cfg;
+}
+
+/// One capacity-sized region of the store on `node`.
+std::span<const std::byte> slab_of(Cluster& cluster, const kv::System& sys,
+                                   int node) {
+  const kv::KvConfig& cfg = sys.config();
+  const std::size_t bytes = std::size_t{1} * cfg.partitions *
+                            cfg.slots_per_partition *
+                            sys.domain().record_stride();
+  return cluster.memory(node).view(sys.domain().slot_va(0, 0), bytes);
+}
+std::span<const std::byte> buckets_of(Cluster& cluster, const kv::System& sys,
+                                      int node) {
+  const kv::KvConfig& cfg = sys.config();
+  const std::size_t bytes = std::size_t{1} * cfg.partitions *
+                            cfg.buckets_per_partition *
+                            sys.domain().bucket_entry_bytes();
+  return cluster.memory(node).view(sys.domain().bucket_entry_va(0, 0), bytes);
+}
+
+std::size_t resident(std::span<const std::byte> region) {
+  return testing_util::resident_pages(region.data(), region.size());
+}
+
+/// Spawn kv-write's clients: each PUTs its share of the keys, then calls
+/// `after_preload(client, id)`.
+void spawn_preload(kv::System& sys,
+                   std::function<void(kv::Client&, int)> after_preload) {
+  for (int node = 0; node < kMemNodes; ++node) {
+    for (int c = 0; c < kMemClients; ++c) {
+      const int id = node * kMemClients + c;
+      sys.spawn_client(node, "cli", [id, after_preload](kv::Client& cl) {
+        const std::string value(kMemValueBytes,
+                                static_cast<char>('a' + id % 26));
+        for (int k = id; k < kMemKeys; k += kMemNodes * kMemClients) {
+          ASSERT_EQ(cl.put("k" + std::to_string(k), value), kv::Status::kOk);
+        }
+        after_preload(cl, id);
+      });
+    }
+  }
+}
+
+// The slab is 32 partitions x 256 slots x a ~4.1 KiB stride, about 32.5 MiB
+// a node; preload writes 1024 keys x R = 2 records over the four nodes. The
+// store commits those records' pages, not the capacity (about 130 MiB).
+TEST(KvMemory, SetupCommitsOnlyWhatPreloadWrites) {
+  Cluster cluster(kv_write_cluster());
+  const long before = testing_util::resident_kib();
+  ASSERT_GE(before, 0);
+  kv::System sys(cluster, kv_write_store());
+  spawn_preload(sys, [](kv::Client&, int) {});
+  cluster.run();
+  const long grown = testing_util::resident_kib() - before;
+  const long records_kib =
+      2L * kMemKeys * sys.domain().record_stride() / 1024;
+  // The GET landing buffers stay committed: every GET writes them.
+  const long get_bufs_kib = 1L * kMemNodes * kMemClients *
+                            kv::KvDomain::kGetBufSets *
+                            sys.domain().get_buf_stride() / 1024;
+  // Slack: a partially written page at each partition's slab end, bucket
+  // and seq-table pages, rings, fiber stacks and the heap of the run (about
+  // 5 MiB); under ASan, that heap's shadow, redzones and quarantine (about
+  // 46 MiB).
+  EXPECT_LT(grown, records_kib + get_bufs_kib + 8 * 1024 +
+                       testing_util::kShadowPerGibKib / 2)
+      << "records " << records_kib << " KiB, GET buffers " << get_bufs_kib
+      << " KiB";
+  std::size_t slab_pages = 0;
+  for (int n = 0; n < kMemNodes; ++n) {
+    slab_pages += resident(slab_of(cluster, sys, n));
+  }
+  // Each record's pages, and at most one more per (node, partition).
+  const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  const std::size_t written = 2 * std::size_t{kMemKeys} *
+                              sys.domain().record_stride() / page;
+  EXPECT_GE(slab_pages, written);
+  EXPECT_LE(slab_pages,
+            written + std::size_t{kMemNodes} * 2 * sys.config().partitions);
+}
+
+// A PUT to an existing key overwrites its slot in place, so a window of
+// overwrites (all of kv-write's measured PUTs) faults in no slab or bucket
+// page.
+TEST(KvMemory, OverwritesTakeNoFreshSlot) {
+  Cluster cluster(kv_write_cluster());
+  kv::System sys(cluster, kv_write_store());
+  constexpr int kClients = kMemNodes * kMemClients;
+  kv::HostBarrier loaded, measured, done;
+  std::vector<std::size_t> slab_before(kMemNodes), slab_after(kMemNodes);
+  std::vector<std::size_t> buckets_before(kMemNodes), buckets_after(kMemNodes);
+  const auto snapshot = [&](std::vector<std::size_t>& slab,
+                            std::vector<std::size_t>& buckets) {
+    for (int n = 0; n < kMemNodes; ++n) {
+      slab[n] = resident(slab_of(cluster, sys, n));
+      buckets[n] = resident(buckets_of(cluster, sys, n));
+    }
+  };
+  spawn_preload(sys, [&](kv::Client& cl, int id) {
+    loaded.arrive_and_wait(kClients);
+    if (id == 0) snapshot(slab_before, buckets_before);
+    measured.arrive_and_wait(kClients);
+    const std::string value(kMemValueBytes, 'z');
+    for (int round = 0; round < 2; ++round) {
+      for (int k = (id + 7 * round) % kClients; k < kMemKeys; k += kClients) {
+        ASSERT_EQ(cl.put("k" + std::to_string(k), value), kv::Status::kOk);
+      }
+    }
+    done.arrive_and_wait(kClients);
+    if (id == 0) snapshot(slab_after, buckets_after);
+  });
+  cluster.run();
+  // Most of each slab is still unfaulted after preload, so a fresh slot
+  // would show.
+  const std::size_t slab_total = slab_of(cluster, sys, 0).size() /
+                                 static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  for (int n = 0; n < kMemNodes; ++n) {
+    EXPECT_GT(slab_before[n], 0u) << "node " << n;
+    EXPECT_LT(slab_before[n], slab_total / 4) << "node " << n;
+  }
+  EXPECT_EQ(slab_after, slab_before);
+  EXPECT_EQ(buckets_after, buckets_before);
+}
+
+// A slot no PUT has written is reserved, not committed, and reads as a zero
+// header: version 0, even, so a one-sided reader never sees it as torn.
+TEST(KvMemory, ReservedSlotReadsAsAZeroEvenVersionHeader) {
+  Cluster cluster(config_1l_1g(2));
+  kv::System sys(cluster);
+  const kv::KvConfig& cfg = sys.config();
+  const auto header = [&](int node, int partition, std::uint32_t slot) {
+    // RecordHeader: version, checksum, seq, key_len, val_len (32 bytes).
+    return cluster.memory(node).view(sys.domain().slot_va(partition, slot),
+                                     32);
+  };
+  // Slots far from the ones the PUTs fill, so no written record shares
+  // their page, and a different one each time: a read maps the zero page,
+  // which mincore counts.
+  const auto expect_reserved_zero = [&](std::uint32_t slot, const char* when) {
+    for (int n = 0; n < 2; ++n) {
+      for (int p = 0; p < cfg.partitions; ++p) {
+        EXPECT_EQ(resident(header(n, p, slot)), 0u)
+            << when << ": node " << n << " partition " << p;
+        const auto h = header(n, p, slot);
+        EXPECT_TRUE(std::all_of(h.begin(), h.end(),
+                                [](std::byte b) { return b == std::byte{0}; }))
+            << when << ": node " << n << " partition " << p;
+      }
+    }
+  };
+  expect_reserved_zero(cfg.slots_per_partition / 4, "before any PUT");
+  std::string got;
+  sys.spawn_client(0, "cli", [&](kv::Client& cl) {
+    EXPECT_EQ(cl.get("never-written", &got), kv::Status::kNotFound);
+    for (int k = 0; k < 64; ++k) {
+      ASSERT_EQ(cl.put("k" + std::to_string(k), "v"), kv::Status::kOk);
+    }
+  });
+  cluster.run();
+  expect_reserved_zero(cfg.slots_per_partition / 2, "after 64 PUTs");
+  for (int n = 0; n < 2; ++n) {
+    std::uint64_t version = 0;
+    std::memcpy(&version, header(n, 0, 0).data(), sizeof(version));
+    EXPECT_EQ(version % 2, 0u);
+  }
 }
 
 }  // namespace

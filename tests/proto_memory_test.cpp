@@ -130,6 +130,30 @@ TEST(MemorySpace, ReserveAndAllocThrowWhenExhausted) {
   EXPECT_EQ(mem.bytes_allocated(), std::size_t{1} << 20);
 }
 
+// write/read/view take VAs from frames, so their bounds hold in every build,
+// also a few bytes past a size the mapping's last page still covers, and
+// where va + len wraps.
+TEST(MemorySpace, WireFacingAccessThrowsOutOfRange) {
+  constexpr std::size_t kBytes = 10000;  // not a page multiple
+  MemorySpace mem(kBytes);
+  std::vector<std::byte> four(4, std::byte{7});
+  EXPECT_THROW(mem.write(kBytes - 2, four), std::out_of_range);
+  EXPECT_THROW(mem.read(kBytes - 2, four), std::out_of_range);
+  EXPECT_THROW(mem.view(kBytes - 2, 4), std::out_of_range);
+  EXPECT_THROW(mem.write(kBytes, four), std::out_of_range);
+  EXPECT_THROW(mem.write(UINT64_MAX - 1, four), std::out_of_range);
+  EXPECT_THROW(mem.read(UINT64_MAX - 1, four), std::out_of_range);
+  EXPECT_THROW(mem.view(2, SIZE_MAX), std::out_of_range);
+  EXPECT_EQ(*mem.as<std::byte>(kBytes - 2), std::byte{0});  // nothing written
+
+  mem.write(kBytes - 4, four);  // exact fits still work
+  std::vector<std::byte> back(4);
+  mem.read(kBytes - 4, back);
+  EXPECT_EQ(back, four);
+  EXPECT_EQ(mem.view(kBytes - 4, 4).size(), 4u);
+  EXPECT_TRUE(mem.view(kBytes, 0).empty());
+}
+
 // Spaces below glibc's 32 MiB dynamic mmap threshold, built one after
 // another as a bench builds cluster after cluster: a heap-backed space
 // would be zero-filled from a freed arena, committing all of it.
