@@ -166,14 +166,14 @@ std::uint32_t bucket_of(std::uint64_t key_hash, const KvConfig& cfg) {
 /// stays outstanding — callers rotate buffers instead of reusing the landing
 /// area).
 bool wait_ref(Endpoint& ep, const ClientOpRef& r, sim::Time timeout) {
-  const sim::Simulator& sim = ep.cluster().sim();
-  const sim::Time deadline = sim.now() + timeout;
-  while (!r.test()) {
-    if (sim.now() >= deadline) return false;
+  // The Wake carries the deadline, so one poll either sees the op finish
+  // or returns at the deadline.
+  if (!r.test() && timeout > 0) {
     sim::Process::current()->poll(kClientPoll, [&] { return r.test(); },
-                                  {{r.done_signal()}, deadline});
+                                  {{r.done_signal()},
+                                   ep.cluster().sim().now() + timeout});
   }
-  return true;
+  return r.test();
 }
 
 /// Root span for one client operation (kKvOp). Alive across the whole retry

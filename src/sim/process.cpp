@@ -138,10 +138,11 @@ bool Process::may_park() const {
 // scheduled in between (ready() is read-only). So every step lands at the
 // same (time, seq) as the reference loop's.
 void Process::arm_poll() {
-  sim_.schedule_poll(poll_every_, this, ++block_gen_);
+  const std::uint64_t gen = ++block_gen_;
+  sim_.in(poll_every_, [this, gen] { poll_step(gen); });
 }
 
-// Parking takes the seq the lane entry would have taken; the step itself
+// Parking takes the seq the step's event would have taken; the step itself
 // stays a phantom until the simulator wakes it.
 void Process::park_now() {
   anchor_t_ = sim_.now() + poll_every_;

@@ -114,7 +114,7 @@ class Process {
   SpanSlot span_slot;
 
  private:
-  friend class Simulator;  // runs poll steps off its poll lanes
+  friend class Simulator;  // parks, wakes and runs its poll steps
   friend class Signal;     // touches its parked watchers
 
   /// A type-erased `bool()` callable living on the fiber's stack.
@@ -151,7 +151,7 @@ class Process {
 
   // --- parking state of a poll() with a Wake (DESIGN §11) ---
   enum class Park : std::uint8_t {
-    kNone,    // not parked: running, or its next step is in a lane
+    kNone,    // not parked: running, or its next step is a heap event
     kParked,  // next step at anchor_t_ is a phantom
     kWoken,   // its step is on the simulator's wake heap
   };

@@ -12,8 +12,6 @@ namespace {
 // Steady-state queue depth for a mid-size cluster; reserving it up front
 // means the first run never pays vector regrowth on the event hot path.
 constexpr std::size_t kInitialCapacity = 1024;
-// First ring size of a poll lane (a power of two); it doubles when full.
-constexpr std::size_t kInitialLaneCapacity = 64;
 }  // namespace
 
 Simulator::Simulator() {
@@ -107,11 +105,7 @@ bool Simulator::reschedule(EventId id, Time t) {
   return true;
 }
 
-std::size_t Simulator::pending() const {
-  std::size_t n = heap_.size() + dormant_;
-  for (const PollLane& lane : lanes_) n += lane.size;
-  return n;
-}
+std::size_t Simulator::pending() const { return heap_.size() + dormant_; }
 
 std::uint64_t Simulator::events_executed() const {
   return executed_ + phantom_executed_ + parked_phantoms();
@@ -126,72 +120,12 @@ void Simulator::set_check_wakeups(bool on) {
   check_wakeups_ = on;
 }
 
-void Simulator::PollLane::push(const PollEntry& e) {
-  if (size == ring.size()) {
-    std::vector<PollEntry> grown(ring.empty() ? kInitialLaneCapacity
-                                              : 2 * ring.size());
-    for (std::size_t i = 0; i < size; ++i) {
-      grown[i] = ring[(head + i) & (ring.size() - 1)];
-    }
-    ring = std::move(grown);
-    head = 0;
-  }
-  ring[(head + size) & (ring.size() - 1)] = e;
-  ++size;
-}
-
-Simulator::PollEntry Simulator::PollLane::pop() {
-  assert(size > 0);
-  const PollEntry e = ring[head];
-  head = (head + 1) & (ring.size() - 1);
-  --size;
-  return e;
-}
-
-void Simulator::schedule_poll(Time every, Process* proc, std::uint64_t gen) {
-  if (every < 0) every = 0;  // in() would clamp the step to now()
-  PollLane* lane = nullptr;
-  for (PollLane& l : lanes_) {
-    if (l.every == every) {
-      lane = &l;
-      break;
-    }
-  }
-  if (lane == nullptr) {
-    lane = &lanes_.emplace_back();
-    lane->every = every;
-  }
-  // now_ never decreases and seqs only grow, so this entry sorts after
-  // every entry already in the lane: the lane stays a sorted FIFO.
-  lane->push(PollEntry{now_ + every, next_seq_++, proc, gen});
-}
-
-Simulator::PollLane* Simulator::next_lane() {
-  PollLane* best = nullptr;
-  for (PollLane& l : lanes_) {
-    if (l.size > 0 && (best == nullptr || before(l.front(), best->front()))) {
-      best = &l;
-    }
-  }
-  if (best != nullptr && !heap_.empty() && before(heap_[0], best->front())) {
-    return nullptr;
-  }
-  return best;
-}
-
 bool Simulator::step() {
   if (dormant_ != 0) return step_dormant();
-  return run_next(next_lane());
+  return run_next();
 }
 
-bool Simulator::run_next(PollLane* lane) {
-  if (lane != nullptr) {
-    const PollEntry e = lane->pop();
-    now_ = e.t;
-    ++executed_;
-    e.proc->poll_step(e.gen);  // may push to this lane (and regrow lanes_)
-    return true;
-  }
+bool Simulator::run_next() {
   if (heap_.empty()) return false;
   const HeapEntry top = heap_[0];
   remove_heap_entry(0);
@@ -218,17 +152,12 @@ void Simulator::run_until(Time t) {
   while (!stopped_) {
     if (dormant_ != 0) {
       Time next;
-      PollLane* lane;
-      if (!next_instant(&next, &lane) || next > t) break;
+      if (!next_instant(&next) || next > t) break;
       step_dormant();
       continue;
     }
-    PollLane* lane = next_lane();
-    if (lane != nullptr ? lane->front().t > t
-                        : heap_.empty() || heap_[0].t > t) {
-      break;
-    }
-    run_next(lane);
+    if (heap_.empty() || heap_[0].t > t) break;
+    run_next();
   }
   if (now_ < t) now_ = t;
   if (dormant_ != 0 && !stopped_) close(t);
@@ -382,7 +311,7 @@ std::uint64_t Simulator::seq_after(Time x) const {
   return it == first ? next_seq_ : std::prev(it)->seq;
 }
 
-bool Simulator::next_instant(Time* t, PollLane** lane) {
+bool Simulator::next_instant(Time* t) {
   // Drop deadline entries whose poll() returned or whose poller is
   // stepping eagerly (it re-queues one when it parks again).
   while (!deadlines_.empty()) {
@@ -393,17 +322,12 @@ bool Simulator::next_instant(Time* t, PollLane** lane) {
     std::pop_heap(deadlines_.begin(), deadlines_.end(), deadline_after);
     deadlines_.pop_back();
   }
-  *lane = next_lane();
   bool any = false;
   const auto consider = [&](Time c) {
     if (!any || c < *t) *t = c;
     any = true;
   };
-  if (*lane != nullptr) {
-    consider((*lane)->front().t);
-  } else if (!heap_.empty()) {
-    consider(heap_[0].t);
-  }
+  if (!heap_.empty()) consider(heap_[0].t);
   if (!woken_.empty()) consider(woken_[0].t);
   if (!deadlines_.empty()) consider(deadlines_[0].t);
   return any;
@@ -454,23 +378,17 @@ void Simulator::close(Time t) {
 
 bool Simulator::step_dormant() {
   Time t;
-  PollLane* lane;
-  while (next_instant(&t, &lane)) {
+  while (next_instant(&t)) {
     if (t > checked_) {
       enter(t);
       continue;
     }
-    if (!woken_.empty()) {
-      const bool event_first =
-          lane != nullptr ? !wake_before_event(woken_[0], lane->front())
-                          : !heap_.empty() &&
-                                !wake_before_event(woken_[0], heap_[0]);
-      if (!event_first) {
-        run_woken();
-        return true;
-      }
+    if (!woken_.empty() &&
+        (heap_.empty() || wake_before_event(woken_[0], heap_[0]))) {
+      run_woken();
+      return true;
     }
-    return run_next(lane);
+    return run_next();
   }
   return false;
 }

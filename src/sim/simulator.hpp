@@ -16,12 +16,8 @@
 //   - slots track their heap position, so timers get true event removal
 //     (cancel/reschedule) instead of queue-clogging dead entries.
 //
-// Idle poll steps (Process::poll) bypass the heap. Each one is scheduled at
-// now() + its period with a fresh seq; now() never decreases and seqs only
-// grow, so one period's steps arrive already sorted by (time, seq). They
-// queue in one FIFO lane per distinct period, and step() runs whichever of
-// the heap top and the lane fronts comes first — the same order one heap
-// would give, at O(1) per poll step.
+// An idle poll step (Process::poll) is an ordinary heap event, scheduled
+// where the reference loop's delay() would schedule its resume.
 //
 // A poller that declared its wake sources (sim::Wake) parks instead of
 // stepping while its predicate is false: its skipped steps are phantoms,
@@ -103,11 +99,11 @@ class Simulator {
   std::uint64_t callbacks_run() const { return executed_; }
 
   /// Events scheduled so far, counting reschedules (each takes a fresh FIFO
-  /// position) and poll steps, phantom ones included.
+  /// position) and phantom poll steps.
   std::uint64_t events_scheduled() const;
 
-  /// Events currently pending, poll steps included (a parked poller has
-  /// one pending step, as its eager loop would).
+  /// Events currently pending (a parked poller has one pending step, as
+  /// its eager loop would).
   std::size_t pending() const;
 
   /// Wakeup oracle, for tests: parked pollers are never parked but step
@@ -137,40 +133,13 @@ class Simulator {
     std::uint32_t heap_pos = kNpos;
   };
 
-  /// One pending poll step: runs `proc->poll_step(gen)`.
-  struct PollEntry {
-    Time t;
-    std::uint64_t seq;
-    Process* proc;
-    std::uint64_t gen;
-  };
-  /// The pending steps of one poll period, oldest first, in a power-of-two
-  /// ring that only grows, so the steady state allocates nothing.
-  struct PollLane {
-    Time every;
-    std::vector<PollEntry> ring;
-    std::size_t head = 0;
-    std::size_t size = 0;
-
-    const PollEntry& front() const { return ring[head]; }
-    void push(const PollEntry& e);
-    PollEntry pop();
-  };
-
-  template <typename A, typename B>
-  static bool before(const A& a, const B& b) {
+  static bool before(const HeapEntry& a, const HeapEntry& b) {
     if (a.t != b.t) return a.t < b.t;
     return a.seq < b.seq;
   }
 
-  /// Schedule `proc`'s next poll step at now() + `every` (Process::arm_poll).
-  void schedule_poll(Time every, Process* proc, std::uint64_t gen);
-  /// The lane whose front runs before the heap top, or nullptr when the
-  /// heap top (or nothing) runs next.
-  PollLane* next_lane();
-  /// Run `lane`'s front, or the heap top if `lane` is nullptr (what
-  /// next_lane() chose). Returns false if nothing is pending.
-  bool run_next(PollLane* lane);
+  /// Run the heap top. Returns false if the heap is empty.
+  bool run_next();
 
   // --- Parked pollers ---
 
@@ -219,8 +188,7 @@ class Simulator {
   static bool deadline_after(const DeadlineEntry& a, const DeadlineEntry& b) {
     return a.t > b.t;
   }
-  template <typename E>
-  static bool wake_before_event(const WakeEntry& w, const E& e) {
+  static bool wake_before_event(const WakeEntry& w, const HeapEntry& e) {
     if (w.t != e.t) return w.t < e.t;
     return w.seq2 < 2 * e.seq;
   }
@@ -243,9 +211,8 @@ class Simulator {
 
   /// step() and run_until() while some poller is parked or woken.
   bool step_dormant();
-  /// Earliest instant anything is due, and next_lane(); false if nothing
-  /// is due.
-  bool next_instant(Time* t, PollLane** lane);
+  /// Earliest instant anything is due; false if nothing is due.
+  bool next_instant(Time* t);
   /// First event at instant t: resolve the parked pollers it collides with
   /// and the deadlines due at t.
   void enter(Time t);
@@ -264,7 +231,6 @@ class Simulator {
   std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<PollLane> lanes_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

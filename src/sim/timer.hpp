@@ -7,16 +7,15 @@
 // is exactly as if the firing had been newly scheduled.
 #pragma once
 
-#include <functional>
-
 #include "sim/simulator.hpp"
+#include "sim/small_fn.hpp"
 #include "sim/time.hpp"
 
 namespace multiedge::sim {
 
 class Timer {
  public:
-  using Callback = std::function<void()>;
+  using Callback = SmallFn;
 
   Timer(Simulator& sim, Callback cb) : sim_(sim), cb_(std::move(cb)) {}
   Timer(const Timer&) = delete;

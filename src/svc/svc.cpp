@@ -476,14 +476,13 @@ std::uint32_t Broker::queued_ops(int node, int peer) const {
 
 bool wait_svc_op(Cluster& cluster, const SvcOpPtr& op, sim::Time timeout,
                  sim::Time poll) {
-  const sim::Simulator& sim = cluster.sim();
-  const sim::Time deadline = sim.now() + timeout;
-  while (!op->test()) {
-    if (sim.now() >= deadline) return false;
+  // The Wake carries the deadline, so one poll either sees the op finish
+  // or returns at the deadline.
+  if (!op->test() && timeout > 0) {
     sim::Process::current()->poll(poll, [&] { return op->test(); },
-                                  {{&op->done}, deadline});
+                                  {{&op->done}, cluster.sim().now() + timeout});
   }
-  return true;
+  return op->test();
 }
 
 }  // namespace multiedge::svc

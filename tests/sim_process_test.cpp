@@ -271,9 +271,9 @@ TEST(ProcessPoll, PredicateThatBlocksIsRejected) {
   EXPECT_EQ(sim.now(), ns(30));
 }
 
-// Pollers on two periods (500 ns and 1 us, so two poll lanes) against
-// delay() tickers on the same instants, and flags that land on poll steps
-// both ahead of and behind them.
+// Pollers on two periods (500 ns and 1 us) against delay() tickers on the
+// same instants, and flags that land on poll steps both ahead of and behind
+// them.
 PollRun run_mixed_period_scenario(Idle mode) {
   Simulator sim;
   PollRun run;
@@ -353,11 +353,19 @@ enum class Wait { kReference, kParked, kOracle };
 // them). In kReference the pollers run `do delay(every); while (!ready() &&
 // now() < deadline);`; in kParked they park; kOracle runs the parked code
 // with Simulator::set_check_wakeups.
+//
+// A mixed script also has polls that step eagerly beside the parked ones:
+// some pass no Wake, and some park only while a `clean` flag holds, which
+// events flip without a touch (as the broker parks only while its rails
+// are clean). Their steps are ordinary heap events on the same instants as
+// woken and phantom steps.
 struct WakeScript {
+  enum class Kind { kParks, kNoWake, kMayPark };
   struct Poll {
     int flag;
     Time deadline_in;  // kTimeInfinity: none
     Time pause;        // delay before the next poll (0: poll again at once)
+    Kind kind = Kind::kParks;
   };
   struct Poller {
     Time every;
@@ -366,7 +374,8 @@ struct WakeScript {
   };
   struct Event {
     Time at;
-    int action;  // 0 set + touch, 1 clear, 2 touch only, 3 set, clear, touch
+    int action;  // 0 set + touch, 1 clear, 2 touch only, 3 set, clear,
+                 // touch, 4 flip `clean` (no touch)
     int flag;
     Time child_at;  // schedules one more such event then (0: none)
     int child_action;
@@ -377,7 +386,7 @@ struct WakeScript {
   int flags = 0;
 };
 
-WakeScript make_wake_script(std::uint64_t seed) {
+WakeScript make_wake_script(std::uint64_t seed, bool mixed) {
   Rng rng(seed);
   WakeScript w;
   w.flags = 3;
@@ -404,6 +413,12 @@ WakeScript make_wake_script(std::uint64_t seed) {
                              : static_cast<Time>(rng.next_below(us(6)));
       poll.pause = rng.chance(0.4) ? 0 : quarter * static_cast<Time>(
                                                        rng.next_below(6));
+      if (mixed) {
+        const std::uint64_t k = rng.next_below(4);
+        poll.kind = k == 0   ? WakeScript::Kind::kNoWake
+                    : k == 1 ? WakeScript::Kind::kMayPark
+                             : WakeScript::Kind::kParks;
+      }
       p.polls.push_back(poll);
     }
     w.pollers.push_back(p);
@@ -412,11 +427,11 @@ WakeScript make_wake_script(std::uint64_t seed) {
   for (int i = 0; i < events; ++i) {
     WakeScript::Event e{};
     e.at = instant(us(30));
-    e.action = static_cast<int>(rng.next_below(4));
+    e.action = static_cast<int>(rng.next_below(mixed ? 5 : 4));
     e.flag = static_cast<int>(rng.next_below(w.flags));
     if (rng.chance(0.5)) {
       e.child_at = e.at + instant(us(3));
-      e.child_action = static_cast<int>(rng.next_below(4));
+      e.child_action = static_cast<int>(rng.next_below(mixed ? 5 : 4));
       e.child_flag = static_cast<int>(rng.next_below(w.flags));
     }
     w.events.push_back(e);
@@ -435,9 +450,16 @@ struct WakeRun {
   std::uint64_t executed = 0;
   std::uint64_t scheduled = 0;
   std::uint64_t callbacks = 0;
+  std::uint64_t eager = 0;  // steps of kNoWake polls, refused parks
 };
 
-WakeRun run_wake_script(const WakeScript& w, Wait mode) {
+// How the run is driven: run(), or run_until() in 750 ns slices, whose
+// ends fall on grid instants and between them. After each slice, outside
+// code schedules an event at the slice's end, which must run after the
+// (phantom) steps at that instant.
+enum class Drive { kRun, kSlices };
+
+WakeRun run_wake_script(const WakeScript& w, Wait mode, Drive drive) {
   Simulator sim;
   if (mode == Wait::kOracle) sim.set_check_wakeups(true);
   WakeRun run;
@@ -446,14 +468,19 @@ WakeRun run_wake_script(const WakeScript& w, Wait mode) {
   };
   std::vector<char> flag(static_cast<std::size_t>(w.flags), 0);
   std::vector<Signal> signal(static_cast<std::size_t>(w.flags));
+  bool clean = true;
   std::function<void(int, int, int, Time, int, int)> act;
   act = [&](int id, int action, int f, Time child_at, int child_action,
             int child_flag) {
     log("ev" + std::to_string(id) + " a" + std::to_string(action) + " f" +
         std::to_string(f));
-    if (action == 0 || action == 3) flag[f] = 1;
-    if (action == 1 || action == 3) flag[f] = 0;
-    if (action != 1) signal[f].touch();
+    if (action == 4) {
+      clean = !clean;
+    } else {
+      if (action == 0 || action == 3) flag[f] = 1;
+      if (action == 1 || action == 3) flag[f] = 0;
+      if (action != 1) signal[f].touch();
+    }
     if (child_at != 0) {
       sim.at(child_at, [&act, id, child_action, child_flag] {
         act(1000 + id, child_action, child_flag, 0, 0, 0);
@@ -486,6 +513,17 @@ WakeRun run_wake_script(const WakeScript& w, Wait mode) {
             self->delay(pl.every);
             ++steps;
           } while (!ready() && sim.now() < deadline);
+        } else if (poll.kind == WakeScript::Kind::kNoWake) {
+          steps = self->poll(pl.every, [&] {
+            ++run.eager;
+            return ready() || sim.now() >= deadline;
+          });
+        } else if (poll.kind == WakeScript::Kind::kMayPark) {
+          steps = self->poll(pl.every, ready, Wake{{&signal[f]}, deadline},
+                             [&] {
+                               run.eager += clean ? 0 : 1;
+                               return clean;
+                             });
         } else {
           steps = self->poll(pl.every, ready, Wake{{&signal[f]}, deadline});
         }
@@ -497,7 +535,17 @@ WakeRun run_wake_script(const WakeScript& w, Wait mode) {
     }));
   }
   for (auto& p : ps) p->start();
-  sim.run();
+  if (drive == Drive::kRun) {
+    sim.run();
+  } else {
+    for (int k = 0; sim.now() < us(500); ++k) {
+      sim.run_until(sim.now() + ns(750));
+      if (sim.pending() == 0) break;
+      sim.at(sim.now(), [&act, k, &w] {
+        act(2000 + k, k % 4 == 0 ? 0 : 2, k % w.flags, 0, 0, 0);
+      });
+    }
+  }
   for (const auto& p : ps) EXPECT_TRUE(p->done()) << p->name();
   run.executed = sim.events_executed();
   run.scheduled = sim.events_scheduled();
@@ -505,24 +553,37 @@ WakeRun run_wake_script(const WakeScript& w, Wait mode) {
   return run;
 }
 
+// Plain scripts, and mixed ones whose eager steps share instants with
+// parked and woken steps; each driven through step() and run_until().
 TEST(ProcessPoll, ParkedMatchesReferenceLoopOnRandomScripts) {
   std::uint64_t skipped = 0;
-  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-    SCOPED_TRACE(seed);
-    const WakeScript w = make_wake_script(seed);
-    const WakeRun ref = run_wake_script(w, Wait::kReference);
-    const WakeRun parked = run_wake_script(w, Wait::kParked);
-    const WakeRun oracle = run_wake_script(w, Wait::kOracle);
-    EXPECT_EQ(parked.log, ref.log);
-    EXPECT_EQ(parked.executed, ref.executed);
-    EXPECT_EQ(parked.scheduled, ref.scheduled);
-    EXPECT_EQ(oracle.log, ref.log);
-    EXPECT_EQ(oracle.executed, ref.executed);
-    EXPECT_EQ(oracle.callbacks, oracle.executed);  // the oracle skips nothing
-    EXPECT_LT(parked.callbacks, parked.executed);
-    skipped += parked.executed - parked.callbacks;
+  std::uint64_t eager = 0;
+  for (bool mixed : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+      const WakeScript w = make_wake_script(seed, mixed);
+      for (Drive drive : {Drive::kRun, Drive::kSlices}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (mixed ? "mixed" : "plain") << " seed " << seed
+                     << (drive == Drive::kRun ? " run" : " slices"));
+        const WakeRun ref = run_wake_script(w, Wait::kReference, drive);
+        const WakeRun parked = run_wake_script(w, Wait::kParked, drive);
+        const WakeRun oracle = run_wake_script(w, Wait::kOracle, drive);
+        EXPECT_EQ(parked.log, ref.log);
+        EXPECT_EQ(parked.executed, ref.executed);
+        EXPECT_EQ(parked.scheduled, ref.scheduled);
+        EXPECT_EQ(oracle.log, ref.log);
+        EXPECT_EQ(oracle.executed, ref.executed);
+        EXPECT_EQ(oracle.scheduled, ref.scheduled);
+        // The oracle skips nothing.
+        EXPECT_EQ(oracle.callbacks, oracle.executed);
+        EXPECT_LT(parked.callbacks, parked.executed);
+        skipped += parked.executed - parked.callbacks;
+        eager += parked.eager;
+      }
+    }
   }
   EXPECT_GT(skipped, 1000u);
+  EXPECT_GT(eager, 1000u);
 }
 
 TEST(ProcessPoll, OracleRejectsAMissingTouch) {

@@ -106,10 +106,10 @@ TEST(Simulator, CountsExecutedEvents) {
 }
 
 // ---------------------------------------------------------------------------
-// Poll lanes: differential against one queue sorted on (time, seq)
+// Poll steps: differential against one queue sorted on (time, seq)
 // ---------------------------------------------------------------------------
 
-// Mirrors every event handed to the simulator, heap and poll lane alike:
+// Mirrors every event handed to the simulator, poll steps included:
 // the (time, seq) each one must run at, which are still pending, and the
 // order they ran in. Call expect()/moved() right before the scheduling call
 // they describe and ran() first thing in the event.
@@ -165,7 +165,7 @@ class QueueModel {
 
 // A seeded mix of in/at/at_cancellable/cancel/reschedule on a 250 ns grid,
 // racing three pollers (two at 500 ns, one at 1 us) that also delay() in
-// between polls, so heap events and lane steps keep tying on one instant.
+// between polls, so other events and poll steps keep tying on one instant.
 void run_lane_mix(std::uint64_t seed) {
   Simulator sim;
   QueueModel model(sim);
