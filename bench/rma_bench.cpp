@@ -70,8 +70,8 @@ bench::Row run_workload(const Workload& w) {
   Cluster cluster(ccfg);
 
   // Symmetric layout: one 8-byte flag slot + one 8-byte send scratch per node.
-  const std::uint64_t flag = cluster.alloc_symmetric(8);
-  const std::uint64_t scratch = cluster.alloc_symmetric(8);
+  const std::uint64_t flag = cluster.reserve_symmetric(8);
+  const std::uint64_t scratch = cluster.reserve_symmetric(8);
 
   sim::Time t0 = 0, t1 = 0;
   for (int i = 0; i < n; ++i) {

@@ -129,6 +129,11 @@ if [ -z "${MULTIEDGE_SKIP_BENCH:-}" ] && [ -z "$SAN" ]; then
   # ... and running it checks what an event-loop change must keep: a
   # repeated input reproduces its per-layer fingerprints, and a traced run
   # matches an untraced one. The last stdout line must say "correct": true.
+  # The "detail" line (per-layer fingerprints and simulated metrics) must
+  # also equal the committed one, so a change that moves the simulation
+  # fails here unless it re-records the file; a mismatch prints the fields
+  # that moved, which name the layer.
+  detail_file=scripts/perfbench_detail_seed1.txt
   for w in kv-write dsm-radix; do
     log="$BENCH_DIR/perfbench-$w.log"
     "$BENCH_DIR"/perfbench/perfbench --workload "$w" --seed 1 --seconds 2 \
@@ -136,6 +141,16 @@ if [ -z "${MULTIEDGE_SKIP_BENCH:-}" ] && [ -z "$SAN" ]; then
     if ! tail -n 1 "$log" | grep -q '^{"correct": true,'; then
       echo "perfbench $w: not correct"
       tail -n 20 "$log"
+      exit 1
+    fi
+    want=$(grep -F "detail {\"workload\": \"$w\"," "$detail_file" || true)
+    got=$(grep '^detail ' "$log" || true)
+    if [ "$got" != "$want" ]; then
+      echo "perfbench $w: detail line differs from $detail_file"
+      echo "expected: $want"
+      echo "actual:   $got"
+      echo "fields that moved (< expected, > actual):"
+      diff <(tr ',' '\n' <<< "$want") <(tr ',' '\n' <<< "$got") || true
       exit 1
     fi
   done

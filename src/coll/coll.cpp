@@ -50,8 +50,14 @@ int ceil_log2(int n) {
 
 CollDomain::CollDomain(Cluster& cluster, CollConfig cfg)
     : cluster_(cluster), cfg_(cfg), num_nodes_(cluster.num_nodes()) {
-  assert(cfg_.max_data_bytes >= 64u * static_cast<std::size_t>(num_nodes_) &&
-         "max_data_bytes too small for the ring slot layout");
+  // Each ring all-reduce chunk needs a 64-byte slot per node; a smaller
+  // config would overlap slots silently, so this holds in every build.
+  if (cfg_.max_data_bytes < 64u * static_cast<std::size_t>(num_nodes_)) {
+    throw std::invalid_argument(
+        "CollDomain: max_data_bytes " + std::to_string(cfg_.max_data_bytes) +
+        " is below 64 bytes per node (" +
+        std::to_string(64u * static_cast<std::size_t>(num_nodes_)) + ")");
+  }
   const std::size_t slots_bytes =
       static_cast<std::size_t>(num_nodes_) * kNumChannels * 8;
   const std::size_t counts_bytes =
@@ -60,9 +66,9 @@ CollDomain::CollDomain(Cluster& cluster, CollConfig cfg)
 
   // The same VAs on every node: the symmetry every put/signal address
   // computation relies on.
-  slots_va_ = cluster_.alloc_symmetric(slots_bytes);
-  sig_src_va_ = cluster_.alloc_symmetric(8);
-  staging_va_ = cluster_.alloc_symmetric(staging_bytes);
+  slots_va_ = cluster_.reserve_symmetric(slots_bytes);
+  sig_src_va_ = cluster_.reserve_symmetric(8);
+  staging_va_ = cluster_.reserve_symmetric(staging_bytes);
 }
 
 std::uint64_t CollDomain::counts_matrix_va() const {

@@ -90,7 +90,8 @@ struct CollConfig {
   CollAlgo all_to_all_algo = CollAlgo::kPairwise;
 
   /// Upper bound on one broadcast/reduce payload per node (sizes the
-  /// symmetric staging region; ring all-reduce admits up to ~2x this).
+  /// symmetric staging region; ring all-reduce admits up to ~2x this). At
+  /// least 64 bytes per node: CollDomain throws std::invalid_argument below.
   std::size_t max_data_bytes = std::size_t{1} << 20;
 
   /// Local combine cost (reduction arithmetic), charged to the app CPU.
@@ -99,7 +100,7 @@ struct CollConfig {
   double copy_ns_per_byte = 0.3;
 };
 
-/// Cluster-wide collective context: allocates the symmetric signal-slot and
+/// Cluster-wide collective context: reserves the symmetric signal-slot and
 /// staging memory on every node. Construct host-side (before Cluster::run),
 /// exactly once per cluster, after any other symmetric allocations.
 class CollDomain {

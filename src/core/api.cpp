@@ -245,6 +245,12 @@ ClusterConfig config_1l_10g(int nodes) {
 }
 
 Cluster::Cluster(ClusterConfig config) : cfg_(std::move(config)) {
+  if (cfg_.topology.num_nodes > kMaxNodes) {
+    throw std::invalid_argument(
+        "Cluster: " + std::to_string(cfg_.topology.num_nodes) +
+        " nodes, more than the wire's 16-bit node ids carry (" +
+        std::to_string(kMaxNodes) + ")");
+  }
   network_ = std::make_unique<net::Network>(sim_, cfg_.topology);
   const int n = cfg_.topology.num_nodes;
   const int rails = cfg_.topology.rails;
@@ -535,17 +541,11 @@ void Cluster::run() {
   }
 }
 
-namespace {
-
-/// Carve `bytes` out of every node's space with `carve` (MemorySpace::alloc
-/// or reserve); throws unless every node returns the same VA.
-std::uint64_t carve_symmetric(
-    Cluster& cluster,
-    std::uint64_t (proto::MemorySpace::*carve)(std::size_t, std::size_t),
-    std::size_t bytes, std::size_t align) {
-  const std::uint64_t va = (cluster.memory(0).*carve)(bytes, align);
-  for (int i = 1; i < cluster.num_nodes(); ++i) {
-    if ((cluster.memory(i).*carve)(bytes, align) != va) {
+std::uint64_t Cluster::reserve_symmetric(std::size_t bytes,
+                                         std::size_t align) {
+  const std::uint64_t va = memory(0).reserve(bytes, align);
+  for (int i = 1; i < num_nodes(); ++i) {
+    if (memory(i).reserve(bytes, align) != va) {
       throw std::runtime_error(
           "Cluster: asymmetric symmetric-region allocation on node " +
           std::to_string(i) +
@@ -553,17 +553,6 @@ std::uint64_t carve_symmetric(
     }
   }
   return va;
-}
-
-}  // namespace
-
-std::uint64_t Cluster::alloc_symmetric(std::size_t bytes, std::size_t align) {
-  return carve_symmetric(*this, &proto::MemorySpace::alloc, bytes, align);
-}
-
-std::uint64_t Cluster::reserve_symmetric(std::size_t bytes,
-                                         std::size_t align) {
-  return carve_symmetric(*this, &proto::MemorySpace::reserve, bytes, align);
 }
 
 void Cluster::connect_all_mesh() {

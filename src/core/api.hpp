@@ -309,6 +309,11 @@ ClusterConfig config_1l_10g(int nodes = 4);
 
 class Cluster {
  public:
+  /// Node ids travel in 16-bit wire fields (proto::WireHeader::src_node, the
+  /// KV request's client_node, the membership header's src/target/origin).
+  static constexpr int kMaxNodes = 65535;
+
+  /// Throws std::invalid_argument for more than kMaxNodes nodes.
   explicit Cluster(ClusterConfig config);
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
@@ -332,16 +337,13 @@ class Cluster {
   /// drained with fibers still blocked).
   void run();
 
-  /// Allocate `bytes` on every node and return the VA, which is the same on
+  /// Reserve `bytes` on every node and return the VA, which is the same on
   /// all of them: the symmetric layout every one-sided mailbox, window and
-  /// collective addresses peers through. Throws std::runtime_error when some
-  /// node's allocator disagrees (nodes must allocate the same regions in the
-  /// same order).
-  std::uint64_t alloc_symmetric(std::size_t bytes, std::size_t align = 64);
-
-  /// As alloc_symmetric, but reserves the region without committing it
-  /// (proto::MemorySpace::reserve): its pages fault in on first touch. For
-  /// regions a run may use only a little of, such as mailbox rings.
+  /// collective addresses peers through. Nothing is committed
+  /// (proto::MemorySpace::reserve): a page faults in when a write first
+  /// lands in it, and reads as zero until then. Throws std::runtime_error
+  /// when some node's allocator disagrees (nodes must allocate the same
+  /// regions in the same order).
   std::uint64_t reserve_symmetric(std::size_t bytes, std::size_t align = 64);
 
   /// Establish the full connection mesh (every node connects to every other

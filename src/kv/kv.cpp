@@ -265,11 +265,11 @@ KvDomain::KvDomain(Cluster& cluster, const KvConfig& cfg)
   const std::uint64_t N = num_nodes_;
   const std::uint64_t C = cfg.clients_per_node;
 
-  // Capacity-sized regions are reserved: a page faults in when a mutation
-  // first writes it. A PUT to an existing key overwrites its slot in place
-  // (Server::apply), so only new keys touch fresh slab pages. The per-op
-  // scratch below (ack words, GET landing buffers) is committed, since every
-  // op writes it (DESIGN.md §11 "Node memory").
+  // Every region is reserved: a page faults in when a write first lands in
+  // it. A PUT to an existing key overwrites its slot in place
+  // (Server::apply), so only new keys touch fresh slab pages; a GET lands
+  // only its bucket entry and `count` records, nearly always in set 0 of its
+  // client's landing buffers (DESIGN.md §11 "Node memory").
   buckets_va_ = cluster.reserve_symmetric(P * B * bucket_entry_bytes_);
   slab_va_ = cluster.reserve_symmetric(P * S * record_stride_);
   seq_table_va_ = cluster.reserve_symmetric(P * N * C * 8);
@@ -279,9 +279,9 @@ KvDomain::KvDomain(Cluster& cluster, const KvConfig& cfg)
                             static_cast<std::uint8_t>(kTagKvResponseBase + c));
   }
   replication_ = rma::Channel(cluster, req_stride_, kTagKvReplication);
-  ack_va_ = cluster.alloc_symmetric(N * 8);
-  ack_src_va_ = cluster.alloc_symmetric(N * 8);
-  get_buf_va_ = cluster.alloc_symmetric(C * kGetBufSets * get_buf_stride_);
+  ack_va_ = cluster.reserve_symmetric(N * 8);
+  ack_src_va_ = cluster.reserve_symmetric(N * 8);
+  get_buf_va_ = cluster.reserve_symmetric(C * kGetBufSets * get_buf_stride_);
 }
 
 // ---------------------------------------------------------------------------

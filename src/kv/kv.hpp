@@ -149,11 +149,10 @@ class System;
 
 /// Symmetric memory layout of the store. Every node carves the same regions
 /// in the same order, so a VA computed here addresses the same object on
-/// every node. The capacity-sized regions (buckets, record slab, seq table)
-/// are reserved (Cluster::reserve_symmetric) and fault in as mutations first
-/// write them; the per-op scratch every op writes (ack words, GET landing
-/// buffers) is committed (Cluster::alloc_symmetric). rma::Channel reserves
-/// the mailbox rings.
+/// every node. Every region (buckets, record slab, seq table, ack words, GET
+/// landing buffers, and rma::Channel's mailbox rings) is reserved
+/// (Cluster::reserve_symmetric): a page faults in when a write first lands
+/// in it, so a run commits only what it writes.
 class KvDomain {
  public:
   KvDomain(Cluster& cluster, const KvConfig& cfg);

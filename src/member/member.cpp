@@ -135,8 +135,8 @@ Service::Service(Cluster& cluster, MemberConfig cfg)
       num_nodes_(cluster.num_nodes()),
       gossip_budget_(kRetransmitFactor * (ceil_log2(num_nodes_) + 1)),
       inbox_(cluster, kInboxSlots * kMsgStride, kTagMember),
-      hb_va_(cluster.alloc_symmetric(num_nodes_ * 8)),
-      hb_src_va_(cluster.alloc_symmetric(8)) {
+      hb_va_(cluster.reserve_symmetric(num_nodes_ * 8)),
+      hb_src_va_(cluster.reserve_symmetric(8)) {
 
   nodes_.reserve(num_nodes_);
   for (int i = 0; i < num_nodes_; ++i) {

@@ -22,9 +22,12 @@ namespace multiedge::net {
 struct MacAddr {
   std::array<std::uint8_t, 6> bytes{};
 
-  /// Locally-administered address for NIC `nic` of node `node`.
+  /// Locally-administered address for NIC `nic` of node `node`: the node's
+  /// high byte in byte 3 and its low byte in byte 4, so every node below
+  /// 65,536 (the limit of the wire's 16-bit node fields) has its own MAC.
   static MacAddr for_nic(int node, int nic) {
-    return MacAddr{{0x02, 0x4d, 0x45, 0x00, static_cast<std::uint8_t>(node),
+    return MacAddr{{0x02, 0x4d, 0x45, static_cast<std::uint8_t>(node >> 8),
+                    static_cast<std::uint8_t>(node),
                     static_cast<std::uint8_t>(nic)}};
   }
 

@@ -112,8 +112,12 @@ Connection::Connection(Engine& engine, std::uint32_t local_id, int peer_node,
   unacked_.resize(std::bit_ceil(w));
   seq_mask_ = unacked_.size() - 1;
   retx_queued_seqs_.init(w);
-  ooo_buffer_.init(w);
-  rcvd_above_.init(w);
+  // Only the receive ring this delivery mode reads (handle_data_frame).
+  if (engine_.config().in_order_delivery) {
+    ooo_buffer_.init(w);
+  } else {
+    rcvd_above_.init(w);
+  }
   gaps_.init(w);
 }
 

@@ -333,8 +333,8 @@ class Connection {
   // ---- receive side ----
   std::uint64_t rcv_nxt_ = 0;
   std::uint64_t rx_frontier_ = 0;  // one past the highest accepted seq
-  SeqMap<BufferedFrag> ooo_buffer_;  // in-order mode
-  SeqSet rcvd_above_;                // out-of-order mode
+  SeqMap<BufferedFrag> ooo_buffer_;  // in-order mode only (else empty)
+  SeqSet rcvd_above_;                // out-of-order mode only (else empty)
   SeqMap<Gap> gaps_;                 // keys within [rcv_nxt_, rx_frontier_)
   std::uint32_t rx_since_ack_ = 0;  // data frames since we last acked
   bool ack_on_idle_ = false;        // an op completed since the last ack

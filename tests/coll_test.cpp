@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -471,6 +472,18 @@ TEST(CollFaultTest, SurvivesSingleNodeCablePull) {
       {/*rail=*/0, /*node=*/2, /*start=*/sim::us(100), /*end=*/sim::ms(2)});
   CheckedCluster cluster(std::move(cfg));
   run_faulted_collectives(cluster, /*algos=*/0);
+}
+
+// The ring all-reduce needs a 64-byte slot per node in its staging; a
+// smaller max_data_bytes is refused in every build, not only where assert()
+// is compiled in.
+TEST(CollDomainTest, RejectsStagingTooSmallForTheRingSlots) {
+  Cluster cluster(config_1l_1g(4));
+  coll::CollConfig cfg;
+  cfg.max_data_bytes = 64 * 4 - 1;
+  EXPECT_THROW(coll::CollDomain(cluster, cfg), std::invalid_argument);
+  cfg.max_data_bytes = 64 * 4;
+  EXPECT_NO_THROW(coll::CollDomain(cluster, cfg));
 }
 
 // ---------------------------------------------------------------------------

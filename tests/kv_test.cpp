@@ -900,6 +900,22 @@ std::span<const std::byte> buckets_of(Cluster& cluster, const kv::System& sys,
   return cluster.memory(node).view(sys.domain().bucket_entry_va(0, 0), bytes);
 }
 
+/// The whole pages of every client slot's GET landing buffers on `node`:
+/// the region is 64-byte aligned, so its first and last pages also hold the
+/// regions carved next to it (ack words, membership words), which other
+/// writes fault in. The arena is page-aligned, so VA pages are pages.
+std::span<const std::byte> get_bufs_of(Cluster& cluster, const kv::System& sys,
+                                       int node) {
+  const std::uint64_t page = static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+  const std::uint64_t va = sys.domain().get_buf_va(0, 0);
+  const std::uint64_t end = va + std::uint64_t{1} *
+                                     sys.config().clients_per_node *
+                                     kv::KvDomain::kGetBufSets *
+                                     sys.domain().get_buf_stride();
+  const std::uint64_t first = (va + page - 1) / page * page;
+  return cluster.memory(node).view(first, end / page * page - first);
+}
+
 std::size_t resident(std::span<const std::byte> region) {
   return testing_util::resident_pages(region.data(), region.size());
 }
@@ -936,18 +952,12 @@ TEST(KvMemory, SetupCommitsOnlyWhatPreloadWrites) {
   const long grown = testing_util::resident_kib() - before;
   const long records_kib =
       2L * kMemKeys * sys.domain().record_stride() / 1024;
-  // The GET landing buffers stay committed: every GET writes them.
-  const long get_bufs_kib = 1L * kMemNodes * kMemClients *
-                            kv::KvDomain::kGetBufSets *
-                            sys.domain().get_buf_stride() / 1024;
   // Slack: a partially written page at each partition's slab end, bucket
   // and seq-table pages, rings, fiber stacks and the heap of the run (about
   // 5 MiB); under ASan, that heap's shadow, redzones and quarantine (about
   // 46 MiB).
-  EXPECT_LT(grown, records_kib + get_bufs_kib + 8 * 1024 +
-                       testing_util::kShadowPerGibKib / 2)
-      << "records " << records_kib << " KiB, GET buffers " << get_bufs_kib
-      << " KiB";
+  EXPECT_LT(grown, records_kib + 8 * 1024 + testing_util::kShadowPerGibKib / 2)
+      << "records " << records_kib << " KiB";
   std::size_t slab_pages = 0;
   for (int n = 0; n < kMemNodes; ++n) {
     slab_pages += resident(slab_of(cluster, sys, n));
@@ -1002,6 +1012,62 @@ TEST(KvMemory, OverwritesTakeNoFreshSlot) {
   }
   EXPECT_EQ(slab_after, slab_before);
   EXPECT_EQ(buckets_after, buckets_before);
+}
+
+// A GET lands its bucket entry and `count` records in one set of its
+// client's landing buffers, the first set no timed-out read still holds:
+// set 0 on a clean fabric. Setup and preload (PUTs only) commit none of the
+// region's pages, and a window of GETs commits at most each client's set 0.
+TEST(KvMemory, GetsCommitOnlyTheLandingSetTheyWrite) {
+  Cluster cluster(kv_write_cluster());
+  kv::System sys(cluster, kv_write_store());
+  constexpr int kClients = kMemNodes * kMemClients;
+  constexpr int kGetsPerClient = 32;
+  const auto snapshot = [&](std::vector<std::size_t>& pages) {
+    pages.resize(kMemNodes);
+    for (int n = 0; n < kMemNodes; ++n) {
+      pages[n] = resident(get_bufs_of(cluster, sys, n));
+    }
+  };
+  std::vector<std::size_t> after_setup, after_preload, after_gets;
+  snapshot(after_setup);
+  kv::HostBarrier loaded, measured, done;
+  spawn_preload(sys, [&](kv::Client& cl, int id) {
+    loaded.arrive_and_wait(kClients);
+    if (id == 0) snapshot(after_preload);
+    measured.arrive_and_wait(kClients);
+    std::string got;
+    for (int i = 0; i < kGetsPerClient; ++i) {
+      const int k = (id + i * kClients) % kMemKeys;
+      ASSERT_EQ(cl.get("k" + std::to_string(k), &got), kv::Status::kOk);
+    }
+    done.arrive_and_wait(kClients);
+    if (id == 0) snapshot(after_gets);
+  });
+  cluster.run();
+  EXPECT_EQ(sys.aggregate_counters().get("kv_get_timeouts"), 0u);
+
+  // The pages each client's set 0 overlaps.
+  const std::uint64_t page = static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+  std::set<std::uint64_t> set0_pages;
+  for (int c = 0; c < kMemClients; ++c) {
+    const std::uint64_t va = sys.domain().get_buf_va(c, 0);
+    const std::uint64_t end = va + sys.domain().get_buf_stride();
+    for (std::uint64_t p = va / page; p <= (end - 1) / page; ++p) {
+      set0_pages.insert(p);
+    }
+  }
+  const std::size_t region_pages =
+      get_bufs_of(cluster, sys, 0).size() / page;
+  ASSERT_LT(set0_pages.size(), region_pages / 4);
+  std::size_t landed = 0;
+  for (int n = 0; n < kMemNodes; ++n) {
+    EXPECT_EQ(after_setup[n], 0u) << "node " << n;
+    EXPECT_EQ(after_preload[n], 0u) << "node " << n;
+    EXPECT_LE(after_gets[n], set0_pages.size()) << "node " << n;
+    landed += after_gets[n];
+  }
+  EXPECT_GT(landed, 0u);
 }
 
 // A slot no PUT has written is reserved, not committed, and reads as a zero

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
 #include "sim/simulator.hpp"
 
@@ -187,6 +188,22 @@ TEST(Topology, PaperConfigurationsConstruct) {
   c3.nic = myricom_10g_config();
   Network n3(sim, c3);
   EXPECT_FALSE(n3.nic(0, 0).config().tx_irq_maskable);
+}
+
+// Past 255 nodes the node id needs a second MAC byte: with one byte, node n
+// and node n + 256 shared a MAC, so the switches delivered each one's frames
+// to both.
+TEST(Topology, MacsStayDistinctPast255Nodes) {
+  sim::Simulator sim;
+  TopologyConfig cfg;
+  cfg.num_nodes = 300;
+  cfg.rails = 2;
+  Network net(sim, cfg);
+  std::set<MacAddr> macs;
+  for (int n = 0; n < cfg.num_nodes; ++n) {
+    for (int r = 0; r < cfg.rails; ++r) macs.insert(net.nic(n, r).mac());
+  }
+  EXPECT_EQ(macs.size(), std::size_t{300} * 2);
 }
 
 }  // namespace

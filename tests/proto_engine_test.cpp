@@ -2,6 +2,9 @@
 // piggy-backing, NACK fast retransmit, handshake robustness, striping
 // policies, backlog under ring pressure, and counter bookkeeping.
 #include <gtest/gtest.h>
+#include <malloc.h>
+
+#include <stdexcept>
 
 #include "core/api.hpp"
 
@@ -254,6 +257,45 @@ TEST(Engine, AggregateCountersIncludeConnections) {
   EXPECT_GE(agg.get("data_frames_sent"), 3u);  // 4096 / 1428 -> 3 frames
   EXPECT_GT(agg.get("thread_wakeups"), 0u);
   EXPECT_GT(agg.get("interrupts"), 0u);
+}
+
+// Node ids travel in 16-bit wire fields, so a larger cluster is refused
+// before anything is built.
+TEST(ClusterSize, RejectsMoreNodesThanTheWireCarries) {
+  EXPECT_THROW({ Cluster cluster(config_1l_1g(Cluster::kMaxNodes + 1)); },
+               std::invalid_argument);
+}
+
+// Heap held by one end of an idle established connection: the window-sized
+// seq rings (the unacked ring, retransmit dedupe, gaps, and the one receive
+// ring the delivery mode reads), three deques and three timers. At the
+// default 64-frame window, 15,390 bytes in in-order mode and 7,642 out of
+// order (glibc 2.36, x86-64); sizing both receive rings cost 15,918 and
+// 15,854 (DESIGN.md §11 "Connection heap").
+std::size_t heap_per_idle_connection(ClusterConfig cfg) {
+  constexpr int kConnects = 64;
+  Cluster cluster(std::move(cfg));
+  std::size_t grown = 0;
+  cluster.spawn(0, "c", [&](Endpoint& ep) {
+    ep.connect(1);  // first-use growth of the engines' own tables
+    const auto heap = [] {
+      const struct mallinfo2 mi = mallinfo2();
+      return mi.uordblks + mi.hblkhd;
+    };
+    const std::size_t before = heap();
+    for (int i = 0; i < kConnects; ++i) ep.connect(1);
+    grown = heap() - before;
+  });
+  cluster.run();
+  return grown / (2 * kConnects);
+}
+
+TEST(ConnectionHeap, IdleConnectionHoldsOnlyItsModesReceiveRing) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "ASan's allocator does not report through mallinfo2";
+#endif
+  EXPECT_LT(heap_per_idle_connection(config_1l_1g(2)), 15872u);
+  EXPECT_LT(heap_per_idle_connection(config_2lu_1g(2)), 8192u);
 }
 
 }  // namespace
