@@ -120,7 +120,7 @@ class OpHandle {
   bool valid() const { return op_ != nullptr; }
 
   /// Touched when the operation completes (nullptr for an invalid handle):
-  /// the wake source of an idle poll on test().
+  /// the wake source of a wait on test().
   sim::Signal* done_signal() const { return op_ ? &op_->done : nullptr; }
 
  private:
@@ -241,7 +241,7 @@ class Endpoint {
   bool poll_notification_match(Notification* out, int tag, int src,
                                std::uint64_t va);
   /// Read-only peeks: would the matching poll above return true? They
-  /// consume nothing, so they are safe inside a sim::Process::poll()
+  /// consume nothing, so they are safe inside a sim::Process::wait()
   /// predicate.
   bool has_notification(int tag = -1) const {
     return engine_.has_notification(tag);
@@ -249,8 +249,8 @@ class Endpoint {
   bool has_notification_match(int tag, int src, std::uint64_t va) const {
     return engine_.has_notification_match(tag, src, va);
   }
-  /// Touched whenever a notification carrying `tag` is queued: what an idle
-  /// poll on the peeks above watches (sim::Wake).
+  /// Touched whenever a notification carrying `tag` is queued: what a wait
+  /// on the peeks above watches (sim::Wake).
   sim::Signal& notification_signal(int tag) {
     return engine_.notification_signal(tag);
   }

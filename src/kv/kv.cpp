@@ -1,7 +1,9 @@
 #include "kv/kv.hpp"
 
 #include <cassert>
+#include <cstddef>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "proto/wire.hpp"
@@ -71,6 +73,8 @@ const stats::CounterId kCtrRejected =
     stats::CounterRegistry::intern("kv_rejected");
 const stats::CounterId kCtrClientConns =
     stats::CounterRegistry::intern("kv_client_conns");
+const stats::CounterId kCtrTornMessages =
+    stats::CounterRegistry::intern("kv_torn_messages");
 
 constexpr std::uint64_t align64(std::uint64_t v) { return (v + 63) & ~63ull; }
 
@@ -90,24 +94,37 @@ struct ReqHeader {
   std::uint16_t client_node = 0;
   std::uint16_t cslot = 0;
   std::uint32_t repl_gen = 0;     // replication only: value echoed in the ack
+  std::uint64_t checksum = 0;     // message_checksum: the seal
 };
-static_assert(sizeof(ReqHeader) == 32);
+static_assert(sizeof(ReqHeader) == 40);
 
-/// Writes a request or replication message at `va`: `h` with its key_len
-/// and val_len taken from `key` and `value`, then the key, then the value.
-/// Returns the message length.
+/// Seal of a request or replication message: a hash of every header field
+/// before `checksum`, then of the key and value bytes. A mailbox slot holds
+/// one message, so a stale notification can find a newer message still
+/// landing in it; the seal rejects that mix (DESIGN §13 "Writes").
+std::uint64_t message_checksum(const ReqHeader& h, const std::byte* body) {
+  const std::uint64_t head = detail::hash_words(
+      reinterpret_cast<const std::byte*>(&h), offsetof(ReqHeader, checksum),
+      0);
+  return record_checksum(head, h.key_len, h.val_len, body, body + h.key_len);
+}
+
+/// Writes a request or replication message at `va`: `h` with its key_len,
+/// val_len and checksum filled in, then the key, then the value. Returns
+/// the message length.
 std::uint32_t encode_request(proto::MemorySpace& mem, std::uint64_t va,
                              ReqHeader h, std::string_view key,
                              std::string_view value) {
   h.key_len = static_cast<std::uint32_t>(key.size());
   h.val_len = static_cast<std::uint32_t>(value.size());
-  *mem.as<ReqHeader>(va) = h;
   std::byte* body = mem.as<std::byte>(va + sizeof(ReqHeader));
   std::memcpy(body, key.data(), key.size());
   // An empty value's data() may be null, which memcpy does not accept.
   if (!value.empty()) {
     std::memcpy(body + key.size(), value.data(), value.size());
   }
+  h.checksum = message_checksum(h, body);
+  *mem.as<ReqHeader>(va) = h;
   return static_cast<std::uint32_t>(sizeof(ReqHeader) + key.size() +
                                     value.size());
 }
@@ -121,12 +138,20 @@ struct DecodedRequest {
   std::string value;
 };
 
-DecodedRequest decode_request(const proto::MemorySpace& mem, std::uint64_t va) {
+/// Copies the message at `va` out of its slot, or returns nothing if its
+/// lengths are out of bounds or its seal does not match: the slot is torn.
+std::optional<DecodedRequest> decode_request(const proto::MemorySpace& mem,
+                                             std::uint64_t va,
+                                             std::uint32_t max_value_bytes) {
   DecodedRequest r{*mem.as<ReqHeader>(va), {}, {}};
-  const auto* body =
-      reinterpret_cast<const char*>(mem.as<std::byte>(va + sizeof(ReqHeader)));
-  r.key.assign(body, r.h.key_len);
-  r.value.assign(body + r.h.key_len, r.h.val_len);
+  if (r.h.key_len > kMaxKeyBytes || r.h.val_len > max_value_bytes) {
+    return std::nullopt;
+  }
+  const std::byte* body = mem.as<std::byte>(va + sizeof(ReqHeader));
+  if (message_checksum(r.h, body) != r.h.checksum) return std::nullopt;
+  const auto* chars = reinterpret_cast<const char*>(body);
+  r.key.assign(chars, r.h.key_len);
+  r.value.assign(chars + r.h.key_len, r.h.val_len);
   return r;
 }
 
@@ -158,22 +183,6 @@ std::uint32_t bucket_of(std::uint64_t key_hash, const KvConfig& cfg) {
   // Re-mix so the bucket index is independent of the ring's partition cut.
   return static_cast<std::uint32_t>(mix64(key_hash) %
                                     cfg.buckets_per_partition);
-}
-
-/// Poll a client op to a terminal state with a deadline, idling kClientPoll
-/// between probes. Terminal also covers broker rejection (the caller checks
-/// rejected() after a successful wait). Returns false on timeout (the op
-/// stays outstanding — callers rotate buffers instead of reusing the landing
-/// area).
-bool wait_ref(Endpoint& ep, const ClientOpRef& r, sim::Time timeout) {
-  // The Wake carries the deadline, so one poll either sees the op finish
-  // or returns at the deadline.
-  if (!r.test() && timeout > 0) {
-    sim::Process::current()->poll(kClientPoll, [&] { return r.test(); },
-                                  {{r.done_signal()},
-                                   ep.cluster().sim().now() + timeout});
-  }
-  return r.test();
 }
 
 /// Root span for one client operation (kKvOp). Alive across the whole retry
@@ -366,18 +375,16 @@ void Server::serve(Endpoint& ep) {
     if (!did) {
       // Idle until a pass would do something: a free lock with waiters
       // (the try_lock/unlock pair wakes one) or a pending notification.
-      sim::Process::current()->poll(
-          kServerPoll,
+      sim::Process::current()->wait(
+          {&sys_.stop_signal(), &lock_.signal(), &ack_win_.notify_signal(),
+           &repl_win_.notify_signal(), &ep.notification_signal(kTagKvRequest)},
           [&] {
             return sys_.stopped() ||
                    (!lock_.held() &&
                     (lock_.has_waiters() || ack_win_.notify_pending() ||
                      repl_win_.notify_pending() ||
                      ep.has_notification(kTagKvRequest)));
-          },
-          {{&sys_.stop_signal(), &lock_.signal(), &ack_win_.notify_signal(),
-            &repl_win_.notify_signal(),
-            &ep.notification_signal(kTagKvRequest)}});
+          });
     }
   }
 }
@@ -399,8 +406,15 @@ void Server::handle_request(Endpoint& ep, const Notification& n) {
   // wait), during which a retry — or, once the response write has raced
   // ahead, the client's NEXT request — lands in the same slot. Re-reading the
   // header after the yield would respond with the new request's seq without
-  // ever applying it.
-  const DecodedRequest req = decode_request(ep.memory(), n.va);
+  // ever applying it. A slot that fails its seal holds a newer message still
+  // landing: drop it unanswered; that message's own notification follows.
+  const std::optional<DecodedRequest> sealed =
+      decode_request(ep.memory(), n.va, sys_.config().max_value_bytes);
+  if (!sealed) {
+    counters_.add(kCtrTornMessages);
+    return;
+  }
+  const DecodedRequest& req = *sealed;
   const ReqHeader& h = req.h;
   counters_.add(kCtrServerRequests);
   // Handler span: child of the request's receive span, parent of the
@@ -642,14 +656,13 @@ void Server::replicate(Endpoint& ep, std::uint32_t op, int partition,
       return;
     }
     // An ack word lands with its kTagKvAck notification.
-    sim::Process::current()->poll(
-        kServerPoll,
+    sim::Process::current()->wait(
+        {&repl_win_.notify_signal(), &ack_win_.notify_signal(),
+         &det.down_signal()},
         [&] {
           return repl_win_.notify_pending() || ack_win_.notify_pending() ||
                  ack_progress();
-        },
-        {{&repl_win_.notify_signal(), &ack_win_.notify_signal(),
-          &det.down_signal()}});
+        });
   }
 }
 
@@ -657,8 +670,15 @@ void Server::handle_repl(Endpoint& ep, const rma::NotifyEvent& n) {
   const KvDomain& dom = sys_.domain();
   proto::MemorySpace& mem = ep.memory();
   // Snapshot before apply: apply() charges CPU (yields), and the sender may
-  // reuse the slot for the next generation once it prunes a slow ack.
-  const DecodedRequest req = decode_request(mem, n.va);
+  // reuse the slot for the next generation once it prunes a slow ack. A torn
+  // slot is dropped unacked, as in handle_request.
+  const std::optional<DecodedRequest> sealed =
+      decode_request(mem, n.va, sys_.config().max_value_bytes);
+  if (!sealed) {
+    counters_.add(kCtrTornMessages);
+    return;
+  }
+  const DecodedRequest& req = *sealed;
   const ReqHeader* h = &req.h;
   const int src = n.src;
   const int p = static_cast<int>(h->partition);
@@ -925,7 +945,7 @@ Status Client::rpc(std::uint32_t op, std::string_view key,
       // hint rides along (last_retry_after()).
       return shed(req);
     }
-    // The poll loop below never auto-flushes; brokered ops are flushed by
+    // The wait loop below never auto-flushes; brokered ops are flushed by
     // the broker's dispatcher instead.
     if (batch && tenant_ == nullptr) ep_.flush();
     counters_.add(kCtrRpcSent);
@@ -950,9 +970,9 @@ Status Client::rpc(std::uint32_t op, std::string_view key,
         break;
       }
       if (!got) {
-        sim::Process::current()->poll(
-            kClientPoll, [&] { return ep_.has_notification(resp_tag); },
-            {{&ep_.notification_signal(resp_tag)}, deadline});
+        sim::Process::current()->wait(
+            {{&ep_.notification_signal(resp_tag)}, deadline},
+            [&] { return ep_.has_notification(resp_tag); });
       }
     }
     if (got && !wrong_primary) return st;
@@ -1012,7 +1032,7 @@ Status Client::one_sided_get(std::string_view key, std::string* out) {
       return shed(h);
     }
     get_pending_[set] = h;
-    if (!wait_ref(ep_, h, cfg.get_timeout)) {
+    if (!svc::wait_op(sys_.cluster(), h, cfg.get_timeout)) {
       counters_.add(kCtrGetTimeouts);
       continue;  // re-resolve: the primary may be on its way down
     }
@@ -1050,7 +1070,7 @@ Status Client::one_sided_get(std::string_view key, std::string* out) {
       return shed(g);
     }
     get_pending_[set] = g;
-    if (!wait_ref(ep_, g, cfg.get_timeout)) {
+    if (!svc::wait_op(sys_.cluster(), g, cfg.get_timeout)) {
       counters_.add(kCtrGetTimeouts);
       continue;
     }
@@ -1062,7 +1082,7 @@ Status Client::one_sided_get(std::string_view key, std::string* out) {
                                         key, out);
     if (st != Status::kWrongPrimary) return st;  // kWrongPrimary = torn here
     counters_.add(kCtrGetTorn);
-    idle_wait(kClientPoll);  // brief backoff before re-reading
+    idle_wait(kTornGetBackoff);
   }
   return Status::kUnavailable;
 }
@@ -1077,15 +1097,14 @@ int Client::acquire_get_buf() {
   int set = free_set();
   if (set < 0) {
     // Every set has a timed-out read still outstanding; the protocol is
-    // reliable, so one of them will complete. Each idle step is a stall.
+    // reliable, so one of them will complete.
     std::array<sim::Signal*, KvDomain::kGetBufSets> on;
     for (int s = 0; s < KvDomain::kGetBufSets; ++s) {
       on[s] = get_pending_[s].done_signal();
     }
-    counters_.add(kCtrGetBufStalls,
-                  sim::Process::current()->poll(
-                      kClientPoll, [&] { return free_set() >= 0; },
-                      sim::Wake{on}));
+    counters_.add(kCtrGetBufStalls);
+    sim::Process::current()->wait(sim::Wake{on},
+                                  [&] { return free_set() >= 0; });
     set = free_set();
   }
   return set;

@@ -94,10 +94,8 @@ enum class ConnMode : std::uint8_t {
 
 /// Longest key a record, request or replication message holds.
 inline constexpr std::uint32_t kMaxKeyBytes = 32;
-/// Server (request and replication-ack) poll granularity.
-inline constexpr sim::Time kServerPoll = sim::us(1);
-/// Client response and GET poll granularity; also the torn-GET backoff.
-inline constexpr sim::Time kClientPoll = sim::ns(500);
+/// How long a client GET backs off before re-reading a torn record.
+inline constexpr sim::Time kTornGetBackoff = sim::ns(500);
 /// Per-op retry budget of a client GET, PUT or DELETE.
 inline constexpr int kMaxAttempts = 64;
 
@@ -118,7 +116,7 @@ struct KvConfig {
   /// Sizes the mailbox arrays; client slot c takes its responses on tag
   /// kTagKvResponseBase + c, so System rejects more than 240.
   int clients_per_node = 4;
-  /// Max requests the server drains per poll before flushing. With 1
+  /// Max requests the server drains per pass before flushing. With 1
   /// (default) each response is doorbelled individually — the pre-batching
   /// behavior on every configuration. With > 1 the server handles up to this
   /// many queued requests back-to-back, tags their responses kOpFlagBatched,
@@ -249,9 +247,9 @@ class FiberLock {
   }
   bool held() const { return held_; }
   /// Fibers queued in lock(). A try_lock()/unlock() pair on a free lock
-  /// wakes one of them, so a poll predicate must treat them as work.
+  /// wakes one of them, so a wait predicate must treat them as work.
   bool has_waiters() const { return !q_.empty(); }
-  /// Touched on release and on enqueue: the wake source of an idle poll on
+  /// Touched on release and on enqueue: the wake source of a wait on
   /// held() / has_waiters().
   sim::Signal& signal() { return changed_; }
 

@@ -90,7 +90,7 @@ class Engine {
                               Notification* out);
   sim::WaitQueue& notify_events() { return notify_events_; }
   /// Touched whenever a notification carrying `tag` is queued: the wake
-  /// source of idle polls on has_notification(tag) (sim::Wake).
+  /// source of waits on has_notification(tag) (sim::Wake).
   sim::Signal& notification_signal(int tag) {
     return notify_signals_[static_cast<std::uint8_t>(tag)];
   }

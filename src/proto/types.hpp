@@ -52,7 +52,7 @@ struct SendOp {
 
   /// Fibers blocked in OpHandle::wait().
   sim::WaitQueue waiters;
-  /// Touched on completion: the wake source of idle polls on it.
+  /// Touched on completion: the wake source of waits on it.
   sim::Signal done;
   /// Optional completion hook (used by the DSM's asynchronous flushes).
   std::function<void()> on_complete;

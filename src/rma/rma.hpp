@@ -113,7 +113,7 @@ class Window {
   bool notify_pending(int src = kAnySrc, std::uint64_t va = kAnyVa) const {
     return nq_.pending(src, va);
   }
-  /// Wake source of an idle poll on notify_pending() (sim::Wake): touched
+  /// Wake source of a wait on notify_pending() (sim::Wake): touched
   /// when a notification of this window's tag arrives. Stashed ones move
   /// only on the window's own fiber.
   sim::Signal& notify_signal() const {

@@ -10,8 +10,12 @@ Process::Process(Simulator& sim, std::string name, Fiber::Body body,
     : sim_(sim), name_(std::move(name)), fiber_(std::move(body), stack_bytes) {}
 
 Process::~Process() {
-  unwatch();
-  sim_.forget(this);
+  if (state_ == State::kWaiting) {
+    unwatch();
+    sim_.cancel(deadline_ev_);
+    sim_.cancel(check_ev_);
+    if (sim_.check_wakeups_) sim_.remove_waiter(this);
+  }
 }
 
 Process& Process::running() {
@@ -47,7 +51,7 @@ void Process::run_slice() {
   if (fiber_.done()) {
     state_ = State::kFinished;
   }
-  // Otherwise the fiber blocked via delay()/poll()/suspend(), which already
+  // Otherwise the fiber blocked via delay()/wait()/suspend(), which already
   // set state_ and scheduled any resume event before yielding.
 }
 
@@ -63,56 +67,51 @@ void Process::delay(Time d) {
   Fiber::yield();
 }
 
-std::uint64_t Process::poll_steps(Time every, Erased ready, const Wake* wake,
-                                  const Erased* may_park) {
-  require_running("poll()");
-  state_ = State::kPolling;
-  poll_ready_ = ready;
-  poll_every_ = every;
-  poll_count_ = 0;
-  wake_ = wake;
-  may_park_ = may_park;
-  deadline_ = kTimeInfinity;
-  bool park = false;
-  if (wake != nullptr) {
-    ++poll_id_;
-    deadline_ = wake->deadline();
-    watch(wake->on());
-    // The steps fall on now() + k·every, k >= 1.
-    const Time first = sim_.now() + every;
-    if (deadline_ == kTimeInfinity) {
-      deadline_step_ = kTimeInfinity;
-    } else if (deadline_ <= first || every <= 0) {
-      deadline_step_ = first;
-    } else {
-      deadline_step_ = first + (deadline_ - first + every - 1) / every * every;
-    }
-    if (this->may_park()) {
-      // A predicate that breaks the contract is left to the first step,
-      // which reports it out of Simulator::step().
-      try {
-        park = !evaluate();
-      } catch (const std::exception&) {
-        park = false;
-      }
-    }
+void Process::wait_erased(const Wake& wake, Erased ready) {
+  require_running("wait()");
+  wait_ready_ = ready;
+  // A predicate that breaks the contract is left to a check event, which
+  // reports it out of Simulator::step().
+  bool broken = false;
+  try {
+    if (evaluate()) return;
+  } catch (const std::exception&) {
+    broken = true;
   }
-  if (sim_.check_wakeups_) {
-    would_park_ = park;
-    touched_ = false;
-    park = false;
+  if (!broken && wake.deadline() <= sim_.now()) return;
+  state_ = State::kWaiting;
+  ++block_gen_;
+  watch(wake.on());
+  if (wake.deadline() != kTimeInfinity) {
+    deadline_ev_ =
+        sim_.at_cancellable(wake.deadline(), [this] { resume_wait(); });
   }
-  if (park) {
-    park_now();
-  } else {
-    arm_poll();
-  }
+  if (sim_.check_wakeups_) sim_.add_waiter(this);
+  if (broken) touch();
   Fiber::yield();
+}
+
+void Process::touch() {
+  if (state_ != State::kWaiting || check_queued_) return;
+  check_queued_ = true;
+  check_ev_ = sim_.at_cancellable(sim_.now(), [this] { check(); });
+}
+
+void Process::check() {
+  check_queued_ = false;
+  if (evaluate()) resume_wait();
+}
+
+// Cancelling the event that is running now, or one that already ran, is a
+// no-op: EventIds are generation-checked.
+void Process::resume_wait() {
   unwatch();
-  sim_.unindex(this);
-  wake_ = nullptr;
-  may_park_ = nullptr;
-  return poll_count_;
+  sim_.cancel(deadline_ev_);
+  sim_.cancel(check_ev_);
+  check_queued_ = false;
+  if (sim_.check_wakeups_) sim_.remove_waiter(this);
+  state_ = State::kReady;
+  run_slice();
 }
 
 void Process::watch(std::span<Signal* const> on) {
@@ -128,81 +127,22 @@ void Process::unwatch() {
   nwatches_ = 0;
 }
 
-bool Process::may_park() const {
-  return wake_ != nullptr && poll_every_ > 0 &&
-         (may_park_ == nullptr || (*may_park_)());
-}
-
-// One step is scheduled exactly where the reference loop's delay() would
-// schedule its resume event: right after ready() was evaluated, with nothing
-// scheduled in between (ready() is read-only). So every step lands at the
-// same (time, seq) as the reference loop's.
-void Process::arm_poll() {
-  const std::uint64_t gen = ++block_gen_;
-  sim_.in(poll_every_, [this, gen] { poll_step(gen); });
-}
-
-// Parking takes the seq the step's event would have taken; the step itself
-// stays a phantom until the simulator wakes it.
-void Process::park_now() {
-  anchor_t_ = sim_.now() + poll_every_;
-  anchor_seq_ = sim_.next_seq_++;
-  ++block_gen_;
-  sim_.park(this);
-}
-
 bool Process::evaluate() {
   Process* const prev = current_;
   current_ = nullptr;  // the predicate runs outside any fiber
   const std::uint64_t scheduled = sim_.next_seq_;
   bool ready = false;
   try {
-    ready = poll_ready_();
+    ready = wait_ready_();
   } catch (...) {
     current_ = prev;
     throw;
   }
   current_ = prev;
   if (sim_.next_seq_ != scheduled) {
-    throw std::logic_error("sim: Process::poll() predicate scheduled an event");
+    throw std::logic_error("sim: Process::wait() predicate scheduled an event");
   }
   return ready;
-}
-
-void Process::rearm() {
-  const bool park = may_park();
-  if (sim_.check_wakeups_) {
-    would_park_ = park;
-    touched_ = false;
-    arm_poll();
-  } else if (park) {
-    park_now();
-  } else {
-    arm_poll();
-  }
-}
-
-void Process::poll_step(std::uint64_t gen) {
-  if (gen != block_gen_ || state_ != State::kPolling) return;
-  ++poll_count_;
-  bool ready = false;
-  try {
-    ready = evaluate();
-  } catch (...) {
-    arm_poll();
-    throw;
-  }
-  if (ready && sim_.check_wakeups_ && would_park_ && !touched_) {
-    arm_poll();
-    throw std::logic_error("sim: the poll() predicate of '" + name_ +
-                           "' holds, but no signal it watches was touched");
-  }
-  if (!ready && sim_.now() < deadline_) {
-    rearm();
-    return;
-  }
-  state_ = State::kReady;
-  run_slice();
 }
 
 void Process::suspend() {

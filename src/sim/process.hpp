@@ -1,8 +1,9 @@
 // A Process is a fiber scheduled by the Simulator.
 //
 // Inside the fiber, a process can sleep for simulated time (delay), block
-// until an external wake (suspend/wake), idle-poll a condition (poll), and
-// compose with WaitQueue and Cpu for higher-level blocking. Outside code
+// until an external wake (suspend/wake), wait for a condition its signals
+// announce (wait), and compose with WaitQueue and Cpu for higher-level
+// blocking. Outside code
 // interacts with it only through start()/wake()/done().
 #pragma once
 
@@ -21,7 +22,7 @@ namespace multiedge::sim {
 class Process {
  public:
   enum class State {
-    kCreated, kReady, kRunning, kDelaying, kPolling, kSuspended, kFinished
+    kCreated, kReady, kRunning, kDelaying, kWaiting, kSuspended, kFinished
   };
 
   Process(Simulator& sim, std::string name, Fiber::Body body,
@@ -42,44 +43,23 @@ class Process {
   /// Block until some other code calls wake().
   void suspend();
 
-  /// Idle poll: behaves exactly like `do delay(every); while (!ready());` —
-  /// the same resume instant, the same (time, seq) event order and the same
-  /// events_executed() — but ready() runs inside each step's scheduler
-  /// callback and the fiber is resumed only once it holds, so an idle step
-  /// costs one event and no context switch. Always takes at least one step,
-  /// even when ready() already holds. Returns the number of steps taken.
+  /// Signal wait (DESIGN §11 "Signal waits"): returns at once if ready()
+  /// holds. Otherwise it watches `wake.on()` and blocks until a touch of one
+  /// of them finds ready() true, or until `wake.deadline()`. A touch
+  /// schedules one check event at its instant (touches at one instant
+  /// coalesce); the check evaluates ready() and resumes the fiber only if it
+  /// holds, so the process resumes at the touch instant with no modelled
+  /// wake cost. At the deadline it resumes whatever ready() says; callers
+  /// re-test their condition.
   ///
-  /// Contract: ready() runs with current() == nullptr and must only read.
-  /// A ready() that schedules an event or tries to block makes the step
-  /// throw std::logic_error out of Simulator::step(); the poll stays armed.
+  /// Contract: ready() runs with current() == nullptr and must only read;
+  /// one that schedules an event or tries to block makes its check throw
+  /// std::logic_error out of Simulator::step(), and the wait stays blocked.
+  /// Every write that can turn ready() true touches one of the signals;
+  /// Simulator::set_check_wakeups checks it.
   template <typename Ready>
-  std::uint64_t poll(Time every, Ready&& ready) {
-    return poll_steps(every, erase(ready), nullptr, nullptr);
-  }
-
-  /// Parking idle poll: the same steps, counts and (time, seq) order as
-  /// poll(every, ready) with `ready() || now() >= wake.deadline()`, but
-  /// while ready() is false the poller parks and its steps are phantoms
-  /// (counted in events_executed(), never run). It is woken at its next
-  /// grid instant when one of `wake.on()` is touched, when any event runs
-  /// on one of its grid instants, or at the deadline. ready() is evaluated
-  /// once more on entry, to decide whether to park.
-  ///
-  /// Contract on top of poll()'s: every write that can turn ready() true
-  /// touches one of the signals. Simulator::set_check_wakeups checks it.
-  template <typename Ready>
-  std::uint64_t poll(Time every, Ready&& ready, const Wake& wake) {
-    return poll_steps(every, erase(ready), &wake, nullptr);
-  }
-
-  /// As above, but parks only while may_park() holds (checked where it
-  /// would park). For a predicate whose evaluation must recur every step
-  /// in some states: the broker's folds EWMA state on a lossy rail.
-  template <typename Ready, typename MayPark>
-  std::uint64_t poll(Time every, Ready&& ready, const Wake& wake,
-                     MayPark&& may_park) {
-    const Erased mp = erase(may_park);
-    return poll_steps(every, erase(ready), &wake, &mp);
+  void wait(const Wake& wake, Ready&& ready) {
+    wait_erased(wake, erase(ready));
   }
 
   /// --- Calls valid only from outside the fiber. ---
@@ -98,7 +78,7 @@ class Process {
   static Process* current() { return current_; }
 
   /// The process whose fiber is currently executing. Blocking primitives use
-  /// it; throws std::logic_error outside any fiber (e.g. in a poll()
+  /// it; throws std::logic_error outside any fiber (e.g. in a wait()
   /// predicate).
   static Process& running();
 
@@ -114,8 +94,8 @@ class Process {
   SpanSlot span_slot;
 
  private:
-  friend class Simulator;  // parks, wakes and runs its poll steps
-  friend class Signal;     // touches its parked watchers
+  friend class Simulator;  // the wakeup oracle evaluates blocked waits
+  friend class Signal;     // touches its waiting watchers
 
   /// A type-erased `bool()` callable living on the fiber's stack.
   struct Erased {
@@ -133,28 +113,18 @@ class Process {
   void run_slice();
   /// Throws std::logic_error unless this process's fiber is executing.
   void require_running(const char* what) const;
-  std::uint64_t poll_steps(Time every, Erased ready, const Wake* wake,
-                           const Erased* may_park);
-  void arm_poll();
-  void poll_step(std::uint64_t gen);
-  /// Evaluate the predicate as a step does: outside any fiber, throwing
+  void wait_erased(const Wake& wake, Erased ready);
+  /// Evaluate the wait's predicate outside any fiber, throwing
   /// std::logic_error if it scheduled an event.
   bool evaluate();
-  /// After a failed step: park when allowed, else arm the next step.
-  void rearm();
-  bool may_park() const;
+  /// One of the signals this process's wait() watches was touched.
+  void touch();
+  /// The check event a touch scheduled.
+  void check();
+  /// Leave a blocked wait(): resume the fiber now.
+  void resume_wait();
   void watch(std::span<Signal* const> on);
   void unwatch();
-  void park_now();
-  /// One of the signals this process's poll() watches was touched.
-  void touch() { sim_.touched(this); }
-
-  // --- parking state of a poll() with a Wake (DESIGN §11) ---
-  enum class Park : std::uint8_t {
-    kNone,    // not parked: running, or its next step is a heap event
-    kParked,  // next step at anchor_t_ is a phantom
-    kWoken,   // its step is on the simulator's wake heap
-  };
 
   Simulator& sim_;
   std::string name_;
@@ -162,28 +132,15 @@ class Process {
   State state_ = State::kCreated;
   std::uint64_t block_gen_ = 0;  // invalidates stale resume events
 
-  // The active poll(): its predicate (type-erased, lives on the fiber's
-  // stack), step interval and step count.
-  Erased poll_ready_;
-  Time poll_every_ = 0;
-  std::uint64_t poll_count_ = 0;
-
-  // The active poll()'s wake sources (null: it never parks).
-  const Wake* wake_ = nullptr;
-  const Erased* may_park_ = nullptr;
-  Time deadline_ = kTimeInfinity;
+  // The blocked wait(): its predicate (type-erased, lives on the fiber's
+  // stack), watches, deadline event and pending check.
+  Erased wait_ready_;
   Signal::Watch watches_[Wake::kMaxSignals];
   std::size_t nwatches_ = 0;
-  Park park_ = Park::kNone;
-  bool touched_ = false;       // a watched signal was touched since parking
-  bool would_park_ = false;    // check_wakeups: the last step would park
-  Time anchor_t_ = 0;          // parked: its next (phantom) step
-  std::uint64_t anchor_seq_ = 0;
-  Time deadline_step_ = kTimeInfinity;  // first grid instant >= deadline
-  std::uint64_t poll_id_ = 0;           // one per poll() call
-  std::uint64_t deadline_queued_ = 0;   // poll_id_ with a deadline entry
-  bool indexed_ = false;      // in its simulator phase bucket
-  std::size_t park_pos_ = 0;  // index in that bucket
+  Simulator::EventId deadline_ev_;
+  Simulator::EventId check_ev_;
+  bool check_queued_ = false;
+  std::size_t waiter_pos_ = 0;  // index in the oracle's waiter list
 
   inline static Process* current_ = nullptr;
 };

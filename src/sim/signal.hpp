@@ -1,10 +1,9 @@
-// Wake sources for parked idle polls (DESIGN §11 "Parked pollers").
+// Wake sources of signal waits (DESIGN §11 "Signal waits").
 //
-// A poll() that passes a Wake declares what its predicate reads: the
-// Signals whose writers touch() them, and an optional deadline. While the
-// predicate is false the poller parks instead of stepping every period; a
-// touch re-arms it at its next grid instant, where the step runs exactly
-// where the eager loop's would have.
+// A Process::wait() declares what its predicate reads: the Signals whose
+// writers touch() them, and an optional deadline. While the predicate is
+// false the waiter has no event at all; a touch schedules one check of the
+// predicate at the touch instant.
 #pragma once
 
 #include <algorithm>
@@ -29,10 +28,10 @@ class Signal {
   Signal& operator=(const Signal&) noexcept { return *this; }
   ~Signal();
 
-  /// The state some watching poller's predicate reads may have changed:
-  /// re-arm every parked watcher at its next grid instant. Call it from the
-  /// code that changes the state, every time; touching more often than
-  /// needed only costs a step.
+  /// The state some waiter's predicate reads may have changed: schedule a
+  /// check of every blocked watcher's predicate at this instant. Call it
+  /// from the code that changes the state, every time; touching more often
+  /// than needed only costs a check event.
   void touch() {
     if (watches_ != nullptr) touch_watchers();
   }
@@ -40,8 +39,8 @@ class Signal {
  private:
   friend class Process;
 
-  /// One poller's registration, linked into the signal while its poll()
-  /// runs. It lives in that poll() call's frame on the poller's stack.
+  /// One waiter's registration, linked into the signal while its wait()
+  /// blocks. It lives in the waiting Process.
   struct Watch {
     Process* proc = nullptr;
     Signal* sig = nullptr;
@@ -56,9 +55,9 @@ class Signal {
   Watch* watches_ = nullptr;
 };
 
-/// What a parking poll() waits for: the signals its predicate's state is
-/// touched through (at most kMaxSignals), and a deadline (the poll resumes
-/// at its first step at or after it, whatever the predicate says).
+/// What a wait() waits for: the signals its predicate's state is touched
+/// through (at most kMaxSignals), and a deadline (the wait resumes then,
+/// whatever the predicate says).
 class Wake {
  public:
   static constexpr std::size_t kMaxSignals = 10;

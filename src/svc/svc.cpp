@@ -160,7 +160,7 @@ void Broker::stop() {
       pool.rr.clear();
       pool.queued = 0;
     }
-    ns->work.touch();  // the dispatcher exits on stop_
+    ns->poke();  // the dispatcher exits on stop_
   }
 }
 
@@ -236,17 +236,18 @@ void Broker::dispatch(NodeState& ns, Slot& slot, const SvcOpPtr& op) {
   op->state = SvcOp::State::kDispatched;
   if (op->flags & kOpFlagBatched) {
     ns.flush_pending = true;
-    ns.work.touch();
+    ns.poke();
   }
-  // Completion hook (protocol context): release the credits and record the
-  // svc span covering submit -> transport completion. No submissions happen
-  // here — the dispatcher/tenant fibers pick freed credits up on their next
-  // pass. Everything is captured BY VALUE (the hook lives inside the proto
-  // SendOp, which the SvcOp's handle keeps alive — capturing the SvcOpPtr
-  // here would create a shared_ptr cycle; the SvcOp is held weakly, only to
-  // touch its waiters). `slot` and the tenant have stable addresses for the
-  // broker's lifetime.
+  // Completion hook (protocol context): release the credits, poke the
+  // dispatcher, and record the svc span covering submit -> transport
+  // completion. No submissions happen here — the dispatcher/tenant fibers
+  // pick freed credits up on their next pass. Everything is captured BY
+  // VALUE (the hook lives inside the proto SendOp, which the SvcOp's handle
+  // keeps alive — capturing the SvcOpPtr here would create a shared_ptr
+  // cycle; the SvcOp is held weakly, only to touch its waiters). `ns`,
+  // `slot` and the tenant have stable addresses for the broker's lifetime.
   Cluster* cluster = &cluster_;
+  NodeState* ns_p = &ns;
   const int node = op->tenant->node();
   const int tenant_id = op->tenant->id();
   Slot* slot_p = &slot;
@@ -257,9 +258,10 @@ void Broker::dispatch(NodeState& ns, Slot& slot, const SvcOpPtr& op) {
   const trace::SpanContext ctx = op->ctx;
   const std::uint64_t parent_span = op->parent_span;
   const std::weak_ptr<SvcOp> weak = op;
-  h.on_complete([cluster, node, tenant_id, slot_p, frames, bytes, kind,
+  h.on_complete([cluster, ns_p, node, tenant_id, slot_p, frames, bytes, kind,
                  submitted_at, ctx, parent_span, weak]() {
     slot_p->credits_used -= std::min(slot_p->credits_used, frames);
+    ns_p->poke();
     if (const SvcOpPtr o = weak.lock()) o->done.touch();
     trace::TraceRecorder* tr = cluster->tracer();
     if (tr != nullptr && ctx.active()) {
@@ -294,9 +296,8 @@ SvcOpPtr Broker::submit(Tenant& t, SvcOpPtr op) {
   }
   // Admission control: reject instead of queueing beyond the bounds. The
   // rejection carries a retry-after hint sized to the backlog that bounced
-  // the op: each queued op costs at least one dispatcher visit, and an idle
-  // dispatcher ticks every kDispatchPoll, so depth x poll approximates the
-  // time for the queue to drain back under its bound.
+  // the op: kDispatchPoll per queued op, so a deeper queue asks for a
+  // longer backoff.
   if (t.queued_ >= cfg_.tenant_queue_limit) {
     op->state = SvcOp::State::kRejected;
     op->retry_after = kDispatchPoll * static_cast<sim::Time>(t.queued_);
@@ -333,7 +334,7 @@ SvcOpPtr Broker::submit(Tenant& t, SvcOpPtr op) {
     tq.active = true;
     tq.deficit = 0;
     pool.rr.push_back(&tq);
-    ns.work.touch();
+    ns.poke();
   }
   ++pool.queued;
   ++t.queued_;
@@ -341,44 +342,42 @@ SvcOpPtr Broker::submit(Tenant& t, SvcOpPtr op) {
 }
 
 void Broker::dispatch_loop(Endpoint& ep) {
-  NodeState& ns = *nodes_[ep.node_id()];
+  const int node = ep.node_id();
+  NodeState& ns = *nodes_[node];
+  std::array<sim::Signal*, sim::Wake::kMaxSignals> on{&ns.work};
+  const int rails = cluster_.config().topology.rails;
+  if (rails + 1 > static_cast<int>(on.size())) {
+    throw std::logic_error("svc: too many rails for one sim::Wake");
+  }
+  for (int r = 0; r < rails; ++r) {
+    on[1 + r] = &cluster_.rail_health(node, r).changed();
+  }
   while (!stop_) {
-    const bool did = dispatch_pass(ep, ns);
+    const std::uint64_t seen = ns.pokes;
+    const bool again = dispatch_pass(ep, ns);
     if (ns.flush_pending) {
       ns.flush_pending = false;
       ep.flush();  // one doorbell covers the whole batched pass
     }
-    if (!did) {
-      // Parks while the node's rails are clean: on a lossy rail the
-      // predicate's score() folds EWMA state, which must happen every step.
-      const int node = ep.node_id();
-      std::array<sim::Signal*, sim::Wake::kMaxSignals> on{&ns.work};
-      const int rails = cluster_.config().topology.rails;
-      if (rails + 1 > static_cast<int>(on.size())) {
-        throw std::logic_error("svc: too many rails for one sim::Wake");
-      }
-      for (int r = 0; r < rails; ++r) {
-        on[1 + r] = &cluster_.rail_health(node, r).changed();
-      }
-      sim::Process::current()->poll(
-          kDispatchPoll, [&] { return pass_pending(node, ns); },
-          sim::Wake{std::span(on.data(), 1 + rails)},
-          [&] { return rails_clean(node); });
+    if (!again) {
+      // Wait for a poke: work, freed credits, a doorbell owed, or stop. A
+      // rail that turns lossy also ends the wait; on a lossy rail it ends
+      // every kDispatchPoll as well, so the next pass re-reads the decaying
+      // rail-health score and keeps throttling (and counting it) until the
+      // rail is clean again.
+      const bool clean = rails_clean(node);
+      const sim::Time deadline =
+          clean ? sim::kTimeInfinity : cluster_.sim().now() + kDispatchPoll;
+      sim::Process::current()->wait(
+          sim::Wake{std::span(on.data(), 1 + rails), deadline}, [&] {
+            return ns.pokes != seen || (clean && !rails_clean(node));
+          });
     }
   }
 }
 
-bool Broker::pass_pending(int node, const NodeState& ns) const {
-  if (stop_ || ns.flush_pending) return true;
-  for (const PeerPool& pool : ns.pools) {
-    if (!pool.rr.empty()) return true;
-  }
-  // dispatch_pass counts kCtrRailThrottled on every pass, even an empty one.
-  return effective_credit_limit(node) < credits_per_conn_;
-}
-
 bool Broker::dispatch_pass(Endpoint& ep, NodeState& ns) {
-  bool any = false;
+  bool again = false;
   const std::uint32_t limit = effective_credit_limit(ep.node_id());
   if (limit < credits_per_conn_) {
     ns.counters.add(kCtrRailThrottled);
@@ -421,7 +420,7 @@ bool Broker::dispatch_pass(Endpoint& ep, NodeState& ns) {
         tq->deficit -= std::min<std::uint64_t>(tq->deficit, op->bytes);
         dispatch(ns, slot, op);
         tq->tenant->counters_.add(kCtrQueued);
-        any = true;
+        again = true;
       }
       if (tq->q.empty()) {
         tq->active = false;
@@ -429,16 +428,17 @@ bool Broker::dispatch_pass(Endpoint& ep, NodeState& ns) {
       } else if (credit_blocked) {
         // Keep the blocked queue's TURN: it stays at the front, so the next
         // freed credits are claimed by round-robin order, not by whichever
-        // queue happens to sit in front when the dispatcher tick lands
+        // queue happens to sit in front when the dispatcher's pass runs
         // (deterministic lockstep can otherwise phase-lock one tenant out).
         pool.rr.push_front(tq);
         break;  // no credits on this connection: stop burning the pass
       } else {
         pool.rr.push_back(tq);  // back of the rotation, deficit preserved
+        again = true;           // the next visit adds another quantum
       }
     }
   }
-  return any;
+  return again;
 }
 
 std::uint64_t Broker::connections_opened() const {
@@ -468,21 +468,6 @@ std::uint32_t Broker::credits_in_use(int node, int peer) const {
 
 std::uint32_t Broker::queued_ops(int node, int peer) const {
   return nodes_[node]->pools[peer].queued;
-}
-
-// ---------------------------------------------------------------------------
-// wait helper
-// ---------------------------------------------------------------------------
-
-bool wait_svc_op(Cluster& cluster, const SvcOpPtr& op, sim::Time timeout,
-                 sim::Time poll) {
-  // The Wake carries the deadline, so one poll either sees the op finish
-  // or returns at the deadline.
-  if (!op->test() && timeout > 0) {
-    sim::Process::current()->poll(poll, [&] { return op->test(); },
-                                  {{&op->done}, cluster.sim().now() + timeout});
-  }
-  return op->test();
 }
 
 }  // namespace multiedge::svc

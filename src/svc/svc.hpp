@@ -58,6 +58,7 @@
 #include <vector>
 
 #include "core/api.hpp"
+#include "sim/process.hpp"
 #include "sim/wait_queue.hpp"
 #include "stats/counters.hpp"
 
@@ -66,7 +67,8 @@ namespace multiedge::svc {
 /// DRR byte quantum added to a tenant queue's deficit per service visit
 /// (multiplied by the tenant's weight — Tenant::set_weight).
 inline constexpr std::uint32_t kDrrQuantumBytes = 4096;
-/// Dispatcher idle-poll granularity.
+/// Per-queued-op unit of an admission rejection's retry-after hint, and the
+/// period at which a dispatcher on a lossy rail re-reads its rail health.
 inline constexpr sim::Time kDispatchPoll = sim::ns(500);
 
 struct BrokerConfig {
@@ -117,6 +119,7 @@ struct SvcOp {
   /// Touched when test() turns true: on a rejection after submit() returned,
   /// and on completion (sim::Wake).
   sim::Signal done;
+  sim::Signal* done_signal() { return &done; }
 
   /// Terminal-state query: rejected, or dispatched and complete.
   bool test() const {
@@ -232,20 +235,23 @@ class Broker {
     sim::WaitQueue conn_wait;
     stats::Counters counters;        // broker-level (dispatcher) counters
     bool flush_pending = false;      // batched ops dispatched, doorbell owed
-    /// Touched on what pass_pending() reads but the rail health: a DRR
-    /// rotation push, flush_pending, stop.
+    /// Bumped, and `work` touched, on whatever can let an idle dispatcher
+    /// make progress: a DRR rotation push, freed credits, flush_pending,
+    /// stop.
+    std::uint64_t pokes = 0;
     sim::Signal work;
+    void poke() {
+      ++pokes;
+      work.touch();
+    }
   };
 
   SvcOpPtr submit(Tenant& t, SvcOpPtr op);
   void dispatch_loop(Endpoint& ep);
-  /// One DRR sweep over every peer with backlog; returns true if any op was
-  /// dispatched.
+  /// One DRR sweep over every peer with backlog; returns true if another
+  /// pass could make progress without a poke (it dispatched, or a queue
+  /// still needs more quantum).
   bool dispatch_pass(Endpoint& ep, NodeState& ns);
-  /// Read-only: would the dispatcher loop do anything observable now (exit,
-  /// flush, or run a pass that dispatches or counts)? Its idle-poll
-  /// predicate.
-  bool pass_pending(int node, const NodeState& ns) const;
   /// Dispatch `op` on its pinned slot; assumes credits were checked.
   void dispatch(NodeState& ns, Slot& slot, const SvcOpPtr& op);
   Slot& slot_for(Endpoint& ep, NodeState& ns, int peer, int tenant_id);
@@ -253,8 +259,8 @@ class Broker {
   /// Per-connection credit limit, scaled down while the node's worst egress
   /// rail is sick (see trace::RailHealth::Snapshot::score).
   std::uint32_t effective_credit_limit(int node) const;
-  /// Every egress rail of `node` is clean (trace::RailHealth::clean): the
-  /// dispatcher's idle predicate then reads no EWMA state.
+  /// Every egress rail of `node` is clean (trace::RailHealth::clean): an
+  /// idle dispatcher then waits with no deadline.
   bool rails_clean(int node) const;
   void on_tenant_closed();
 
@@ -267,10 +273,18 @@ class Broker {
   bool any_tenant_ = false;
 };
 
-/// Poll a brokered op to a terminal state with a deadline (mirrors the KV
-/// client's wait_ref): false = still pending at timeout. The calling fiber
-/// idles `poll` between probes.
-bool wait_svc_op(Cluster& cluster, const SvcOpPtr& op, sim::Time timeout,
-                 sim::Time poll);
+/// Block the calling fiber until `op.test()` holds (the op is terminal) or
+/// `timeout` has passed; false = still pending at the deadline. `op` is a
+/// brokered SvcOp or anything else whose done_signal() is touched when
+/// test() may turn true (the KV client's one-sided reads).
+template <typename Op>
+bool wait_op(Cluster& cluster, Op& op, sim::Time timeout) {
+  if (timeout > 0) {
+    sim::Process::running().wait(
+        {{op.done_signal()}, cluster.sim().now() + timeout},
+        [&] { return op.test(); });
+  }
+  return op.test();
+}
 
 }  // namespace multiedge::svc

@@ -115,7 +115,7 @@ class RailHealth {
 
   /// Bit-identical to snapshot(now).score(). A clean rail scores exactly
   /// 0, so that case returns without folding: the broker asks on every
-  /// idle poll step.
+  /// dispatch pass.
   double score(sim::Time now) const {
     if (clean()) return 0.0;
     return snapshot(now).score();

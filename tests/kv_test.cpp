@@ -84,24 +84,24 @@ TEST(KvFiberLockTest, HeldAndWaitersTrackLockTryLockUnlock) {
                                            "contender acquired"}));
 }
 
-// The serve loop's idle predicate counts a free lock with queued waiters as
-// work: its try_lock/unlock pair then hands the lock on (wakes a waiter).
-// That state lasts only within the instant of an unlock, so the test puts an
-// unlock on one of the serve loop's 1 us steps and looks at the queue after
-// the step but before the woken fibers run.
+// The serve loop's wait counts a free lock with queued waiters as work: its
+// try_lock/unlock pair then hands the lock on (wakes a waiter). That state
+// lasts only within the instant of an unlock, so the test queues the serve
+// loop's check (a touch) ahead of an unlock, and looks at the queue after
+// the check but before the woken fibers run.
 TEST(KvFiberLockTest, ServeLoopStepHandsOnAFreeLockWithWaiters) {
   Cluster cluster(config_1l_1g(2));
   kv::KvConfig cfg;
   cfg.clients_per_node = 3;
   kv::System sys(cluster, cfg);
   kv::FiberLock& lock = sys.server(0).node_lock();
-  const sim::Time g = sim::us(10);  // a step of node 0's idle serve loop
+  const sim::Time g = sim::us(10);
   bool queue_at_g = true;
   std::vector<std::string> order;
   sys.spawn_client(0, "holder", [&](kv::Client&) {
     sim::Process::current()->delay(sim::ns(500));
     lock.lock();
-    sim::Process::current()->delay(g - sim::ns(500));  // lands ahead of it
+    sim::Process::current()->delay(g - sim::ns(500));
     lock.unlock();  // wakes the first waiter; the second stays queued
   });
   for (const char* name : {"w1", "w2"}) {
@@ -112,13 +112,14 @@ TEST(KvFiberLockTest, ServeLoopStepHandsOnAFreeLockWithWaiters) {
       lock.unlock();
     });
   }
-  // Scheduled after the serve loop armed its step at g, before the unlock's
-  // wakeups: it runs between that step and the woken fibers.
-  cluster.sim().at(g - sim::ns(500), [&] {
+  // Runs at g ahead of the unlock: the touch queues node 0's serve-loop
+  // check, then the look at the queue, both ahead of the unlock's wakeups.
+  cluster.sim().at(g, [&] {
+    lock.signal().touch();
     cluster.sim().at(g, [&] { queue_at_g = lock.has_waiters(); });
   });
   cluster.run();
-  EXPECT_FALSE(queue_at_g);  // the step took w2 off the queue
+  EXPECT_FALSE(queue_at_g);  // the check took w2 off the queue
   EXPECT_EQ(order, (std::vector<std::string>{"w1", "w2"}));
   EXPECT_FALSE(lock.held());
 }
@@ -491,6 +492,70 @@ TEST(KvTornReadTest, ChecksumRejectsCorruptionBehindAnEvenVersion) {
 }
 
 // ---------------------------------------------------------------------------
+// Mailbox seal: a stale notification never applies a torn request
+// ---------------------------------------------------------------------------
+
+// A client slot's request mailbox holds one message, so a server that
+// consumes a notification late can find a newer message landing over the
+// one it announced. The test holds the primary's node lock while a PUT's
+// notification is queued, overwrites the back half of the value in the
+// slot as such a landing would, and releases the lock: the seal must drop
+// the torn request unanswered, and the client's resend must apply the
+// value whole.
+TEST(KvMailboxSealTest, TornRequestIsDroppedNotApplied) {
+  CheckedCluster cluster(config_1l_1g(2));
+  kv::KvConfig cfg;
+  cfg.replication = 1;
+  cfg.clients_per_node = 1;
+  cfg.rpc_timeout = sim::us(200);
+  kv::System sys(cluster, cfg);
+
+  // A key whose primary is node 1, so node 0 sends it a request.
+  std::string key;
+  for (int i = 0;; ++i) {
+    key = "seal-k" + std::to_string(i);
+    const int p = sys.ring().partition_of(kv::fnv1a64(key));
+    if (sys.ring().replicas(p)[0] == 1) break;
+  }
+  std::string value;
+  for (int i = 0; i < 96; ++i) value.push_back(static_cast<char>('a' + i % 26));
+
+  bool scribbled = false;
+  cluster.spawn(1, "lock-holder", [&](Endpoint& ep) {
+    kv::FiberLock& lock = sys.server(1).node_lock();
+    lock.lock();
+    sim::Process::current()->wait(
+        {&ep.notification_signal(kTagKvRequest)},
+        [&] { return ep.has_notification(kTagKvRequest); });
+    // Node 0's ring of client slot 0's request mailbox, at node 1: one
+    // slot of req_stride() bytes.
+    const std::uint64_t ring = sys.domain().requests(0).rings_va();
+    std::byte* slot = cluster.memory(1).as<std::byte>(ring);
+    std::byte* end = slot + sys.domain().req_stride();
+    std::byte* at = std::search(
+        slot, end, reinterpret_cast<const std::byte*>(value.data()),
+        reinterpret_cast<const std::byte*>(value.data() + value.size()));
+    ASSERT_NE(at, end);
+    std::memset(at + value.size() / 2, 'X', value.size() / 2);
+    scribbled = true;
+    lock.unlock();
+  });
+  sys.spawn_client(0, "writer", [&](kv::Client& c) {
+    ASSERT_EQ(c.put(key, value), kv::Status::kOk);
+    std::string got;
+    ASSERT_EQ(c.get(key, &got), kv::Status::kOk);
+    EXPECT_EQ(got, value);
+  });
+  cluster.run();
+
+  EXPECT_TRUE(scribbled);
+  const stats::Counters agg = sys.aggregate_counters();
+  EXPECT_EQ(agg.get("kv_torn_messages"), 1u);
+  EXPECT_EQ(agg.get("kv_rpc_timeouts"), 1u);  // the dropped request
+  EXPECT_EQ(agg.get("kv_puts_applied"), 1u);
+}
+
+// ---------------------------------------------------------------------------
 // Response-tag range: one 8-bit notification tag per client slot
 // ---------------------------------------------------------------------------
 
@@ -767,12 +832,11 @@ TEST(KvCapacityTest, NoSpaceDeleteAndSlotReuse) {
 }
 
 // ---------------------------------------------------------------------------
-// Parked pollers: host cost of an idle-heavy brokered mix
+// Signal waits: host cost of an idle-heavy brokered mix
 // ---------------------------------------------------------------------------
 
 struct MixRun {
   std::uint64_t events = 0;     // Simulator::events_executed()
-  std::uint64_t callbacks = 0;  // Simulator::callbacks_run()
   std::uint64_t frames = 0;     // frames every uplink put on the wire
   std::map<std::string, stats::Counters::Value> kv;
   sim::Time end = 0;
@@ -780,8 +844,8 @@ struct MixRun {
 
 // Four nodes on 2L-1G, four brokered clients each, an open-loop PUT/GET
 // mix with think times: the shape of perfbench's kv-write, small. `lossy`
-// drops 1 % of frames, so rails get loss history and the dispatchers stop
-// parking.
+// drops 1 % of frames, so rails get loss history and the dispatchers wake
+// every kDispatchPoll.
 MixRun run_brokered_mix(bool check_wakeups, bool lossy = false) {
   ClusterConfig ccfg = config_2l_1g(4);
   if (lossy) ccfg.topology.link.drop_prob = 0.01;
@@ -813,7 +877,6 @@ MixRun run_brokered_mix(bool check_wakeups, bool lossy = false) {
   cluster.run();
   MixRun run;
   run.events = cluster.sim().events_executed();
-  run.callbacks = cluster.sim().callbacks_run();
   for (int n = 0; n < 4; ++n) {
     for (int r = 0; r < cluster.network().rails(); ++r) {
       run.frames += cluster.network().uplink(n, r).stats().frames_sent;
@@ -824,36 +887,33 @@ MixRun run_brokered_mix(bool check_wakeups, bool lossy = false) {
   return run;
 }
 
-// Idle pollers park, so the simulator runs a handful of callbacks per wire
-// frame instead of one per idle step (about 90 per frame before parking),
-// while every count and counter stays that of the eager loop (the oracle
-// run steps every poller every period).
-TEST(KvParkedPollerTest, BrokeredMixRunsAtMostTwentyCallbacksPerFrame) {
-  const MixRun parked = run_brokered_mix(false);
-  const MixRun eager = run_brokered_mix(true);
-  EXPECT_EQ(parked.events, eager.events);
-  EXPECT_EQ(parked.frames, eager.frames);
-  EXPECT_EQ(parked.kv, eager.kv);
-  EXPECT_EQ(parked.end, eager.end);
-  EXPECT_EQ(eager.callbacks, eager.events);
-  ASSERT_GT(parked.frames, 0u);
-  EXPECT_LE(parked.callbacks, 20 * parked.frames)
-      << static_cast<double>(parked.callbacks) / parked.frames
-      << " callbacks per frame";
-  EXPECT_GE(eager.events, 50 * eager.frames);  // the idle steps are there
+// Idle waiters have no events, so the simulator runs a handful of events
+// per wire frame (about 90 per frame under the old 500 ns poll grid), and
+// the wakeup oracle, which checks every blocked wait after every event,
+// does not change the run.
+TEST(KvWaitTest, BrokeredMixRunsAtMostTwentyEventsPerFrame) {
+  const MixRun plain = run_brokered_mix(false);
+  const MixRun checked = run_brokered_mix(true);
+  EXPECT_EQ(plain.events, checked.events);
+  EXPECT_EQ(plain.frames, checked.frames);
+  EXPECT_EQ(plain.kv, checked.kv);
+  EXPECT_EQ(plain.end, checked.end);
+  ASSERT_GT(plain.frames, 0u);
+  EXPECT_LE(plain.events, 20 * plain.frames)
+      << static_cast<double>(plain.events) / plain.frames
+      << " events per frame";
 }
 
-// With loss the broker's predicate folds rail-health EWMA state on every
-// step, so its dispatcher polls eagerly from the first loss feed on; the
-// run must still match the eager one exactly.
-TEST(KvParkedPollerTest, LossyBrokeredMixMatchesTheEagerRun) {
-  const MixRun parked = run_brokered_mix(false, /*lossy=*/true);
-  const MixRun eager = run_brokered_mix(true, /*lossy=*/true);
-  EXPECT_EQ(parked.events, eager.events);
-  EXPECT_EQ(parked.frames, eager.frames);
-  EXPECT_EQ(parked.kv, eager.kv);
-  EXPECT_EQ(parked.end, eager.end);
-  EXPECT_LT(parked.callbacks, parked.events);
+// With loss the dispatchers also wake every kDispatchPoll to re-read the
+// rail health; the run must still match the oracle's exactly.
+TEST(KvWaitTest, LossyBrokeredMixMatchesTheOracleRun) {
+  const MixRun plain = run_brokered_mix(false, /*lossy=*/true);
+  const MixRun checked = run_brokered_mix(true, /*lossy=*/true);
+  EXPECT_EQ(plain.events, checked.events);
+  EXPECT_EQ(plain.frames, checked.frames);
+  EXPECT_EQ(plain.kv, checked.kv);
+  EXPECT_EQ(plain.end, checked.end);
+  EXPECT_GT(plain.kv.at("svc_rail_throttled"), 0u);
 }
 
 // ---------------------------------------------------------------------------

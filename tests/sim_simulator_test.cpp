@@ -11,6 +11,7 @@
 
 #include "sim/process.hpp"
 #include "sim/random.hpp"
+#include "sim/signal.hpp"
 #include "sim/timer.hpp"
 
 namespace multiedge::sim {
@@ -106,10 +107,11 @@ TEST(Simulator, CountsExecutedEvents) {
 }
 
 // ---------------------------------------------------------------------------
-// Poll steps: differential against one queue sorted on (time, seq)
+// Wait checks: differential against one queue sorted on (time, seq)
 // ---------------------------------------------------------------------------
 
-// Mirrors every event handed to the simulator, poll steps included:
+// Mirrors every event handed to the simulator, wait checks and deadlines
+// included:
 // the (time, seq) each one must run at, which are still pending, and the
 // order they ran in. Call expect()/moved() right before the scheduling call
 // they describe and ran() first thing in the event.
@@ -164,8 +166,9 @@ class QueueModel {
 };
 
 // A seeded mix of in/at/at_cancellable/cancel/reschedule on a 250 ns grid,
-// racing three pollers (two at 500 ns, one at 1 us) that also delay() in
-// between polls, so other events and poll steps keep tying on one instant.
+// racing three waiters that the mix touches (their check events), whose
+// deadlines are near half the time, and that delay() in between waits, so
+// other events, checks and deadlines keep tying on one instant.
 void run_lane_mix(std::uint64_t seed) {
   Simulator sim;
   QueueModel model(sim);
@@ -181,11 +184,16 @@ void run_lane_mix(std::uint64_t seed) {
   std::vector<Handle> handles;
   int budget = 600;
 
+  constexpr int kWaiters = 3;
+  std::vector<Signal> sig(kWaiters);
+  std::vector<char> blocked(kWaiters, 0);
+  std::vector<int> check_id(kWaiters, -1);  // its pending check event
+
   std::function<void(int)> event = [&](int id) {
     model.ran(id);
     for (int k = 1 + static_cast<int>(rng.next_u64() % 3); k > 0 && budget > 0;
          --k, --budget) {
-      switch (rng.next_u64() % 5) {
+      switch (rng.next_u64() % 6) {
         case 0: {
           const Time d = grid(8);
           const int next = model.expect(sim.now() + d);
@@ -214,13 +222,22 @@ void run_lane_mix(std::uint64_t seed) {
           if (live) model.cancelled(h.id);
           break;
         }
-        default: {
+        case 4: {
           if (handles.empty()) break;
           const Handle h = handles[rng.next_u64() % handles.size()];
           const Time t = sim.now() - ns(500) + grid(8);
           const bool live = model.is_pending(h.id);
           if (live) model.moved(h.id, t);
           EXPECT_EQ(sim.reschedule(h.ev, t), live);
+          break;
+        }
+        default: {
+          // A touch schedules a check only for a blocked waiter without one.
+          const int w = static_cast<int>(rng.next_u64() % kWaiters);
+          if (blocked[w] && check_id[w] < 0) {
+            check_id[w] = model.expect(sim.now());
+          }
+          sig[w].touch();
           break;
         }
       }
@@ -233,25 +250,35 @@ void run_lane_mix(std::uint64_t seed) {
     sim.at(t, [&event, id] { event(id); });
   }
 
-  const std::vector<Time> periods = {ns(500), ns(500), us(1)};
-  std::vector<int> start_ids(periods.size());
-  std::vector<std::unique_ptr<Process>> pollers;
-  for (std::size_t i = 0; i < periods.size(); ++i) {
-    const Time every = periods[i];
-    pollers.push_back(std::make_unique<Process>(sim, "poller", [&, i, every] {
+  std::vector<int> start_ids(kWaiters);
+  std::vector<std::unique_ptr<Process>> waiters;
+  for (int i = 0; i < kWaiters; ++i) {
+    waiters.push_back(std::make_unique<Process>(sim, "waiter", [&, i] {
       model.ran(start_ids[i]);
       Process* self = Process::current();
       for (int round = 0; round < 12; ++round) {
-        const std::uint64_t want = 1 + rng.next_u64() % 6;
-        std::uint64_t left = want;
-        int step = model.expect(sim.now() + every);
-        const std::uint64_t took = self->poll(every, [&] {
-          model.ran(step);
-          if (--left == 0) return true;
-          step = model.expect(sim.now() + every);
-          return false;
+        // Ready at the want-th check (never on entry, which has no check).
+        std::uint64_t left = 1 + rng.next_u64() % 4;
+        // Near half the time; else far, past the mix's last touch.
+        const Time deadline =
+            sim.now() + (rng.next_u64() % 2 == 0 ? grid(16) : us(50));
+        const int deadline_id =
+            deadline > sim.now() ? model.expect(deadline) : -1;
+        blocked[i] = 1;
+        self->wait({{&sig[i]}, deadline}, [&] {
+          if (check_id[i] < 0) return false;
+          model.ran(check_id[i]);
+          check_id[i] = -1;
+          return --left == 0;
         });
-        EXPECT_EQ(took, want);
+        blocked[i] = 0;
+        if (left == 0) {
+          if (deadline_id >= 0) model.cancelled(deadline_id);
+        } else if (deadline_id >= 0) {
+          if (check_id[i] >= 0) model.cancelled(check_id[i]);
+          check_id[i] = -1;
+          model.ran(deadline_id);
+        }
         if (rng.next_u64() % 2 == 0) {
           const Time d = grid(4);
           const int id = model.expect(sim.now() + d);
@@ -261,13 +288,13 @@ void run_lane_mix(std::uint64_t seed) {
       }
     }));
   }
-  for (std::size_t i = 0; i < pollers.size(); ++i) {
+  for (int i = 0; i < kWaiters; ++i) {
     start_ids[i] = model.expect(sim.now());
-    pollers[i]->start();
+    waiters[i]->start();
   }
 
   sim.run();
-  for (const auto& p : pollers) EXPECT_TRUE(p->done());
+  for (const auto& p : waiters) EXPECT_TRUE(p->done());
   EXPECT_EQ(model.pending(), 0u);
   model.check_counts();
 
@@ -290,30 +317,36 @@ TEST(SimulatorPollLanes, RandomMixRunsInTimeSeqOrder) {
   }
 }
 
+// A wait's deadline and its touch's check run at a run_until() boundary only
+// when they are due at it.
 TEST(SimulatorPollLanes, RunUntilIncludesLaneStepAtBoundaryOnly) {
   Simulator sim;
-  std::vector<Time> steps;
+  Signal sig;
+  bool flag = false;
+  std::vector<Time> resumed;
   Process p(sim, "p", [&] {
-    Process::current()->poll(ns(10), [&] {
-      steps.push_back(sim.now());
-      return steps.size() == 3;
-    });
+    Process::current()->wait({{&sig}, ns(20)}, [&] { return flag; });
+    resumed.push_back(sim.now());
+    Process::current()->wait({&sig}, [&] { return flag; });
+    resumed.push_back(sim.now());
   });
-  p.start();  // first step at 10 ns, then 20 ns and 30 ns
-  sim.run_until(ns(10));
-  EXPECT_EQ(steps, (std::vector<Time>{ns(10)}));
-  EXPECT_EQ(sim.pending(), 1u);
-  const Time t = ns(20) - 1;  // the next step lands at t + 1
+  p.start();
+  const Time t = ns(20) - 1;  // the deadline lands at t + 1
   sim.run_until(t);
-  EXPECT_EQ(steps.size(), 1u);
+  EXPECT_TRUE(resumed.empty());
   EXPECT_EQ(sim.now(), t);
   EXPECT_EQ(sim.pending(), 1u);
   sim.run_until(t + 1);
-  EXPECT_EQ(steps, (std::vector<Time>{ns(10), ns(20)}));
-  sim.run();
+  EXPECT_EQ(resumed, (std::vector<Time>{ns(20)}));
+  EXPECT_EQ(sim.pending(), 0u);  // blocked with no deadline: no event
+  sim.at(ns(30), [&] {
+    flag = true;
+    sig.touch();
+  });
+  sim.run_until(ns(30));  // the touch and its check, both at 30 ns
   EXPECT_TRUE(p.done());
-  EXPECT_EQ(sim.pending(), 0u);
-  EXPECT_EQ(sim.events_executed(), 4u);  // start + three steps
+  EXPECT_EQ(resumed, (std::vector<Time>{ns(20), ns(30)}));
+  EXPECT_EQ(sim.events_executed(), 4u);  // start, deadline, touch, check
   EXPECT_EQ(sim.events_scheduled(), 4u);
 }
 

@@ -60,7 +60,7 @@ TEST(SvcBrokerTest, ManyTenantsShareFewPooledConnections) {
             tenant->write(1, dst + 64 * t, src + 64 * t, 64, kOpFlagNone));
       }
       for (const auto& op : ops) {
-        ASSERT_TRUE(svc::wait_svc_op(cluster, op, sim::sec(1), sim::ns(500)));
+        ASSERT_TRUE(svc::wait_op(cluster, *op, sim::sec(1)));
         ASSERT_FALSE(op->rejected());
         ++completed;
       }
@@ -106,7 +106,7 @@ TEST(SvcBrokerTest, CreditExhaustionStallsAndReleases) {
     // minus one op's cost — the broker never buries the window.
     EXPECT_LE(broker.credits_in_use(0, 1), 4u);
     for (const auto& op : ops) {
-      ASSERT_TRUE(svc::wait_svc_op(cluster, op, sim::sec(1), sim::ns(500)));
+      ASSERT_TRUE(svc::wait_op(cluster, *op, sim::sec(1)));
       ASSERT_FALSE(op->rejected());
     }
     tenant.close();
@@ -157,7 +157,7 @@ TEST(SvcBrokerTest, DrrKeepsLightTenantLatencyBoundedUnderHog) {
       ops.push_back(hog.write(1, hog_dst, hog_src, kHogBytes, kOpFlagSolicit));
     }
     for (const auto& op : ops) {
-      ASSERT_TRUE(svc::wait_svc_op(cluster, op, sim::sec(1), sim::ns(500)));
+      ASSERT_TRUE(svc::wait_op(cluster, *op, sim::sec(1)));
     }
     hog_done = cluster.sim().now();
     hog.close();
@@ -171,7 +171,7 @@ TEST(SvcBrokerTest, DrrKeepsLightTenantLatencyBoundedUnderHog) {
       // instead of riding the receiver's delayed-ack timer.
       const svc::SvcOpPtr op =
           light.write(1, light_dst, light_src, 256, kOpFlagSolicit);
-      ASSERT_TRUE(svc::wait_svc_op(cluster, op, sim::sec(1), sim::ns(500)));
+      ASSERT_TRUE(svc::wait_op(cluster, *op, sim::sec(1)));
       ASSERT_FALSE(op->rejected());
       light_max = std::max(light_max, cluster.sim().now() - t0);
     }
@@ -225,7 +225,7 @@ TEST(SvcBrokerTest, WeightedDrrSplitsBandwidthByWeight) {
       ops.push_back(t.write(1, d, s, kBytes, kOpFlagSolicit));
     }
     for (const auto& op : ops) {
-      ASSERT_TRUE(svc::wait_svc_op(cluster, op, sim::sec(1), sim::ns(500)));
+      ASSERT_TRUE(svc::wait_op(cluster, *op, sim::sec(1)));
       ASSERT_FALSE(op->rejected());
     }
     *done = cluster.sim().now();
@@ -278,7 +278,7 @@ TEST(SvcBrokerTest, AdmissionRejectsBeyondQueueBounds) {
         if (ops.back()->rejected()) ++rejected;
       }
       for (const auto& op : ops) {
-        ASSERT_TRUE(svc::wait_svc_op(cluster, op, sim::sec(1), sim::ns(500)));
+        ASSERT_TRUE(svc::wait_op(cluster, *op, sim::sec(1)));
         if (!op->rejected()) ++completed;
       }
       tenant->close();
@@ -324,7 +324,7 @@ TEST(SvcBrokerTest, IdleDispatcherCountsEveryThrottledTick) {
     // that time (>= 1600 at 500ns) still counts the throttled limit.
     sim::Process::current()->delay(sim::us(1200));
     const svc::SvcOpPtr op = tenant.write(1, dst, src, 64, kOpFlagNone);
-    completed = svc::wait_svc_op(cluster, op, sim::ms(100), sim::ns(500)) &&
+    completed = svc::wait_op(cluster, *op, sim::ms(100)) &&
                 !op->rejected();
     tenant.close();
   });
@@ -373,7 +373,7 @@ TEST(SvcBrokerTest, RejectionCarriesRetryAfterHint) {
         }
       }
       for (const auto& op : ops) {
-        ASSERT_TRUE(svc::wait_svc_op(cluster, op, sim::sec(1), sim::ns(500)));
+        ASSERT_TRUE(svc::wait_op(cluster, *op, sim::sec(1)));
       }
       tenant->close();
     });

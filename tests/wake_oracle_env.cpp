@@ -1,8 +1,8 @@
 // Linked into the suites that run a second time under the wakeup oracle
 // (the `*_wake_oracle` ctest entries): with MULTIEDGE_CHECK_WAKEUPS=1 in the
-// environment, every Simulator the suite builds steps its parked pollers
-// every period and throws if a predicate turns true without a touch
-// (sim::Simulator::set_check_wakeups, DESIGN §11 "Parked pollers").
+// environment, every Simulator the suite builds checks every blocked wait
+// after every event and throws if a predicate turned true without a touch
+// (sim::Simulator::set_check_wakeups, DESIGN §11 "Signal waits").
 #include <cstdlib>
 
 #include "sim/simulator.hpp"
