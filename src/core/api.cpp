@@ -17,8 +17,9 @@ namespace multiedge {
 // ---------------------------------------------------------------------------
 
 void OpHandle::wait() const {
-  if (op_ && !op_->complete && ep_ != nullptr) ep_->flush();
-  while (op_ && !op_->complete) op_->waiters.wait();
+  if (!op_ || op_->complete) return;
+  if (ep_ != nullptr) ep_->flush();
+  sim::Process::running().wait({&op_->done}, [this] { return op_->complete; });
 }
 
 OpHandle Connection::rdma_operation(std::uint64_t remote_va,
@@ -142,18 +143,17 @@ void Endpoint::compute(sim::Time t) { app_cpu_.consume(t); }
 Connection Endpoint::connect(int peer) {
   charge_protocol(engine_.costs().syscall_cost);
   proto::Connection* c = engine_.connect(peer);
-  while (c->state() != proto::ConnState::kEstablished) {
-    engine_.conn_events().wait();
-  }
+  sim::Process::running().wait({&c->established_signal()}, [c] {
+    return c->state() == proto::ConnState::kEstablished;
+  });
   return Connection(this, c);
 }
 
 Connection Endpoint::accept(int peer) {
-  proto::Connection* c = nullptr;
-  while ((c = engine_.responder_for(peer)) == nullptr) {
-    engine_.conn_events().wait();
-  }
-  return Connection(this, c);
+  sim::Process::running().wait({&engine_.responder_signal()}, [this, peer] {
+    return engine_.responder_for(peer) != nullptr;
+  });
+  return Connection(this, engine_.responder_for(peer));
 }
 
 void Endpoint::register_memory(std::uint64_t va, std::size_t len) {
@@ -179,9 +179,12 @@ bool Endpoint::is_registered(std::uint64_t va, std::size_t len) const {
 Notification Endpoint::wait_notification(int tag) {
   // About to block: push out anything still parked in a submission ring
   // (often the request whose reply we are waiting for).
-  if (!engine_.has_notification(tag)) flush();
-  while (!engine_.has_notification(tag)) {
-    engine_.notify_events().wait();
+  if (!engine_.has_notification(tag)) {
+    flush();
+    sim::Process::running().wait({&engine_.notification_signal(tag)},
+                                 [this, tag] {
+                                   return engine_.has_notification(tag);
+                                 });
   }
   charge_protocol(engine_.costs().syscall_cost);
   return engine_.pop_notification(tag);

@@ -79,7 +79,7 @@ void DsmSystem::run(std::function<void(Dsm&)> worker) {
   try {
     cluster_.run();
   } catch (...) {
-    // Deadlock diagnosis path: the suspended service fibers cannot be
+    // Deadlock diagnosis path: the blocked service fibers cannot be
     // destroyed safely (live stacks); deliberately leak them and rethrow.
     for (auto& s : services) s.release();  // NOLINT
     throw;
@@ -87,7 +87,7 @@ void DsmSystem::run(std::function<void(Dsm&)> worker) {
   // Workers finished: wind the service fibers down.
   for (int i = 0; i < n; ++i) {
     nodes_[i]->stop_service_ = true;
-    nodes_[i]->endpoint().engine().notify_events().notify_all();
+    nodes_[i]->stop_signal_.touch();
   }
   bool all_done = false;
   while (!all_done) {
@@ -415,7 +415,9 @@ void Dsm::service_loop() {
       }
       continue;
     }
-    ep_.engine().notify_events().wait();
+    sim::Process::running().wait(
+        {&stop_signal_, &msg_win_.notify_signal()},
+        [this] { return stop_service_ || msg_win_.notify_pending(); });
   }
 }
 
@@ -435,7 +437,7 @@ void Dsm::handle_msg(const Message& m) {
       apply_notices(m.notices);
       LockState& ls = lock_states_[static_cast<int>(m.id)];
       ls.held = true;
-      ls.waiters.notify_all();
+      ls.granted.touch();
       break;
     }
     case MsgType::kLockRelease: {
@@ -473,14 +475,14 @@ void Dsm::handle_msg(const Message& m) {
         }
         apply_notices(rel.notices);
         barrier_released_gen_ = rel.epoch;
-        barrier_waiters_.notify_all();
+        barrier_released_.touch();
       }
       break;
     }
     case MsgType::kBarrierRelease: {
       apply_notices(m.notices);
       barrier_released_gen_ = m.epoch;
-      barrier_waiters_.notify_all();
+      barrier_released_.touch();
       break;
     }
   }
@@ -518,7 +520,7 @@ void Dsm::lock(int lock_id) {
   req.type = MsgType::kLockReq;
   req.id = static_cast<std::uint32_t>(lock_id);
   send_msg(lock_id % num_nodes(), req, /*fence=*/false);
-  while (!ls.held) ls.waiters.wait();
+  sim::Process::running().wait({&ls.granted}, [&ls] { return ls.held; });
   ls.waiting = false;
   stats_.lock_wait += ep_.cluster().sim().now() - t0;
   stats_.lock_acquires += 1;
@@ -561,7 +563,9 @@ void Dsm::barrier() {
   if (!all.pages.empty()) arr.notices.push_back(std::move(all));
   send_msg(mgr, arr, fence);
 
-  while (barrier_released_gen_ < barrier_gen_) barrier_waiters_.wait();
+  sim::Process::running().wait({&barrier_released_}, [this] {
+    return barrier_released_gen_ >= barrier_gen_;
+  });
   stats_.barrier_wait += ep_.cluster().sim().now() - t0;
   stats_.barriers += 1;
 }

@@ -38,7 +38,7 @@
 #include "dsm/msg.hpp"
 #include "rma/channel.hpp"
 #include "rma/rma.hpp"
-#include "sim/wait_queue.hpp"
+#include "sim/signal.hpp"
 
 namespace multiedge::dsm {
 
@@ -154,7 +154,7 @@ class Dsm {
   struct LockState {
     bool held = false;
     bool waiting = false;
-    sim::WaitQueue waiters;
+    sim::Signal granted;  // touched when `held` turns true
   };
   // Lock-manager bookkeeping (lives on the lock's manager node).
   struct ManagedLock {
@@ -223,18 +223,19 @@ class Dsm {
   std::map<int, Connection> conns_;
   rma::Window msg_win_;  // kTagDsm window over the mailbox rings: every control
                          // message is a notified put, the service loop a
-                         // test_notify + notify-event wait
+                         // test_notify + signal wait
 
   std::map<int, LockState> lock_states_;
   std::map<int, ManagedLock> managed_locks_;
 
   std::uint32_t barrier_gen_ = 0;           // my arrivals
   std::uint32_t barrier_released_gen_ = 0;  // releases seen
-  sim::WaitQueue barrier_waiters_;
+  sim::Signal barrier_released_;            // touched when that moves
   std::map<std::uint32_t, BarrierSlot> barrier_slots_;  // manager node only
   std::unique_ptr<coll::Communicator> comm_;
 
   bool stop_service_ = false;
+  sim::Signal stop_signal_;  // touched when stop_service_ is set
   DsmNodeStats stats_;
 };
 

@@ -302,10 +302,11 @@ void HostBarrier::arrive_and_wait(int expected) {
   if (++count_ >= expected) {
     count_ = 0;
     ++gen_;
-    q_.notify_all();
+    released_.touch();
     return;
   }
-  while (gen_ == gen) q_.wait();
+  sim::Process::running().wait({&released_},
+                               [this, gen] { return gen_ != gen; });
 }
 
 // ---------------------------------------------------------------------------
@@ -1193,16 +1194,17 @@ Connection& System::conn_to(Endpoint& ep, int peer) {
   NodeCtx& ctx = *nodes_[ep.node_id()];
   // One shared connection per peer; fibers racing to create it wait for the
   // first one's handshake instead of opening duplicates.
-  for (;;) {
-    if (ctx.conns[peer].valid()) return ctx.conns[peer];
-    if (!ctx.connecting[peer]) break;
-    ctx.conn_wait.wait();
+  if (ctx.connecting[peer]) {
+    sim::Process::running().wait({&ctx.conn_done}, [&ctx, peer] {
+      return !ctx.connecting[peer];
+    });
   }
+  if (ctx.conns[peer].valid()) return ctx.conns[peer];
   ctx.connecting[peer] = true;
   Connection c = ep.connect(peer);
   ctx.conns[peer] = c;
   ctx.connecting[peer] = false;
-  ctx.conn_wait.notify_all();
+  ctx.conn_done.touch();
   return ctx.conns[peer];
 }
 

@@ -58,7 +58,6 @@
 #include "member/member.hpp"
 #include "rma/channel.hpp"
 #include "rma/rma.hpp"
-#include "sim/wait_queue.hpp"
 #include "stats/counters.hpp"
 #include "svc/svc.hpp"
 #include "trace/histogram.hpp"
@@ -225,14 +224,22 @@ class KvDomain {
 
 /// Mutual exclusion between the fibers of ONE node (server loop, local
 /// clients) — cooperative fibers only yield at simulation points, so a
-/// plain flag plus a wait queue suffices.
+/// plain flag plus FIFO tickets suffices. lock() on a free lock takes it at
+/// once, as try_lock() does; otherwise it draws a ticket and waits. Each
+/// unlock() grants the oldest ungranted ticket, and granted tickets take
+/// the lock in ticket order whenever it is free, so a try_lock() that
+/// barges in between delays a grant but never reorders it.
 class FiberLock {
  public:
   void lock() {
-    while (held_) {
-      changed_.touch();  // has_waiters() turns true
-      q_.wait();
-    }
+    if (try_lock()) return;
+    const std::uint64_t ticket = next_ticket_++;
+    ++ungranted_;
+    changed_.touch();  // has_waiters() turns true
+    sim::Process::running().wait({&changed_}, [this, ticket] {
+      return !held_ && next_turn_ == ticket;
+    });
+    ++next_turn_;
     held_ = true;
   }
   bool try_lock() {
@@ -242,20 +249,23 @@ class FiberLock {
   }
   void unlock() {
     held_ = false;
-    q_.notify_one();
+    if (ungranted_ > 0) --ungranted_;
     changed_.touch();
   }
   bool held() const { return held_; }
-  /// Fibers queued in lock(). A try_lock()/unlock() pair on a free lock
-  /// wakes one of them, so a wait predicate must treat them as work.
-  bool has_waiters() const { return !q_.empty(); }
+  /// Fibers in lock() that no unlock() has granted yet. A try_lock()/unlock()
+  /// pair on a free lock grants one of them, so a wait predicate must treat
+  /// them as work.
+  bool has_waiters() const { return ungranted_ > 0; }
   /// Touched on release and on enqueue: the wake source of a wait on
   /// held() / has_waiters().
   sim::Signal& signal() { return changed_; }
 
  private:
   bool held_ = false;
-  sim::WaitQueue q_;
+  std::uint64_t next_ticket_ = 0;  // drawn by the next lock() that waits
+  std::uint64_t next_turn_ = 0;    // the ticket that takes the lock next
+  std::uint64_t ungranted_ = 0;
   sim::Signal changed_;
 };
 
@@ -412,7 +422,7 @@ class HostBarrier {
  private:
   int count_ = 0;
   std::uint64_t gen_ = 0;
-  sim::WaitQueue q_;
+  sim::Signal released_;  // touched when gen_ moves
 };
 
 /// Cluster-wide KV system: allocates the symmetric domain, spawns a server
@@ -471,7 +481,7 @@ class System {
     std::unique_ptr<Server> server;
     std::vector<Connection> conns;      // shared per-node connection cache
     std::vector<bool> connecting;
-    sim::WaitQueue conn_wait;
+    sim::Signal conn_done;              // touched when a connect finishes
     int next_cslot = 0;
     stats::Counters client_counters;    // merged at client fiber exit
   };

@@ -589,7 +589,6 @@ void Connection::complete_acked_ops() {
                      static_cast<int>(local_id_), op->op_id, op->size,
                      op->ctx, op->parent_span);
     }
-    op->waiters.notify_all();
     op->done.touch();
     if (op->on_complete) op->on_complete();
   }
@@ -1037,7 +1036,6 @@ void Connection::maybe_complete(RecvOp& op, sim::Cpu& cpu) {
                        static_cast<int>(local_id_), rop->op_id, rop->size,
                        rop->ctx, rop->parent_span);
       }
-      rop->waiters.notify_all();
       rop->done.touch();
       if (rop->on_complete) rop->on_complete();
     }

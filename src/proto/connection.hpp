@@ -36,6 +36,7 @@
 #include "proto/wire.hpp"
 #include "sim/cpu.hpp"
 #include "sim/random.hpp"
+#include "sim/signal.hpp"
 #include "sim/timer.hpp"
 #include "stats/counters.hpp"
 
@@ -67,7 +68,12 @@ class Connection {
   int peer_node() const { return peer_node_; }
   bool initiator() const { return initiator_; }
   ConnState state() const { return state_; }
-  void set_state(ConnState s) { state_ = s; }
+  void set_state(ConnState s) {
+    state_ = s;
+    if (s == ConnState::kEstablished) established_.touch();
+  }
+  /// Touched when state() turns kEstablished: the wake source of a connect.
+  sim::Signal& established_signal() { return established_; }
   std::size_t num_links() const { return links_.size(); }
 
   // --- send path ---
@@ -300,6 +306,7 @@ class Connection {
   std::vector<Link> links_;
   bool initiator_;
   ConnState state_ = ConnState::kSynSent;
+  sim::Signal established_;
 
   // ---- send side ----
   std::uint64_t next_seq_ = 0;     // next sequence number to assign

@@ -310,7 +310,7 @@ void Engine::on_syn(const DecodedFrame& df) {
     conn->set_remote_id(df.hdr.conn_id);
     conn->set_state(ConnState::kEstablished);
     responder_index_.emplace(key, conn);
-    conn_events_.notify_all();
+    responder_signal_.touch();
   }
   WireHeader h;
   h.kind = FrameKind::kConnSynAck;
@@ -330,7 +330,6 @@ void Engine::on_syn_ack(const DecodedFrame& df) {
     conn->set_remote_id(static_cast<std::uint32_t>(df.hdr.op_id));
     conn->set_state(ConnState::kEstablished);
     pending_connects_.erase(conn->local_id());
-    conn_events_.notify_all();
     conn->try_transmit(proto_cpu_);
   }
   // Always (re)confirm — the responder may have missed our CONN-ACK.
@@ -360,7 +359,7 @@ void Engine::deliver_notification(Notification n, sim::Cpu& cpu, bool urgent) {
   cpu.charge(costs_.notify_cost);
   counters_.add(kCtrNotificationsDelivered);
   notifications_.push_back(n);
-  notify_events_.notify_all();
+  any_notify_signal_.touch();
   notification_signal(n.tag).touch();
 }
 
@@ -374,7 +373,7 @@ void Engine::flush_notifications(sim::Cpu& cpu) {
   counters_.add(kCtrNotifyBatches);
   counters_.add(kCtrNotificationsDelivered, pending_notify_.size());
   for (const Notification& n : pending_notify_) notifications_.push_back(n);
-  notify_events_.notify_all();
+  any_notify_signal_.touch();
   for (const Notification& n : pending_notify_) {
     notification_signal(n.tag).touch();
   }

@@ -28,7 +28,6 @@
 #include "sim/signal.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
-#include "sim/wait_queue.hpp"
 #include "stats/counters.hpp"
 #include "trace/rail_health.hpp"
 #include "trace/trace.hpp"
@@ -52,14 +51,15 @@ class Engine {
   // --- connection management ---
 
   /// Start connecting to `peer` over all rails. Non-blocking; the connection
-  /// is usable once state() == kEstablished (wait on conn_events()).
+  /// is usable once state() == kEstablished (see established_signal()).
   Connection* connect(int peer);
 
   /// The established responder-side connection initiated by `peer`, if any.
   Connection* responder_for(int peer);
 
-  /// Notified whenever any connection reaches kEstablished.
-  sim::WaitQueue& conn_events() { return conn_events_; }
+  /// Touched whenever a responder-side connection is established: the wake
+  /// source of waits on responder_for().
+  sim::Signal& responder_signal() { return responder_signal_; }
 
   // --- passive liveness ---
   /// Simulation time of the last frame (data, read request, or ack) received
@@ -88,11 +88,12 @@ class Engine {
   bool has_notification_match(int tag, int src, std::uint64_t va) const;
   bool pop_notification_match(int tag, int src, std::uint64_t va,
                               Notification* out);
-  sim::WaitQueue& notify_events() { return notify_events_; }
-  /// Touched whenever a notification carrying `tag` is queued: the wake
-  /// source of waits on has_notification(tag) (sim::Wake).
+  /// Touched whenever a notification carrying `tag` is queued (with
+  /// `tag < 0`, whenever any notification is): the wake source of waits on
+  /// has_notification(tag) (sim::Wake).
   sim::Signal& notification_signal(int tag) {
-    return notify_signals_[static_cast<std::uint8_t>(tag)];
+    return tag < 0 ? any_notify_signal_
+                   : notify_signals_[static_cast<std::uint8_t>(tag)];
   }
 
   // --- infrastructure used by Connection ---
@@ -202,14 +203,14 @@ class Engine {
   std::map<std::pair<int, std::uint32_t>, Connection*> responder_index_;
   std::map<std::uint32_t, PendingConnect> pending_connects_;
   std::uint32_t next_conn_id_ = 1;
-  sim::WaitQueue conn_events_;
+  sim::Signal responder_signal_;
 
   std::deque<Notification> notifications_;
   // Notifications awaiting a batched harvest (batch_submission only; always
   // empty otherwise).
   std::vector<Notification> pending_notify_;
-  sim::WaitQueue notify_events_;
   std::array<sim::Signal, 256> notify_signals_;  // by tag (a wire byte)
+  sim::Signal any_notify_signal_;
   std::vector<sim::Time> last_rx_;  // per peer node, grown on demand
 
   std::vector<Connection*> backlog_;

@@ -6,8 +6,8 @@
 #include <functional>
 #include <memory>
 
+#include "sim/signal.hpp"
 #include "sim/time.hpp"
-#include "sim/wait_queue.hpp"
 #include "trace/trace.hpp"
 
 namespace multiedge::proto {
@@ -50,9 +50,8 @@ struct SendOp {
   /// Span id of the submitting fiber's enclosing span (parent of ctx).
   std::uint64_t parent_span = 0;
 
-  /// Fibers blocked in OpHandle::wait().
-  sim::WaitQueue waiters;
-  /// Touched on completion: the wake source of waits on it.
+  /// Touched on completion: the wake source of waits on it
+  /// (OpHandle::wait and svc::wait_op).
   sim::Signal done;
   /// Optional completion hook (used by the DSM's asynchronous flushes).
   std::function<void()> on_complete;

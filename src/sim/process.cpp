@@ -35,11 +35,7 @@ void Process::require_running(const char* what) const {
 void Process::start() {
   assert(state_ == State::kCreated);
   state_ = State::kReady;
-  const std::uint64_t gen = ++block_gen_;
-  sim_.in(0, [this, gen] {
-    if (gen != block_gen_ || state_ != State::kReady) return;
-    run_slice();
-  });
+  sim_.in(0, [this] { run_slice(); });
 }
 
 void Process::run_slice() {
@@ -51,16 +47,14 @@ void Process::run_slice() {
   if (fiber_.done()) {
     state_ = State::kFinished;
   }
-  // Otherwise the fiber blocked via delay()/wait()/suspend(), which already
+  // Otherwise the fiber blocked via delay() or wait(), which already
   // set state_ and scheduled any resume event before yielding.
 }
 
 void Process::delay(Time d) {
   require_running("delay()");
   state_ = State::kDelaying;
-  const std::uint64_t gen = ++block_gen_;
-  sim_.in(d, [this, gen] {
-    if (gen != block_gen_ || state_ != State::kDelaying) return;
+  sim_.in(d, [this] {
     state_ = State::kReady;
     run_slice();
   });
@@ -80,7 +74,6 @@ void Process::wait_erased(const Wake& wake, Erased ready) {
   }
   if (!broken && wake.deadline() <= sim_.now()) return;
   state_ = State::kWaiting;
-  ++block_gen_;
   watch(wake.on());
   if (wake.deadline() != kTimeInfinity) {
     deadline_ev_ =
@@ -143,23 +136,6 @@ bool Process::evaluate() {
     throw std::logic_error("sim: Process::wait() predicate scheduled an event");
   }
   return ready;
-}
-
-void Process::suspend() {
-  require_running("suspend()");
-  state_ = State::kSuspended;
-  ++block_gen_;
-  Fiber::yield();
-}
-
-void Process::wake() {
-  if (state_ != State::kSuspended) return;
-  state_ = State::kReady;
-  const std::uint64_t gen = ++block_gen_;
-  sim_.in(0, [this, gen] {
-    if (gen != block_gen_ || state_ != State::kReady) return;
-    run_slice();
-  });
 }
 
 // ---------------------------------------------------------------------------

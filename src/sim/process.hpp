@@ -1,10 +1,11 @@
 // A Process is a fiber scheduled by the Simulator.
 //
-// Inside the fiber, a process can sleep for simulated time (delay), block
-// until an external wake (suspend/wake), wait for a condition its signals
-// announce (wait), and compose with WaitQueue and Cpu for higher-level
-// blocking. Outside code
-// interacts with it only through start()/wake()/done().
+// Inside the fiber, a process blocks in exactly two ways: it sleeps for
+// simulated time (delay), or it waits for a condition its signals announce
+// (wait, DESIGN §11 "Signal waits"). Every higher-level blocking call (op
+// completion, locks, barriers, notification and connection waits,
+// Cpu::consume) is one of these two. Outside code interacts with a process
+// only through start(), done() and the signals its waits watch.
 #pragma once
 
 #include <cassert>
@@ -22,7 +23,7 @@ namespace multiedge::sim {
 class Process {
  public:
   enum class State {
-    kCreated, kReady, kRunning, kDelaying, kWaiting, kSuspended, kFinished
+    kCreated, kReady, kRunning, kDelaying, kWaiting, kFinished
   };
 
   Process(Simulator& sim, std::string name, Fiber::Body body,
@@ -37,11 +38,8 @@ class Process {
 
   /// --- Calls valid only from inside this process's fiber. ---
 
-  /// Sleep for `d` of simulated time. Not interruptible by wake().
+  /// Sleep for `d` of simulated time; nothing cuts it short.
   void delay(Time d);
-
-  /// Block until some other code calls wake().
-  void suspend();
 
   /// Signal wait (DESIGN §11 "Signal waits"): returns at once if ready()
   /// holds. Otherwise it watches `wake.on()` and blocks until a touch of one
@@ -61,13 +59,6 @@ class Process {
   void wait(const Wake& wake, Ready&& ready) {
     wait_erased(wake, erase(ready));
   }
-
-  /// --- Calls valid only from outside the fiber. ---
-
-  /// Unblock a suspended process; it resumes at the current simulated time.
-  /// Waking a process that is not suspended is a no-op (wakeups never queue;
-  /// callers must re-check their condition after suspend() returns).
-  void wake();
 
   bool done() const { return state_ == State::kFinished; }
   State state() const { return state_; }
@@ -130,7 +121,6 @@ class Process {
   std::string name_;
   Fiber fiber_;
   State state_ = State::kCreated;
-  std::uint64_t block_gen_ = 0;  // invalidates stale resume events
 
   // The blocked wait(): its predicate (type-erased, lives on the fiber's
   // stack), watches, deadline event and pending check.

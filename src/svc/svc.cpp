@@ -197,17 +197,17 @@ Broker::Slot& Broker::slot_for(Endpoint& ep, NodeState& ns, int peer,
   Slot& s = pool.slots[tenant_id % cfg_.conns_per_peer];
   // Lazy establishment; racing fibers wait for the first handshake instead
   // of opening duplicates (same discipline as kv::System::conn_to).
-  while (!s.conn.valid()) {
-    if (!s.connecting) {
-      s.connecting = true;
-      Connection c = ep.connect(peer);
-      s.conn = c;
-      s.connecting = false;
-      ns.counters.add(kCtrConnsOpened);
-      ns.conn_wait.notify_all();
-    } else {
-      ns.conn_wait.wait();
-    }
+  if (s.connecting) {
+    sim::Process::running().wait({&ns.conn_done},
+                                 [&s] { return !s.connecting; });
+  }
+  if (!s.conn.valid()) {
+    s.connecting = true;
+    Connection c = ep.connect(peer);
+    s.conn = c;
+    s.connecting = false;
+    ns.counters.add(kCtrConnsOpened);
+    ns.conn_done.touch();
   }
   return s;
 }

@@ -59,7 +59,6 @@
 
 #include "core/api.hpp"
 #include "sim/process.hpp"
-#include "sim/wait_queue.hpp"
 #include "stats/counters.hpp"
 
 namespace multiedge::svc {
@@ -232,7 +231,7 @@ class Broker {
   struct NodeState {
     std::vector<std::unique_ptr<Tenant>> tenants;
     std::vector<PeerPool> pools;     // [peer]
-    sim::WaitQueue conn_wait;
+    sim::Signal conn_done;           // touched when a slot's connect ends
     stats::Counters counters;        // broker-level (dispatcher) counters
     bool flush_pending = false;      // batched ops dispatched, doorbell owed
     /// Bumped, and `work` touched, on whatever can let an idle dispatcher

@@ -12,7 +12,6 @@
 #include "core/api.hpp"
 #include "sim/random.hpp"
 #include "sim/signal.hpp"
-#include "sim/wait_queue.hpp"
 
 namespace multiedge::sim {
 namespace {
@@ -33,52 +32,41 @@ TEST(Process, DelayAdvancesSimulatedTime) {
   EXPECT_EQ(stamps, (std::vector<Time>{0, us(10), us(15)}));
 }
 
-TEST(Process, SuspendBlocksUntilWake) {
-  Simulator sim;
-  Time resumed_at = -1;
-  Process p(sim, "p", [&] {
-    Process::current()->suspend();
-    resumed_at = sim.now();
-  });
-  p.start();
-  sim.in(us(30), [&] { p.wake(); });
-  sim.run();
-  EXPECT_TRUE(p.done());
-  EXPECT_EQ(resumed_at, us(30));
-}
-
-TEST(Process, WakeOnNonSuspendedIsNoOp) {
-  Simulator sim;
-  int steps = 0;
-  Process p(sim, "p", [&] {
-    ++steps;
-    Process::current()->delay(us(10));
-    ++steps;
-  });
-  p.start();
-  // Waking mid-delay must not shorten the delay.
-  sim.in(us(2), [&] { p.wake(); });
-  sim.run();
-  EXPECT_EQ(steps, 2);
-  EXPECT_EQ(sim.now(), us(10));
-}
-
+// A wait resumed by a touch cancels its deadline: neither that deadline
+// (50us) nor a touch during the delay that follows (20us) cuts the delay
+// short, and the next wait blocks until a touch of its own.
 TEST(Process, StaleDelayEventCannotWakeLaterBlock) {
   Simulator sim;
+  Signal sig;
+  bool flag = false;
   std::vector<Time> stamps;
   Process p(sim, "p", [&] {
     Process* self = Process::current();
-    self->suspend();             // woken at 5us by the event below
+    self->wait({{&sig}, us(50)}, [&] { return flag; });  // touched at 5us
     stamps.push_back(sim.now());
-    self->delay(us(100));        // must sleep the full 100us
+    flag = false;
+    self->delay(us(100));  // must sleep the full 100us
+    stamps.push_back(sim.now());
+    self->wait({&sig}, [&] { return flag; });  // touched at 200us
     stamps.push_back(sim.now());
   });
   p.start();
-  sim.in(us(5), [&] { p.wake(); });
+  sim.at(us(5), [&] {
+    flag = true;
+    sig.touch();
+  });
+  sim.at(us(20), [&] {
+    flag = true;
+    sig.touch();
+  });
+  sim.at(us(104), [&] { flag = false; });
+  sim.at(us(200), [&] {
+    flag = true;
+    sig.touch();
+  });
   sim.run();
-  ASSERT_EQ(stamps.size(), 2u);
-  EXPECT_EQ(stamps[0], us(5));
-  EXPECT_EQ(stamps[1], us(105));
+  EXPECT_TRUE(p.done());
+  EXPECT_EQ(stamps, (std::vector<Time>{us(5), us(105), us(200)}));
 }
 
 TEST(Process, TwoProcessesInterleaveDeterministically) {
@@ -168,13 +156,17 @@ TEST(ProcessPoll, PredicateThatSchedulesIsRejected) {
 TEST(ProcessPoll, PredicateThatBlocksIsRejected) {
   Simulator sim;
   Signal sig;
-  WaitQueue q;
-  int mode = 0;  // 0: WaitQueue::wait, 1: Process::delay, 2: done blocking
+  Signal inner;
+  int mode = 0;  // 0: a nested Process::wait, 1: Process::delay, 2: done
+  int nested_returns = 0;
   Process* self = nullptr;
   Process p(sim, "p", [&] {
     self = Process::current();
     self->wait({&sig}, [&] {
-      if (mode == 0) q.wait();
+      if (mode == 0) {
+        self->wait({&inner}, [] { return false; });
+        ++nested_returns;
+      }
       if (mode == 1) self->delay(ns(1));
       return mode == 2;
     });
@@ -188,7 +180,7 @@ TEST(ProcessPoll, PredicateThatBlocksIsRejected) {
   sim.at(ns(30), [&] { sig.touch(); });
   sim.run();
   EXPECT_TRUE(p.done());
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(nested_returns, 0);
   EXPECT_EQ(sim.now(), ns(30));
 }
 
@@ -259,6 +251,31 @@ TEST(ProcessPoll, WaitCountsOnlyEventsThatRun) {
   EXPECT_EQ(sim.events_executed(), 6u);  // + the write and its check
   EXPECT_EQ(sim.events_scheduled(), 6u);
   EXPECT_EQ(checks, 3u);
+}
+
+// The second tie rule after Simulator::before: one touch schedules its
+// watchers' checks newest watch first (Signal::link adds at the head), so
+// same-instant waiters of one signal resume in reverse order of blocking.
+// Every fingerprint depends on this order (DESIGN §11 "Signal waits").
+TEST(ProcessPoll, OneTouchChecksWatchersNewestFirst) {
+  Simulator sim;
+  Signal sig;
+  bool flag = false;
+  std::vector<std::string> resumed;
+  std::vector<std::unique_ptr<Process>> ps;
+  for (const char* name : {"a", "b", "c"}) {
+    ps.push_back(std::make_unique<Process>(sim, name, [&, name] {
+      Process::current()->wait({&sig}, [&] { return flag; });
+      resumed.push_back(name);
+    }));
+  }
+  for (auto& p : ps) p->start();  // a blocks first, c last
+  sim.at(us(1), [&] {
+    flag = true;
+    sig.touch();
+  });
+  sim.run();
+  EXPECT_EQ(resumed, (std::vector<std::string>{"c", "b", "a"}));
 }
 
 // Random scripts: waiters on three flags, with and without deadlines,
@@ -462,23 +479,28 @@ TEST(ClusterRun, WaitsForOutOfOrderAndMidRunSpawns) {
   EXPECT_EQ(cluster.sim().now(), us(58));
 }
 
+// A run whose other processes finished while one fiber stays blocked is a
+// deadlock; unblocked, the same cluster runs to completion.
 TEST(ClusterRun, BlockedFiberIsADeadlock) {
   Cluster cluster(config_1l_1g(2));
+  Signal sig;
+  bool flag = false;
   Process* stuck = nullptr;
   bool resumed = false;
   cluster.spawn(0, "done", [](Endpoint&) {});
   cluster.spawn(1, "stuck", [&](Endpoint&) {
     stuck = Process::current();
-    stuck->suspend();
+    stuck->wait({&sig}, [&] { return flag; });
     resumed = true;
   });
   EXPECT_THROW(cluster.run(), std::runtime_error);
   ASSERT_NE(stuck, nullptr);
   EXPECT_FALSE(stuck->done());
-  // Unblocked, the same cluster runs to completion.
-  stuck->wake();
+  flag = true;
+  sig.touch();
   cluster.run();
   EXPECT_TRUE(resumed);
+  EXPECT_TRUE(stuck->done());
 }
 
 // A blocked wait() with no deadline and nothing else pending can never be
@@ -501,72 +523,6 @@ TEST(ClusterRun, ParkedPollerWithNothingPendingIsADeadlock) {
   cluster.run();
   EXPECT_TRUE(resumed);
   EXPECT_EQ(cluster.sim().now(), stuck_at);
-}
-
-TEST(WaitQueue, NotifyOneWakesFifo) {
-  Simulator sim;
-  WaitQueue q;
-  std::vector<int> woken;
-  Process p1(sim, "p1", [&] {
-    q.wait();
-    woken.push_back(1);
-  });
-  Process p2(sim, "p2", [&] {
-    q.wait();
-    woken.push_back(2);
-  });
-  p1.start();
-  p2.start();
-  sim.in(us(1), [&] { q.notify_one(); });
-  sim.in(us(2), [&] { q.notify_one(); });
-  sim.run();
-  EXPECT_EQ(woken, (std::vector<int>{1, 2}));
-}
-
-TEST(WaitQueue, NotifyAllWakesEveryWaiter) {
-  Simulator sim;
-  WaitQueue q;
-  int woken = 0;
-  std::vector<std::unique_ptr<Process>> ps;
-  for (int i = 0; i < 8; ++i) {
-    ps.push_back(std::make_unique<Process>(sim, "p", [&] {
-      q.wait();
-      ++woken;
-    }));
-    ps.back()->start();
-  }
-  sim.in(us(1), [&] { q.notify_all(); });
-  sim.run();
-  EXPECT_EQ(woken, 8);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(WaitQueue, NotifyOnEmptyQueueIsSafe) {
-  Simulator sim;
-  WaitQueue q;
-  q.notify_one();
-  q.notify_all();
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(WaitQueue, MesaStyleConditionLoop) {
-  Simulator sim;
-  WaitQueue q;
-  bool cond = false;
-  Time observed = -1;
-  Process waiter(sim, "waiter", [&] {
-    while (!cond) q.wait();
-    observed = sim.now();
-  });
-  waiter.start();
-  // A notify without the condition being true must not release the waiter.
-  sim.in(us(1), [&] { q.notify_all(); });
-  sim.in(us(10), [&] {
-    cond = true;
-    q.notify_all();
-  });
-  sim.run();
-  EXPECT_EQ(observed, us(10));
 }
 
 }  // namespace
