@@ -18,8 +18,9 @@ DsmSystem::DsmSystem(Cluster& cluster, DsmConfig config)
     : cluster_(cluster),
       cfg_(config),
       // Identical layout on every node: the mailbox rings and their staging
-      // ring, then the shared region. The region is only reserved here;
-      // shared_alloc() commits what the app hands out.
+      // ring, then the shared region. The region is only reserved: a
+      // node's copy of a page faults in when that node writes it, a page
+      // fetch lands in it, or a diff lands at its home.
       mailboxes_(cluster, config.mailbox_bytes, kTagDsm),
       shared_base_(cluster.reserve_symmetric(config.shared_bytes, kPageBytes)),
       shared_brk_(shared_base_) {
@@ -52,10 +53,6 @@ std::uint64_t DsmSystem::shared_alloc(std::size_t bytes, std::size_t align) {
         "DsmConfig::shared_bytes)");
   }
   shared_brk_ = va + bytes;
-  // Fault the range in on every node now, so the app's first touches (and
-  // the page fetches that land in remote copies) take no page faults inside
-  // the measured run.
-  for (int i = 0; i < num_nodes(); ++i) cluster_.memory(i).commit(va, bytes);
   return va;
 }
 

@@ -249,8 +249,9 @@ class DsmSystem {
   DsmSystem& operator=(const DsmSystem&) = delete;
 
   /// Host-side bump allocation in the shared region (identical layout on
-  /// every node), committed on every node. Call before run(). Throws
-  /// std::length_error when the region is exhausted.
+  /// every node). Commits nothing: every byte reads as zero until written.
+  /// Call before run(). Throws std::length_error when the region is
+  /// exhausted.
   std::uint64_t shared_alloc(std::size_t bytes, std::size_t align = 64);
 
   Dsm& node(int i) { return *nodes_[i]; }

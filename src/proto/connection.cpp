@@ -106,18 +106,15 @@ Connection::Connection(Engine& engine, std::uint32_t local_id, int peer_node,
       ack_timer_(engine.sim(), [this] { on_ack_timeout(engine_.proto_cpu()); }),
       nack_timer_(engine.sim(), [this] { on_nack_timeout(engine_.proto_cpu()); }) {
   assert(!links_.empty());
-  // The window is fixed for the connection's lifetime (§2.4): size every
-  // seq-indexed ring once, here, and never rehash or rebalance again.
+  // The window is fixed for the connection's lifetime (§2.4): every
+  // seq-indexed ring is sized to it and never rehashed. Each ring is
+  // allocated on first use: the unacked ring by the first transmission, the
+  // others by the first loss, gap or out-of-order arrival.
   const std::size_t w = std::max<std::size_t>(engine_.config().window_frames, 1);
-  unacked_.resize(std::bit_ceil(w));
-  seq_mask_ = unacked_.size() - 1;
+  seq_mask_ = std::bit_ceil(w) - 1;
   retx_queued_seqs_.init(w);
-  // Only the receive ring this delivery mode reads (handle_data_frame).
-  if (engine_.config().in_order_delivery) {
-    ooo_buffer_.init(w);
-  } else {
-    rcvd_above_.init(w);
-  }
+  ooo_buffer_.init(w);
+  rcvd_above_.init(w);
   gaps_.init(w);
 }
 
@@ -538,6 +535,7 @@ void Connection::try_transmit(sim::Cpu& cpu) {
                   snd_una_);
       }
     }
+    if (unacked_.empty()) unacked_.resize(seq_mask_ + 1);
     unacked_[of.seq & seq_mask_] = std::move(of.frame);
     snd_tx_next_ = of.seq + 1;
     if (auto* ck = engine_.checker()) {

@@ -317,7 +317,7 @@ class Connection {
   std::deque<OutFrame> pending_;  // built, not yet sent
   // Retained transmitted frames, a ring holding [snd_una_, snd_tx_next_):
   // the window bound keeps that range narrower than the ring, so slot
-  // `seq & seq_mask_` is unambiguous.
+  // `seq & seq_mask_` is unambiguous. Empty until the first transmission.
   std::vector<net::MutFramePtr> unacked_;
   std::uint64_t seq_mask_ = 0;
   std::deque<std::uint64_t> retx_queue_;  // seqs awaiting retransmission
@@ -340,8 +340,8 @@ class Connection {
   // ---- receive side ----
   std::uint64_t rcv_nxt_ = 0;
   std::uint64_t rx_frontier_ = 0;  // one past the highest accepted seq
-  SeqMap<BufferedFrag> ooo_buffer_;  // in-order mode only (else empty)
-  SeqSet rcvd_above_;                // out-of-order mode only (else empty)
+  SeqMap<BufferedFrag> ooo_buffer_;  // in-order mode's out-of-order arrivals
+  SeqSet rcvd_above_;                // out-of-order mode's arrivals above rcv_nxt_
   SeqMap<Gap> gaps_;                 // keys within [rcv_nxt_, rx_frontier_)
   std::uint32_t rx_since_ack_ = 0;  // data frames since we last acked
   bool ack_on_idle_ = false;        // an op completed since the last ack

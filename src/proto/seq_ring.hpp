@@ -8,6 +8,9 @@
 // less than the capacity apart and land in distinct slots. Lookups, inserts
 // and erases become O(1) array accesses with zero per-node allocation,
 // replacing the std::map/std::set node churn this file's users had before.
+// The ring is allocated by the first insert, so a connection that never
+// loses or reorders a frame never pays for its loss-path rings (DESIGN.md
+// §11 "Connection heap").
 //
 // FlatMap covers the op-id keyed maps (receive ops, pending reads): those
 // are NOT window-bounded, but they are tiny and iterated in ascending key
@@ -26,16 +29,21 @@ namespace multiedge::proto {
 /// Membership set over a window-bounded range of sequence numbers.
 class SeqSet {
  public:
+  /// Sets the window; the slots are allocated by the first insert().
   void init(std::size_t window) {
-    slots_.assign(std::bit_ceil(window < 1 ? std::size_t{1} : window), kNone);
-    mask_ = slots_.size() - 1;
+    slots_.clear();
+    mask_ = std::bit_ceil(window < 1 ? std::size_t{1} : window) - 1;
+    size_ = 0;
   }
 
-  bool contains(std::uint64_t seq) const { return slots_[seq & mask_] == seq; }
+  bool contains(std::uint64_t seq) const {
+    return !slots_.empty() && slots_[seq & mask_] == seq;
+  }
 
   /// Returns true if newly inserted. A stale tag (an erased-by-overwrite
   /// entry from a past window position) occupying the slot is replaced.
   bool insert(std::uint64_t seq) {
+    if (slots_.empty()) slots_.assign(mask_ + 1, kNone);
     std::uint64_t& tag = slots_[seq & mask_];
     if (tag == seq) return false;
     if (tag == kNone) ++size_;
@@ -44,6 +52,7 @@ class SeqSet {
   }
 
   bool erase(std::uint64_t seq) {
+    if (slots_.empty()) return false;
     std::uint64_t& tag = slots_[seq & mask_];
     if (tag != seq) return false;
     tag = kNone;
@@ -67,19 +76,21 @@ class SeqSet {
 template <typename T>
 class SeqMap {
  public:
+  /// Sets the window; the slots are allocated by the first emplace().
   void init(std::size_t window) {
     slots_.clear();
-    slots_.resize(std::bit_ceil(window < 1 ? std::size_t{1} : window));
-    mask_ = slots_.size() - 1;
+    mask_ = std::bit_ceil(window < 1 ? std::size_t{1} : window) - 1;
     size_ = 0;
   }
 
   bool contains(std::uint64_t seq) const {
+    if (slots_.empty()) return false;
     const Slot& s = slots_[seq & mask_];
     return s.live && s.seq == seq;
   }
 
   T* find(std::uint64_t seq) {
+    if (slots_.empty()) return nullptr;
     Slot& s = slots_[seq & mask_];
     return (s.live && s.seq == seq) ? &s.val : nullptr;
   }
@@ -87,6 +98,7 @@ class SeqMap {
   /// Insert; the slot must not hold another live seq (the window invariant
   /// makes that impossible for protocol-valid inputs).
   T& emplace(std::uint64_t seq, T val) {
+    if (slots_.empty()) slots_.resize(mask_ + 1);
     Slot& s = slots_[seq & mask_];
     assert(!s.live && "seq ring collision: live seqs wider than the window");
     s.live = true;
@@ -97,6 +109,7 @@ class SeqMap {
   }
 
   bool erase(std::uint64_t seq) {
+    if (slots_.empty()) return false;
     Slot& s = slots_[seq & mask_];
     if (!s.live || s.seq != seq) return false;
     s.live = false;

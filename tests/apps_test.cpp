@@ -3,7 +3,11 @@
 // network configuration, and the harness must report coherent statistics.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <memory>
+
 #include "apps/harness.hpp"
+#include "resident.hpp"
 
 namespace multiedge::apps {
 namespace {
@@ -143,6 +147,45 @@ TEST(AppHarness, SpeedupFromParallelism) {
   const AppRunResult r1 = run_app(o, "Raytrace", p, 1);
   const AppRunResult r4 = run_app(o, "Raytrace", p, 4);
   EXPECT_GT(r1.parallel_ms / r4.parallel_ms, 2.2);
+}
+
+// A node's copy of a shared page faults in only where the run writes it,
+// fetches it or lands a diff in it, so the region does not cost every node
+// the whole footprint. Radix on 16 nodes, laid out the way run_app lays it
+// out: each node writes 256 digit runs per pass, so the pages it touches
+// shrink towards its 1/16 share only as a run grows past a page. At 2^22
+// keys (a page per run) the 16 copies hold 3.7 footprints; committing the
+// region on every node held 16. At 2^16 keys they hold 13.6, at 2^20 7.6.
+TEST(AppMemory, RadixOn16NodesHoldsUnderFourFootprints) {
+  constexpr int kNodes = 16;
+  AppParams p;
+  p.n = 1 << 22;
+  std::unique_ptr<Application> app = make_app("Radix", p);
+  dsm::DsmConfig dcfg = setup_1l_1g().dsm;
+  dcfg.home_block_pages = app->preferred_home_block_pages(kNodes);
+  dcfg.shared_bytes = app->footprint_bytes() + (4u << 20);
+  ClusterConfig ccfg = setup_1l_1g().cluster;
+  ccfg.topology.num_nodes = kNodes;
+  ccfg.memory_bytes_per_node = dcfg.mailbox_bytes * (kNodes + 1) +
+                               dcfg.shared_bytes + (std::size_t{8} << 20);
+  Cluster cluster(ccfg);
+  dsm::DsmSystem sys(cluster, dcfg);
+  app->setup(sys);
+  sys.run([&](dsm::Dsm& d) {
+    app->init(d);
+    d.barrier();
+    app->run(d);
+    d.barrier();
+  });
+  std::size_t resident = 0;
+  for (int n = 0; n < kNodes; ++n) {
+    resident += testing_util::resident_pages(
+        cluster.memory(n).view(sys.shared_base(), dcfg.shared_bytes).data(),
+        dcfg.shared_bytes);
+  }
+  const std::size_t footprint_pages = app->footprint_bytes() / dsm::kPageBytes;
+  EXPECT_LE(resident, 4 * footprint_pages)
+      << resident << " pages against a footprint of " << footprint_pages;
 }
 
 TEST(AppRegistry, AllTableOneAppsRegistered) {

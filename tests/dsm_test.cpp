@@ -1,7 +1,7 @@
 // DSM correctness: page fetch, multiple-writer diffs, lock mutual exclusion,
 // barrier semantics, and notice propagation — on each cluster configuration —
-// plus the symmetric-layout check, the shared region's bounds and commit
-// footprint, and the page diff against a byte-loop reference.
+// plus the symmetric-layout check, the shared region's bounds and the pages
+// a run faults in, and the page diff against a byte-loop reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -432,11 +432,24 @@ TEST(Dsm, SharedAllocThrowsWhenTheRegionIsExhausted) {
   EXPECT_THROW(sys.shared_alloc(1), std::length_error);
 }
 
-// The shared region and the mailbox rings are reserved; only what
-// shared_alloc hands out is committed, on every node. At the defaults (a
-// 24 MiB region, 2 MiB per mailbox ring) committing everything up front
-// would cost each of the 4 nodes 42 MiB.
-TEST(Dsm, SetupCommitsOnlyWhatSharedAllocHandsOut) {
+// Shared-region pages resident on each node.
+std::vector<std::size_t> SharedResidentPages(DsmSystem& sys) {
+  const std::size_t region = sys.config().shared_bytes;
+  std::vector<std::size_t> pages;
+  for (int n = 0; n < sys.num_nodes(); ++n) {
+    pages.push_back(testing_util::resident_pages(
+        sys.cluster().memory(n).view(sys.shared_base(), region).data(),
+        region));
+  }
+  return pages;
+}
+
+// The shared region and the mailbox rings are reserved, and shared_alloc
+// commits nothing: a node's copy of a page faults in only when that node
+// writes it, a page fetch lands in it, or a diff lands at its home
+// (DESIGN.md §11 "Node memory"). Committing what shared_alloc hands out on
+// every node cost each of the 4 nodes the whole MiB.
+TEST(Dsm, SharedAllocCommitsNothing) {
   constexpr std::size_t kMiB = std::size_t{1} << 20;
   constexpr int kNodes = 4;
   Cluster cluster(config_1l_1g(kNodes));
@@ -445,26 +458,50 @@ TEST(Dsm, SetupCommitsOnlyWhatSharedAllocHandsOut) {
   DsmSystem sys(cluster, DsmConfig{});
   const std::uint64_t va = sys.shared_alloc(kMiB, kPageBytes);
   const long grown = testing_util::resident_kib() - before;
-  // 1 MiB per node, plus page tables and the per-node page tables of the
-  // DSM itself; under ASan, shadow for the heap those take.
-  EXPECT_LT(grown, kNodes * 1024L + 2048 + testing_util::kShadowPerGibKib / 32);
-  const std::size_t rest = sys.config().shared_bytes - kMiB;
+  // Page tables and the per-node page tables of the DSM itself; under ASan,
+  // shadow for the heap those take.
+  EXPECT_LT(grown, 2048 + testing_util::kShadowPerGibKib / 32);
+  EXPECT_EQ(SharedResidentPages(sys), std::vector<std::size_t>(kNodes, 0));
   for (int n = 0; n < kNodes; ++n) {
-    proto::MemorySpace& mem = cluster.memory(n);
-    EXPECT_EQ(testing_util::resident_pages(mem.view(va, kMiB).data(), kMiB),
-              kMiB / kPageBytes)
-        << "node " << n;
-    EXPECT_EQ(testing_util::resident_pages(mem.view(va + kMiB, rest).data(),
-                                           rest),
-              0u)
-        << "node " << n;
-    // Reserved bytes read as zero (after the residency check: a read maps
+    // Handed-out bytes read as zero (after the residency check: a read maps
     // the zero page, which mincore counts).
-    const auto reserved = mem.view(va + kMiB, rest);
-    EXPECT_TRUE(std::all_of(reserved.begin(), reserved.end(),
+    const auto handed_out = cluster.memory(n).view(va, kMiB);
+    EXPECT_TRUE(std::all_of(handed_out.begin(), handed_out.end(),
                             [](std::byte b) { return b == std::byte{0}; }))
         << "node " << n;
   }
+}
+
+// A read of a remote page faults in exactly that page, on the reading node
+// only: the fetch lands in the reader's copy, and the home serves it from
+// the copy its own write faulted in.
+TEST(Dsm, RemoteReadFaultsInOnePageOnTheReaderOnly) {
+  constexpr int kHome = 1;
+  constexpr int kReader = 3;
+  Cluster cluster(config_1l_1g(4));
+  DsmConfig cfg;
+  cfg.shared_bytes = 1 << 20;
+  DsmSystem sys(cluster, cfg);
+  const std::uint64_t base = sys.shared_alloc(8 * kPageBytes, kPageBytes);
+  const std::uint64_t page = PageHomedBy(sys, base, 8, kHome);
+
+  std::vector<std::size_t> before;
+  std::vector<std::size_t> after;
+  std::uint64_t got = 0;
+  sys.run([&](Dsm& d) {
+    SharedArray<std::uint64_t> a(&d, page, kPageBytes / 8);
+    if (d.rank() == kHome) a.put(7, 0x5eed);
+    d.barrier();
+    if (d.rank() == 0) before = SharedResidentPages(sys);
+    d.barrier();
+    if (d.rank() == kReader) got = a.get(7);
+    d.barrier();
+    if (d.rank() == 0) after = SharedResidentPages(sys);
+  });
+  EXPECT_EQ(got, 0x5eedu);
+  EXPECT_EQ(sys.node_stats(kReader).pages_fetched, 1u);
+  EXPECT_EQ(before, (std::vector<std::size_t>{0, 1, 0, 0}));
+  EXPECT_EQ(after, (std::vector<std::size_t>{0, 1, 0, 1}));
 }
 
 // The byte-at-a-time diff flush_dirty ran before the word-wide one.
